@@ -60,13 +60,11 @@ from .m2 import (
     PureStatePoint,
     SphericalRegion,
     cobounded_witness,
-    cone_contains,
     fubini_study,
     hopf,
     iso_membership,
     join_coeffs,
     pure_state_order,
-    region_contains,
     rotation_preserves,
     state_order,
     transversality,

@@ -6,13 +6,19 @@ region of the unit sphere of traceless matrices plus the full multiples
 of the identity.  Pure states map to the sphere through the Hopf
 fibration, and the induced state order is a dual-cone test on Bloch
 vectors.
+
+The geometry needs only numpy and cross products.  A hull region checks
+that its vertices lie in an open half-sphere with Gordan's alternative,
+then projects them gnomonically onto the plane through the axis found
+there and takes their 2-D convex hull with Andrew's monotone chain: the
+hull's corners are the extreme vertices and its edges the facets that
+decide membership.  `contains` is a batch of one over `contains_many`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import (
     DimensionMismatch,
@@ -31,8 +37,6 @@ __all__ = [
     "matrix_from_pauli",
     "hopf",
     "SphericalRegion",
-    "region_contains",
-    "cone_contains",
     "iso_membership",
     "PureStatePoint",
     "DensityState",
@@ -119,18 +123,29 @@ def hopf(xi) -> np.ndarray:
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(xi[0]) ** 2 - abs(xi[1]) ** 2])
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float array; what numpy cannot read as one is InvalidInput."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} must be numeric: {exc}") from exc
+
+
 def _unit(v, what: str, tol: float = 1e-6) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = _floats(v, what).reshape(-1)
     if v.shape != (3,):
         raise DimensionMismatch(f"{what} must have 3 entries, got {v.shape}")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
-        raise InvalidInput(f"{what} must be unit length, got norm {nrm!r}")
+    if not abs(nrm - 1.0) <= tol:  # a NaN or infinite entry fails too
+        raise InvalidInput(f"{what} must be finite and unit length, got norm {nrm!r}")
     return v / nrm
 
 
 def _angle(u, w) -> float:
     return float(np.arccos(np.clip(float(np.dot(u, w)), -1.0, 1.0)))
+
+
+_REGION_FIELDS = {"full": (), "cap": ("center", "radius"), "hull": ("vertices",)}
 
 
 class SphericalRegion:
@@ -140,6 +155,17 @@ class SphericalRegion:
     unit center (angles measured on the sphere itself); or the geodesic
     hull of unit vertices lying strictly inside an open half-sphere.
     The induced cone of nonnegative multiples is full dimensional.
+
+    Hulls are set up with cross products alone.  Gordan's alternative
+    decides the half-sphere condition: the vertices lie in an open
+    half-sphere iff some axis w has v.w > 0 for every vertex v, and the
+    sum of the vertices and signed pairwise cross products that are
+    nonnegative on all vertices is such an axis whenever one exists.
+    Projected gnomonically onto the plane w.x = 1, the hull becomes a
+    convex polygon; Andrew's monotone chain with strict turns finds its
+    corners, which are the extreme vertices (kept in input order, with
+    duplicates and vertices on an arc between others dropped), and its
+    edges give the inward facet normals that decide membership.
     """
 
     kind: str
@@ -155,6 +181,9 @@ class SphericalRegion:
             return
         if kind == "cap":
             self.center = _unit(center, "cap center", tol=1e-12)
+            radius = _floats(radius, "cap radius")
+            if radius.shape != ():
+                raise InvalidInput("cap radius must be a number")
             radius = float(radius)
             if not 0.0 < radius <= np.pi / 2.0 + 1e-9:
                 raise InvalidInput(f"cap radius must be in (0, pi/2], got {radius!r}")
@@ -162,27 +191,20 @@ class SphericalRegion:
             self.center.setflags(write=False)
             return
         if kind == "hull":
-            verts = np.asarray(vertices, dtype=float)
+            verts = _floats(vertices, "hull vertices")
             if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 3:
                 raise InvalidInput("hull needs at least 3 unit vertices of dimension 3")
             norms = np.linalg.norm(verts, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise InvalidInput("hull vertices must be unit length")
+            if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN or infinite entry fails too
+                raise InvalidInput("hull vertices must be finite and unit length")
             verts = verts / norms[:, None]
             if np.linalg.matrix_rank(verts, tol=1e-9) < 3:
                 raise InvalidInput("hull cone must be full dimensional")
-            res = linprog(
-                c=[0.0, 0.0, 0.0],
-                A_ub=-verts,
-                b_ub=-np.ones(verts.shape[0]),
-                bounds=[(None, None)] * 3,
-                method="highs",
-            )
-            if not res.success:
+            axis = _half_sphere_axis(verts)
+            if axis is None:
                 raise InvalidInput("hull vertices must lie strictly inside an open half-sphere")
             self.vertices = verts
-            self._extreme = _extreme_rays(verts)
-            self._facets = _facet_normals(self._extreme)
+            self._extreme, self._facets = _hull_cone(verts, axis)
             self.vertices.setflags(write=False)
             self._extreme.setflags(write=False)
             self._facets.setflags(write=False)
@@ -205,14 +227,15 @@ class SphericalRegion:
 
     @classmethod
     def from_json(cls, data: dict) -> "SphericalRegion":
+        if not isinstance(data, dict):
+            raise InvalidInput("region JSON must be an object")
         kind = data.get("kind")
-        if kind == "full":
-            return cls.full()
-        if kind == "cap":
-            return cls.cap(data["center"], data["radius"])
-        if kind == "hull":
-            return cls.hull(data["vertices"])
-        raise InvalidInput(f"unknown region kind {kind!r}")
+        if kind not in _REGION_FIELDS:
+            raise InvalidInput(f"unknown region kind {kind!r}")
+        missing = [name for name in _REGION_FIELDS[kind] if name not in data]
+        if missing:
+            raise InvalidInput(f"{kind} region JSON needs {', '.join(map(repr, missing))}")
+        return cls(kind, **{name: data[name] for name in _REGION_FIELDS[kind]})
 
     def to_json(self) -> dict:
         if self.kind == "full":
@@ -239,13 +262,7 @@ class SphericalRegion:
     def contains(self, u, tol: float = GEOM_TOL) -> bool:
         """Membership of a unit vector in the sphere region."""
         u = _unit(u, "query point")
-        if self.kind == "full":
-            return True
-        if self.kind == "cap":
-            return _angle(u, self.center) <= self.radius + tol
-        coeffs, resid = nnls(self._extreme.T, u)
-        del coeffs
-        return resid <= tol
+        return bool(self.contains_many(u[None], tol=tol)[0])
 
     def contains_many(self, pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         """Vectorized membership for unit rows; hulls use facet normals."""
@@ -308,56 +325,90 @@ class SphericalRegion:
         return zero | (slack >= -tol * np.maximum(norms, 1.0))
 
 
-def _extreme_rays(verts: np.ndarray) -> np.ndarray:
-    """Deduplicate, then keep the vertices not in the cone of the others."""
+def _half_sphere_axis(verts: np.ndarray) -> np.ndarray | None:
+    """A unit axis w with verts @ w > 0, or None if no open half-sphere holds them.
+
+    Gordan's alternative: w exists iff 0 is not in the convex hull of the
+    vertices.  The facet normals of a full-dimensional cone are signed
+    cross products of vertex pairs, and they generate its dual cone; so
+    summing every candidate among +-(vi x vj) and the vi that is
+    nonnegative on all vertices lands inside the dual cone whenever the
+    dual cone has an interior.  The sum must clear every vertex by
+    GEOM_TOL, the same scale as the rank check, so vertices within about
+    1e-9 of a great circle count as outside any open half-sphere.
+    """
+    i, j = np.triu_indices(len(verts), k=1)
+    crosses = np.cross(verts[i], verts[j])
+    cands = np.concatenate([crosses, -crosses, verts])
+    w = cands[(cands @ verts.T >= -1e-12).all(axis=1)].sum(axis=0)
+    nrm = float(np.linalg.norm(w))
+    if not (verts @ w).min() > GEOM_TOL * nrm:
+        return None
+    return w / nrm
+
+
+def _hull_cone(verts: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme rays, in input order, and inward unit facet normals of a hull cone.
+
+    Vertices within 1e-9 of an earlier one are duplicates.  The facets are
+    the edges of the gnomonic hull polygon, listed by their ray pair in
+    input order and turned towards the sum of the extreme rays.
+    """
     uniq: list[np.ndarray] = []
     for v in verts:
         if not any(np.linalg.norm(v - u) <= 1e-9 for u in uniq):
             uniq.append(v)
     rays = np.array(uniq)
-    if rays.shape[0] <= 3:
-        return rays
-    keep = []
-    for i in range(rays.shape[0]):
-        others = np.delete(rays, i, axis=0)
-        _, resid = nnls(others.T, rays[i])
-        if resid > 1e-9:
-            keep.append(i)
-    return rays[keep] if len(keep) >= 3 else rays
+    ring = list(range(len(rays))) if len(rays) <= 3 else _monotone_chain(rays, axis)
+    if len(ring) < 3:
+        raise InvalidInput("hull cone must be full dimensional")
+    extreme = rays[sorted(ring)]
+    inside = extreme.sum(axis=0)
+    normals = []
+    for a, b in sorted(tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])):
+        nvec = np.cross(rays[a], rays[b])
+        nvec = nvec / np.linalg.norm(nvec)
+        normals.append(nvec if nvec @ inside > 0 else -nvec)
+    return extreme, np.array(normals)
 
 
-def _facet_normals(rays: np.ndarray) -> np.ndarray:
-    """Inward facet normals of a pointed, full-dimensional 3d cone."""
-    inside = rays.mean(axis=0)
-    inside /= np.linalg.norm(inside)
-    normals: list[np.ndarray] = []
-    k = rays.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            nvec = np.cross(rays[i], rays[j])
-            nn = np.linalg.norm(nvec)
-            if nn <= 1e-12:
-                continue
-            nvec = nvec / nn
-            side = float(nvec @ inside)
-            if abs(side) <= 1e-12:
-                continue
-            if side < 0:
-                nvec = -nvec
-            if (rays @ nvec >= -1e-12).all():
-                if not any(np.linalg.norm(nvec - m) <= 1e-9 for m in normals):
-                    normals.append(nvec)
-    if not normals:
-        raise InvalidInput("hull cone has no facets; vertices are degenerate")
-    return np.array(normals)
+def _monotone_chain(rays: np.ndarray, axis: np.ndarray) -> list[int]:
+    """Indices of the corners of the rays' gnomonic image, counter-clockwise.
 
+    The rays are projected onto the plane axis.x = 1 and swept in
+    lexicographic order of their plane coordinates (Andrew, 1979).  A ray
+    stays on the chain only on a strict left turn: it must lie more than
+    1e-9 outside the plane through its two neighbours, so rays inside the
+    hull or on an arc between two others drop out.
+    """
+    e1 = _orthogonal_to(axis)
+    e2 = np.cross(axis, e1)
+    proj = rays / (rays @ axis)[:, None]
+    order = np.lexsort((proj @ e2, proj @ e1)).tolist()
 
-def region_contains(region: SphericalRegion, u, tol: float = GEOM_TOL) -> bool:
-    return region.contains(u, tol=tol)
+    def left_turn(o: int, a: int, b: int) -> bool:
+        normal = np.cross(rays[b], rays[o])
+        return float(rays[a] @ normal) > 1e-9 * float(np.linalg.norm(normal))
 
+    def half(seq: list[int]) -> list[int]:
+        out: list[int] = []
+        for k in seq:
+            while len(out) >= 2 and not left_turn(out[-2], out[-1], k):
+                out.pop()
+            out.append(k)
+        return out
 
-def cone_contains(region: SphericalRegion, v, tol: float = GEOM_TOL) -> bool:
-    return region.cone_contains(v, tol=tol)
+    ring = half(order)[:-1] + half(order[::-1])[:-1]
+    # The sweep never tests its two ends as middle points; test every
+    # corner against its neighbours on the closed ring.
+    k = 0
+    while k < len(ring):
+        if len(ring) > 3 and not left_turn(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]):
+            del ring[k]
+            k = 0
+        else:
+            k += 1
+    return ring
 
 
 def iso_membership(region: SphericalRegion, a, tol: float = GEOM_TOL) -> bool:

@@ -1,16 +1,12 @@
 """Runs every acceptance criterion at full size and prints its report line."""
 import pytest
 
-from ordercones.acceptance import CRITERIA, run_all
-
-_CACHE: dict = {}
+from ordercones.acceptance import CRITERIA
 
 
 @pytest.fixture(scope="module")
-def results():
-    if not _CACHE:
-        _CACHE.update({r.number: r for r in run_all(seed=7)})
-    return _CACHE
+def results(acceptance_seed7):
+    return {r.number: r for r in acceptance_seed7}
 
 
 @pytest.mark.parametrize("number,name", [(num, name) for num, name, _, _ in CRITERIA])

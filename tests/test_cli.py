@@ -146,6 +146,29 @@ def test_m2_member_and_order(capsys):
     assert data == {"relation": "less"}
 
 
+@pytest.mark.parametrize(
+    "region",
+    [
+        '{"kind": "cap", "center": [0, 0, NaN], "radius": 0.3}',
+        '{"kind": "hull", "vertices": [[0.6, 0, 0.8], [-0.3, 0.5196, 0.8], [NaN, 0, 1]]}',
+    ],
+    ids=["cap-nan-center", "hull-nan-vertex"],
+)
+def test_m2_member_rejects_non_finite_region(capsys, region):
+    s3_plus = json.dumps({"n": 2, "re": [[8, 0], [0, 6]]})
+    code, data = run_json(capsys, ["m2", "member", "--region", region, "--matrix", s3_plus])
+    assert code == 1
+    assert data["error"]["kind"] == "InvalidInput" and "finite" in data["error"]["detail"]
+
+
+@pytest.mark.parametrize("region", ['{"kind": "cap"}', '{"kind": "hull"}', '{"kind": "cap", "center": [0, 0, 1]}'])
+def test_m2_member_rejects_region_missing_fields(capsys, region):
+    s3_plus = json.dumps({"n": 2, "re": [[8, 0], [0, 6]]})
+    code, data = run_json(capsys, ["m2", "member", "--region", region, "--matrix", s3_plus])
+    assert code == 1
+    assert data["error"]["kind"] == "InvalidInput" and "needs" in data["error"]["detail"]
+
+
 def test_m2_order_sampled_csv_is_deterministic(capsys):
     cap = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 0.5})
     argv = ["m2", "order", "--region", cap, "--samples", "5", "--seed", "3", "--format", "csv"]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,21 +106,120 @@ def test_cap_membership_boundary():
     assert not cap.contains(outside)
 
 
-def test_hull_membership_two_routes_agree():
-    # the single-point feasibility route and the facet-normal batch route
-    # must agree away from the boundary
+def _triple_inverses(rays: np.ndarray) -> np.ndarray:
+    """Inverses of the nonsingular ray triples, (T, 3, 3)."""
+    inv = [
+        np.linalg.inv(rays[list(idx)].T)
+        for idx in itertools.combinations(range(len(rays)), 3)
+        if abs(np.linalg.det(rays[list(idx)])) > 1e-9
+    ]
+    return np.array(inv)
+
+
+def oracle_margin(rays: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Signed Caratheodory margin of each row, positive inside cone(rays).
+
+    In three dimensions u lies in the cone exactly when u = R_T c with
+    c >= 0 for some triple T of rays; the margin is the best triple's
+    smallest coefficient.
+    """
+    coeffs = np.einsum("tij,nj->nti", _triple_inverses(rays), pts)
+    return coeffs.min(axis=2).max(axis=1)
+
+
+def brute_force_extreme(verts) -> np.ndarray:
+    """Deduplicated unit vertices outside the cone of the others, in input order."""
+    verts = np.asarray(verts, dtype=float)
+    verts = verts / np.linalg.norm(verts, axis=1)[:, None]
+    uniq: list[np.ndarray] = []
+    for v in verts:
+        if all(np.linalg.norm(v - u) > 1e-9 for u in uniq):
+            uniq.append(v)
+    rays = np.array(uniq)
+    if len(rays) <= 3:
+        return rays
+    keep = [i for i in range(len(rays)) if oracle_margin(np.delete(rays, i, axis=0), rays[i : i + 1])[0] < -1e-7]
+    return rays[keep]
+
+
+def random_hulls(seed: int, count: int) -> list[np.ndarray]:
+    """Seeded hull vertex sets, 3-8 vertices within 1.3 rad of a random axis."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(3, 9))
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        tilt = rng.uniform(0.1, 1.3, size=k)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        side = np.cross(axis, np.eye(3)[int(np.argmin(np.abs(axis)))])
+        side /= np.linalg.norm(side)
+        other = np.cross(axis, side)
+        ring = np.cos(phi)[:, None] * side + np.sin(phi)[:, None] * other
+        out.append(np.cos(tilt)[:, None] * axis + np.sin(tilt)[:, None] * ring)
+    return out
+
+
+def oracle_hulls() -> list[tuple[str, SphericalRegion]]:
+    fixtures = [(name, r) for name, r in region_fixtures() if r.kind == "hull"]
+    return fixtures + [(f"random-{i}", SphericalRegion.hull(v)) for i, v in enumerate(random_hulls(17, 40))]
+
+
+def test_hull_membership_matches_caratheodory_oracle():
     rng = np.random.default_rng(2)
-    for name, region in region_fixtures():
-        if region.kind != "hull":
-            continue
-        pts = rng.normal(size=(300, 3))
+    for name, region in oracle_hulls():
+        rays = region.extreme_vertices
+        near = rng.exponential(size=(1500, len(rays))) @ rays + rng.normal(scale=0.2, size=(1500, 3))
+        pts = np.vstack([rng.normal(size=(1500, 3)), near])
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        batch = region.contains_many(pts)
-        margins = (pts @ region._facets.T).min(axis=1)
-        for i in range(len(pts)):
-            if abs(margins[i]) < 1e-7:
-                continue
-            assert region.contains(pts[i]) == bool(batch[i]), name
+        margin = oracle_margin(rays, pts)
+        clear = np.abs(margin) >= 1e-7
+        expected = margin[clear] > 0
+        assert expected.any() and not expected.all(), name
+        assert np.array_equal(region.contains_many(pts)[clear], expected), name
+        scalar = np.array([region.contains(u) for u in pts[clear]])
+        assert np.array_equal(scalar, expected), name
+
+
+def test_hull_extreme_vertices_match_brute_force():
+    hulls = [r.vertices for _, r in region_fixtures() if r.kind == "hull"] + random_hulls(18, 60)
+    for verts in hulls:
+        expected = brute_force_extreme(verts)
+        assert np.array_equal(SphericalRegion.hull(verts).extreme_vertices, expected)
+
+
+def test_hull_drops_duplicate_and_arc_vertices():
+    a = np.array([0.6, 0.0, 0.8])
+    b = np.array([-0.3, np.sqrt(0.27), 0.8])
+    c = np.array([-0.3, -np.sqrt(0.27), 0.8])
+    arc = (a + b) / np.linalg.norm(a + b)
+    inner = (a + b + c) / np.linalg.norm(a + b + c)
+    near_a = a + np.array([0.0, 1e-10, 0.0])
+    verts = [inner, a, arc, b, a, near_a / np.linalg.norm(near_a), c]
+    region = SphericalRegion.hull(verts)
+    assert np.allclose(region.extreme_vertices, [a, b, c], rtol=0.0, atol=1e-15)
+    assert np.array_equal(region.extreme_vertices, brute_force_extreme(verts))
+    assert region.contains(arc) and region.contains(inner)
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        # an antipodal pair with one or two more vertices
+        [[0, 0, 1], [0, 0, -1], [1, 0, 0]],
+        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0]],
+        # vertices surrounding the origin: a regular tetrahedron
+        (np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)).tolist(),
+        # an equator triple around the origin plus the pole spans a closed half-space
+        [[1, 0, 0], [-0.5, np.sqrt(0.75), 0], [-0.5, -np.sqrt(0.75), 0], [0, 0, 1]],
+        # great-circle triples span a flat cone
+        [[1, 0, 0], [0, 1, 0], [np.sqrt(0.5), np.sqrt(0.5), 0]],
+        [[1, 0, 0], [-0.5, np.sqrt(0.75), 0], [-0.5, -np.sqrt(0.75), 0]],
+    ],
+)
+def test_hull_rejects_degenerate_vertices(verts):
+    with pytest.raises(InvalidInput):
+        SphericalRegion.hull(verts)
 
 
 def test_cone_contains_zero_vector():
