@@ -13,21 +13,24 @@ import sys
 import numpy as np
 
 from . import acceptance, duality, gps, hermitian, isotone_cone, m2, poset
-from .errors import InvalidInput, OrderConesError
+from .errors import DomainError, InvalidInput, OrderConesError
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """JSON form of the numpy values payloads carry."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(payload: dict | list) -> str:
+    """Strict JSON: a NaN or infinite value is a DomainError, never a bare token."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from exc
 
 
 def _load(text: str):
@@ -52,11 +55,8 @@ def _load(text: str):
 
 
 def _emit(args, payload: dict | list | str) -> None:
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    text = payload if isinstance(payload, str) else _dumps(payload)
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -109,310 +109,238 @@ def _relation_csv(pre: poset.FinitePreorder) -> str:
     return "\n".join(lines)
 
 
-def _maybe_relation(args, obj: poset.FinitePreorder, extra: dict | None = None):
-    if getattr(args, "format", "json") == "csv":
-        _emit(args, _relation_csv(obj))
-        return
+def _relation_payload(args, obj: poset.FinitePreorder, extra: dict | None = None) -> dict | str:
+    if args.format == "csv":
+        return _relation_csv(obj)
     payload = obj.to_json()
     if extra:
         payload.update(extra)
-    _emit(args, payload)
+    return payload
 
 
 # --------------------------------------------------------------------------
 # poset verbs
 
 
-def _cmd_poset_check(args) -> int:
+def _cmd_poset_check(args):
     try:
         p = _poset_arg(getattr(args, "in"))
     except OrderConesError as exc:
-        _emit(args, {"valid": False, "reason": exc.kind, "detail": str(exc)})
-        return 0
-    _emit(args, {"valid": True, "bounded": poset.bounds(p).bounded})
-    return 0
+        return {"valid": False, "reason": exc.kind, "detail": str(exc)}
+    return {"valid": True, "bounded": poset.bounds(p).bounded}
 
 
-def _cmd_poset_reduce(args) -> int:
-    q = _preorder_arg(getattr(args, "in"))
-    reduced, projection = poset.reduce_preorder(q)
-    _emit(args, {"poset": reduced.to_json(), "projection": projection})
-    return 0
+def _cmd_poset_reduce(args):
+    reduced, projection = poset.reduce_preorder(_preorder_arg(getattr(args, "in")))
+    return {"poset": reduced.to_json(), "projection": projection}
 
 
-def _cmd_poset_combine(args) -> int:
-    combined = poset.combine(_poset_arg(args.a), _poset_arg(args.b), args.mode)
-    _maybe_relation(args, combined)
-    return 0
+def _cmd_poset_combine(args):
+    return _relation_payload(args, poset.combine(_poset_arg(args.a), _poset_arg(args.b), args.mode))
 
 
-def _cmd_poset_interval(args) -> int:
-    p = _poset_arg(getattr(args, "in"))
-    _emit(args, {"elements": poset.interval(p, args.x, args.y)})
-    return 0
+def _cmd_poset_interval(args):
+    return {"elements": poset.interval(_poset_arg(getattr(args, "in")), args.x, args.y)}
 
 
-def _cmd_poset_bounds(args) -> int:
+def _cmd_poset_bounds(args):
     b = poset.bounds(_poset_arg(getattr(args, "in")))
-    _emit(args, {"top": b.top, "bottom": b.bottom})
-    return 0
+    return {"top": b.top, "bottom": b.bottom}
 
 
-def _cmd_poset_sprinkle(args) -> int:
+def _cmd_poset_sprinkle(args):
     sprinkled = poset.sprinkle_minkowski(args.n, args.seed)
+    if args.format == "csv":
+        return _relation_csv(sprinkled.poset)
     payload = sprinkled.poset.to_json()
     payload["coords"] = sprinkled.coords_json()
-    if args.format == "csv":
-        _emit(args, _relation_csv(sprinkled.poset))
-    else:
-        _emit(args, payload)
-    return 0
+    return payload
 
 
 # --------------------------------------------------------------------------
 # cone verbs
 
 
-def _cmd_cone_isotone(args) -> int:
+def _cmd_cone_isotone(args):
     p = _preorder_arg(args.poset)
     f = _function_arg(args.f)
-    _emit(args, {"isotone": isotone_cone.is_isotone(p, f, tol=args.tol)})
-    return 0
+    return {"isotone": isotone_cone.is_isotone(p, f, tol=args.tol)}
 
 
-def _cmd_cone_order_from(args) -> int:
+def _cmd_cone_order_from(args):
     elements = _load(args.elements)
     fns = _functions_arg(args.functions)
     pre, separates = isotone_cone.order_from_functions(elements, fns, tol=args.tol)
-    _maybe_relation(args, pre, {"separates_points": separates})
-    return 0
+    return _relation_payload(args, pre, {"separates_points": separates})
 
 
-def _cmd_cone_express(args) -> int:
+def _cmd_cone_express(args):
     p = _poset_arg(args.poset)
     gens = _functions_arg(args.generators)
     target = _function_arg(args.target)
     expr = isotone_cone.stone_nachbin_express(p, gens, target, tol=args.tol, prune=args.prune)
     err = float(np.max(np.abs(isotone_cone.eval_expr(expr, gens) - target)))
-    _emit(args, {"expr": expr.to_json(), "max_error": err})
-    return 0
+    return {"expr": expr.to_json(), "max_error": err}
 
 
-def _cmd_cone_eval(args) -> int:
+def _cmd_cone_eval(args):
     expr = isotone_cone.expr_from_json(_load(args.expr))
     fns = _functions_arg(args.functions) if args.functions else []
-    values = isotone_cone.eval_expr(expr, fns, size=args.size)
-    _emit(args, {"values": values.tolist()})
-    return 0
+    return {"values": isotone_cone.eval_expr(expr, fns, size=args.size)}
 
 
-def _cmd_cone_decompose(args) -> int:
+def _cmd_cone_decompose(args):
     p = _poset_arg(args.poset)
     terms = isotone_cone.upset_decomposition(p, _function_arg(args.f), tol=args.tol)
-    _emit(
-        args,
-        {"terms": [{"coeff": c, "indicator": ind.tolist()} for c, ind in terms]},
-    )
-    return 0
+    return {"terms": [{"coeff": c, "indicator": ind} for c, ind in terms]}
 
 
-def _cmd_cone_contains(args) -> int:
+def _cmd_cone_contains(args):
     contained = isotone_cone.generated_cone_contains(
         _load(args.elements), _functions_arg(args.functions), _function_arg(args.f), tol=args.tol
     )
-    _emit(args, {"contains": contained})
-    return 0
+    return {"contains": contained}
 
 
-def _cmd_cone_minimal(args) -> int:
-    p = _poset_arg(getattr(args, "in"))
-    witness = isotone_cone.minimal_witness(p)
+def _cmd_cone_minimal(args):
+    witness = isotone_cone.minimal_witness(_poset_arg(getattr(args, "in")))
     if witness is None:
-        _emit(args, {"witness": None, "totally_ordered": True})
-        return 0
+        return {"witness": None, "totally_ordered": True}
     payload = {
-        "witness": {
-            "x": witness.x,
-            "y": witness.y,
-            "in_cone": witness.in_cone.tolist(),
-            "outside": witness.outside.tolist(),
-        },
+        "witness": {"x": witness.x, "y": witness.y, "in_cone": witness.in_cone, "outside": witness.outside},
         "totally_ordered": False,
     }
     if args.pair:
         a, b = args.pair
-        payload["separator"] = {"a": a, "b": b, "values": witness.separator(a, b).tolist()}
-    _emit(args, payload)
-    return 0
+        payload["separator"] = {"a": a, "b": b, "values": witness.separator(a, b)}
+    return payload
 
 
-def _cmd_cone_cobounded(args) -> int:
+def _cmd_cone_cobounded(args):
     res = isotone_cone.cobounded_commutative(_poset_arg(getattr(args, "in")))
-    payload: dict = {"cobounded": res.cobounded, "witness": None}
-    if res.witness is not None:
-        payload["witness"] = {
-            "f": res.witness.f.tolist(),
-            "g": res.witness.g.tolist(),
-            "condition": res.witness.condition,
-            "lhs": res.witness.lhs,
-            "rhs": res.witness.rhs,
-        }
-    _emit(args, payload)
-    return 0
+    w = res.witness
+    if w is None:
+        return {"cobounded": res.cobounded, "witness": None}
+    witness = {"f": w.f, "g": w.g, "condition": w.condition, "lhs": w.lhs, "rhs": w.rhs}
+    return {"cobounded": res.cobounded, "witness": witness}
 
 
 # --------------------------------------------------------------------------
 # herm verbs
 
 
-def _sqrt_guard(x: float) -> float:
-    if x < -1e-10:
-        raise ValueError("negative spectral point")
-    return float(np.sqrt(max(x, 0.0)))
-
-
 _NAMED_FUNCTIONS = {
     "abs": abs,
-    "sqrt": _sqrt_guard,
+    "sqrt": hermitian.nonnegative_sqrt,
     "square": lambda x: x * x,
     "identity": lambda x: x,
     "exp": np.exp,
 }
 
 
-def _cmd_herm_spectral(args) -> int:
-    dec = hermitian.spectral(_hermitian_arg(getattr(args, "in")))
-    _emit(args, dec.to_json())
-    return 0
+def _cmd_herm_spectral(args):
+    return hermitian.spectral(_hermitian_arg(getattr(args, "in"))).to_json()
 
 
-def _cmd_herm_fn(args) -> int:
+def _cmd_herm_fn(args):
     if args.fn not in _NAMED_FUNCTIONS:
         raise InvalidInput(f"unknown function {args.fn!r}; pick one of {sorted(_NAMED_FUNCTIONS)}")
-    out = hermitian.func_calc(_hermitian_arg(getattr(args, "in")), _NAMED_FUNCTIONS[args.fn])
-    _emit(args, out.to_json())
-    return 0
+    return hermitian.func_calc(_hermitian_arg(getattr(args, "in")), _NAMED_FUNCTIONS[args.fn]).to_json()
 
 
-def _cmd_herm_lattice(args) -> int:
+def _cmd_herm_lattice(args):
     join, meet = hermitian.lattice_ops(_hermitian_arg(args.a), _hermitian_arg(args.b))
-    _emit(args, {"join": join.to_json(), "meet": meet.to_json()})
-    return 0
+    return {"join": join.to_json(), "meet": meet.to_json()}
 
 
-def _cmd_herm_classify(args) -> int:
-    _emit(args, hermitian.classify(_hermitian_arg(getattr(args, "in"))).to_json())
-    return 0
+def _cmd_herm_classify(args):
+    return hermitian.classify(_hermitian_arg(getattr(args, "in"))).to_json()
 
 
 # --------------------------------------------------------------------------
 # m2 verbs
 
 
-def _cmd_m2_hopf(args) -> int:
+def _cmd_m2_hopf(args):
     data = _load(args.xi)
     if isinstance(data, dict):
         data = data["xi"]
     pairs = np.asarray(data, dtype=float)
-    bloch = m2.hopf(pairs[:, 0] + 1j * pairs[:, 1])
-    _emit(args, {"bloch": bloch.tolist()})
-    return 0
+    return {"bloch": m2.hopf(pairs[:, 0] + 1j * pairs[:, 1])}
 
 
-def _cmd_m2_member(args) -> int:
-    member = m2.iso_membership(_region_arg(args.region), _hermitian_arg(args.matrix), tol=args.tol)
-    _emit(args, {"member": member})
-    return 0
+def _cmd_m2_member(args):
+    return {"member": m2.iso_membership(_region_arg(args.region), _hermitian_arg(args.matrix), tol=args.tol)}
 
 
-def _cmd_m2_order(args) -> int:
+def _cmd_m2_order(args):
     region = _region_arg(args.region)
-    if args.samples:
-        rng = np.random.default_rng(args.seed)
-        pts = rng.normal(size=(2 * args.samples, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        rows = []
-        for i in range(args.samples):
-            p = m2.PureStatePoint.from_bloch(pts[2 * i])
-            q = m2.PureStatePoint.from_bloch(pts[2 * i + 1])
-            rows.append((pts[2 * i], pts[2 * i + 1], m2.pure_state_order(region, p, q, tol=args.tol)))
-        if args.format == "csv":
-            lines = ["px,py,pz,qx,qy,qz,relation"]
-            for p, q, rel in rows:
-                lines.append(",".join(repr(float(x)) for x in (*p, *q)) + f",{rel}")
-            _emit(args, "\n".join(lines))
-        else:
-            _emit(
-                args,
-                {
-                    "samples": [
-                        {"p": p.tolist(), "q": q.tolist(), "relation": rel} for p, q, rel in rows
-                    ]
-                },
-            )
-        return 0
-    if not args.p or not args.q:
-        raise InvalidInput("need --p and --q (or --samples for a scan)")
-    p = _pure_state_arg(args.p)
-    q = _pure_state_arg(args.q)
-    _emit(args, {"relation": m2.pure_state_order(region, p, q, tol=args.tol)})
-    return 0
+    if args.samples is None:
+        if not args.p or not args.q:
+            raise InvalidInput("need --p and --q (or --samples for a scan)")
+        p = _pure_state_arg(args.p)
+        q = _pure_state_arg(args.q)
+        return {"relation": m2.pure_state_order(region, p, q, tol=args.tol)}
+    if args.samples <= 0:
+        raise InvalidInput(f"--samples must be positive, got {args.samples}")
+    rng = np.random.default_rng(args.seed)
+    pts = rng.normal(size=(2 * args.samples, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    rows = []
+    for i in range(args.samples):
+        p = m2.PureStatePoint.from_bloch(pts[2 * i])
+        q = m2.PureStatePoint.from_bloch(pts[2 * i + 1])
+        rows.append((pts[2 * i], pts[2 * i + 1], m2.pure_state_order(region, p, q, tol=args.tol)))
+    if args.format == "csv":
+        lines = ["px,py,pz,qx,qy,qz,relation"]
+        for p, q, rel in rows:
+            lines.append(",".join(repr(float(x)) for x in (*p, *q)) + f",{rel}")
+        return "\n".join(lines)
+    return {"samples": [{"p": p, "q": q, "relation": rel} for p, q, rel in rows]}
 
 
-def _cmd_m2_state_order(args) -> int:
+def _cmd_m2_state_order(args):
     region = _region_arg(args.region)
     rho = m2.DensityState.from_json(_load(args.rho))
     sigma = m2.DensityState.from_json(_load(args.sigma))
-    _emit(args, {"relation": m2.state_order(region, rho, sigma, tol=args.tol)})
-    return 0
+    return {"relation": m2.state_order(region, rho, sigma, tol=args.tol)}
 
 
-def _cmd_m2_fs(args) -> int:
+def _cmd_m2_fs(args):
     p = _pure_state_arg(args.p)
     q = _pure_state_arg(args.q)
-    _emit(
-        args,
-        {"distance": m2.fubini_study(p, q), "probability": m2.transition_probability(p, q)},
-    )
-    return 0
+    return {"distance": m2.fubini_study(p, q), "probability": m2.transition_probability(p, q)}
 
 
-def _cmd_m2_transverse(args) -> int:
+def _cmd_m2_transverse(args):
     data = _load(args.matrix)
     if isinstance(data, list):
         data = {"re": data}
     mat = hermitian.complex_matrix_from_json(data)
-    result = m2.transversality(_region_arg(args.region), mat, tol=args.tol)
-    _emit(args, result.to_json())
-    return 0
+    return m2.transversality(_region_arg(args.region), mat, tol=args.tol).to_json()
 
 
-def _cmd_m2_join_coeffs(args) -> int:
+def _cmd_m2_join_coeffs(args):
     alpha, beta = m2.join_coeffs(_hermitian_arg(args.a), _hermitian_arg(args.b))
-    _emit(args, {"alpha": alpha, "beta": beta})
-    return 0
+    return {"alpha": alpha, "beta": beta}
 
 
-def _cmd_m2_cobounded(args) -> int:
+def _cmd_m2_cobounded(args):
     witness = m2.cobounded_witness(_region_arg(args.region))
-    _emit(args, {"witness": None if witness is None else witness.to_json()})
-    return 0
+    return {"witness": None if witness is None else witness.to_json()}
 
 
-def _cmd_m2_rotation(args) -> int:
+def _cmd_m2_rotation(args):
     rot = np.asarray(_load(args.matrix), dtype=float)
-    _emit(args, {"preserves": m2.rotation_preserves(_region_arg(args.region), rot, tol=args.tol)})
-    return 0
+    return {"preserves": m2.rotation_preserves(_region_arg(args.region), rot, tol=args.tol)}
 
 
 # --------------------------------------------------------------------------
 # dual verbs
 
 
-def _cmd_dual_from_poset(args) -> int:
-    algebra = duality.algebra_from_poset(_poset_arg(getattr(args, "in")))
-    _emit(args, algebra.to_json())
-    return 0
+def _cmd_dual_from_poset(args):
+    return duality.algebra_from_poset(_poset_arg(getattr(args, "in"))).to_json()
 
 
 def _algebra_arg(value) -> duality.FiniteCommutativeIStar:
@@ -422,33 +350,24 @@ def _algebra_arg(value) -> duality.FiniteCommutativeIStar:
     return duality.algebra_from_poset(poset.FinitePoset.from_json(data))
 
 
-def _cmd_dual_characters(args) -> int:
-    recovered = duality.character_order(_algebra_arg(getattr(args, "in")))
-    _maybe_relation(args, recovered)
-    return 0
+def _cmd_dual_characters(args):
+    return _relation_payload(args, duality.character_order(_algebra_arg(getattr(args, "in"))))
 
 
-def _cmd_dual_morphism(args) -> int:
+def _cmd_dual_morphism(args):
     mapping = _load(args.map)
     if isinstance(mapping, dict) and "map" in mapping:
         mapping = mapping["map"]
-    report = duality.morphism_check(mapping, _poset_arg(args.source), _poset_arg(args.target))
-    _emit(args, report.to_json())
-    return 0
+    return duality.morphism_check(mapping, _poset_arg(args.source), _poset_arg(args.target)).to_json()
 
 
-def _cmd_dual_cobounded_duality(args) -> int:
+def _cmd_dual_cobounded_duality(args):
     p = _poset_arg(getattr(args, "in"))
-    agree = duality.cobounded_duality_check(p)
-    _emit(
-        args,
-        {
-            "agree": agree,
-            "cobounded": isotone_cone.cobounded_commutative(p).cobounded,
-            "bounded": poset.bounds(p).bounded,
-        },
-    )
-    return 0
+    return {
+        "agree": duality.cobounded_duality_check(p),
+        "cobounded": isotone_cone.cobounded_commutative(p).cobounded,
+        "bounded": poset.bounds(p).bounded,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -466,24 +385,22 @@ def _space_arg(args) -> tuple[gps.FiniteMetricSpace, list]:
     return space, landmarks
 
 
-def _cmd_gps_complete(args) -> int:
+def _cmd_gps_complete(args):
     space, landmarks = _space_arg(args)
-    _emit(args, {"complete": gps.gps_complete(space, landmarks, tol=args.tol)})
-    return 0
+    return {"complete": gps.gps_complete(space, landmarks, tol=args.tol)}
 
 
-def _cmd_gps_order(args) -> int:
+def _cmd_gps_order(args):
     space, landmarks = _space_arg(args)
     result = gps.gps_order(space, landmarks, orientation=args.orientation, tol=args.tol)
-    _maybe_relation(args, result.order, {"complete": result.complete, "orientation": args.orientation})
-    return 0
+    return _relation_payload(args, result.order, {"complete": result.complete, "orientation": args.orientation})
 
 
 # --------------------------------------------------------------------------
-# accept
+# accept: a text report and an exit code, not a payload
 
 
-def _cmd_accept_all(args) -> int:
+def _accept_all(args) -> int:
     only = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     results = acceptance.run_all(seed=args.seed, fast=args.fast, only=only)
     for r in results:
@@ -496,9 +413,9 @@ def _cmd_accept_all(args) -> int:
         "criteria": [r.to_json() for r in results],
     }
     if args.out:
+        text = _dumps(summary)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(summary), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     print("ALL CRITERIA PASSED" if all_passed else "CRITERIA FAILED")
     return 0 if all_passed else 1
 
@@ -506,13 +423,72 @@ def _cmd_accept_all(args) -> int:
 # --------------------------------------------------------------------------
 # parser
 
+_REQ = {"required": True}
+_IN = [("--in", _REQ)]
+_TOL = isotone_cone.DEFAULT_TOL
+_GEOM = m2.GEOM_TOL
 
-def _add_common(sp, tol_default: float | None = None, fmt: bool = False):
-    sp.add_argument("--out", help="write the result to this path instead of stdout")
-    if tol_default is not None:
-        sp.add_argument("--tol", type=float, default=tol_default, help="comparison tolerance")
-    if fmt:
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+# group -> (help, verb -> (handler, flags, --tol default or None, has --format)).
+# Every verb also gets --out; flags come first, then --out, --tol, --format.
+_VERBS = {
+    "poset": ("finite poset operations", {
+        "check": (_cmd_poset_check, _IN, None, False),
+        "reduce": (_cmd_poset_reduce, _IN, None, False),
+        "combine": (_cmd_poset_combine, [
+            ("--mode", {"choices": ["product", "disjoint_union"], "required": True}),
+            ("--a", _REQ), ("--b", _REQ)], None, True),
+        "interval": (_cmd_poset_interval, _IN + [("--x", _REQ), ("--y", _REQ)], None, False),
+        "bounds": (_cmd_poset_bounds, _IN, None, False),
+        "sprinkle": (_cmd_poset_sprinkle, [
+            ("--n", {"type": int, "required": True}), ("--seed", {"type": int, "required": True})], None, True),
+    }),
+    "cone": ("isotone cone operations", {
+        "isotone": (_cmd_cone_isotone, [("--poset", _REQ), ("--f", _REQ)], _TOL, False),
+        "order-from": (_cmd_cone_order_from, [("--elements", _REQ), ("--functions", _REQ)], _TOL, True),
+        "express": (_cmd_cone_express, [
+            ("--poset", _REQ), ("--generators", _REQ), ("--target", _REQ),
+            ("--prune", {"action": "store_true"})], _TOL, False),
+        "eval": (_cmd_cone_eval, [("--expr", _REQ), ("--functions", {}), ("--size", {"type": int})], None, False),
+        "decompose": (_cmd_cone_decompose, [("--poset", _REQ), ("--f", _REQ)], _TOL, False),
+        "contains": (_cmd_cone_contains, [("--elements", _REQ), ("--functions", _REQ), ("--f", _REQ)], _TOL, False),
+        "minimal": (_cmd_cone_minimal, _IN + [("--pair", {"nargs": 2, "metavar": ("A", "B")})], None, False),
+        "cobounded": (_cmd_cone_cobounded, _IN, None, False),
+    }),
+    "herm": ("hermitian matrix operations", {
+        "spectral": (_cmd_herm_spectral, _IN, None, False),
+        "fn": (_cmd_herm_fn, _IN + [("--fn", _REQ)], None, False),
+        "lattice": (_cmd_herm_lattice, [("--a", _REQ), ("--b", _REQ)], None, False),
+        "classify": (_cmd_herm_classify, _IN, None, False),
+    }),
+    "m2": ("2x2 algebra order operations", {
+        "hopf": (_cmd_m2_hopf, [("--xi", _REQ)], None, False),
+        "member": (_cmd_m2_member, [("--region", _REQ), ("--matrix", _REQ)], _GEOM, False),
+        "order": (_cmd_m2_order, [
+            ("--region", _REQ), ("--p", {}), ("--q", {}), ("--samples", {"type": int}),
+            ("--seed", {"type": int, "default": 0})], _GEOM, True),
+        "state-order": (_cmd_m2_state_order, [("--region", _REQ), ("--rho", _REQ), ("--sigma", _REQ)], _GEOM, False),
+        "fs": (_cmd_m2_fs, [("--p", _REQ), ("--q", _REQ)], None, False),
+        "transverse": (_cmd_m2_transverse, [("--region", _REQ), ("--matrix", _REQ)], _GEOM, False),
+        "join-coeffs": (_cmd_m2_join_coeffs, [("--a", _REQ), ("--b", _REQ)], None, False),
+        "cobounded": (_cmd_m2_cobounded, [("--region", _REQ)], None, False),
+        "rotation": (_cmd_m2_rotation, [("--region", _REQ), ("--matrix", _REQ)], _GEOM, False),
+    }),
+    "dual": ("poset/algebra round trips", {
+        "from-poset": (_cmd_dual_from_poset, _IN, None, False),
+        "characters": (_cmd_dual_characters, _IN, None, True),
+        "morphism": (_cmd_dual_morphism, [
+            ("--source", {"required": True, "help": "domain poset of the map"}),
+            ("--target", {"required": True, "help": "codomain poset of the map"}),
+            ("--map", _REQ)], None, False),
+        "cobounded-duality": (_cmd_dual_cobounded_duality, _IN, None, False),
+    }),
+    "gps": ("landmark orders on metric spaces", {
+        "complete": (_cmd_gps_complete, _IN + [("--landmarks", {})], _TOL, False),
+        "order": (_cmd_gps_order, _IN + [
+            ("--landmarks", {}), ("--orientation", {"choices": ["remark", "reversed"], "default": "remark"})],
+            _TOL, True),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,221 +497,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite posets, isotone cones, and 2x2 matrix order structures.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
+    for group, (group_help, verbs) in _VERBS.items():
+        g = groups.add_parser(group, help=group_help).add_subparsers(dest="verb", required=True)
+        for verb, (handler, flags, tol, fmt) in verbs.items():
+            sp = g.add_parser(verb)
+            for flag, kwargs in flags:
+                sp.add_argument(flag, **kwargs)
+            sp.add_argument("--out", help="write the result to this path instead of stdout")
+            if tol is not None:
+                sp.add_argument("--tol", type=float, default=tol, help="comparison tolerance")
+            if fmt:
+                sp.add_argument("--format", choices=["json", "csv"], default="json")
+            sp.set_defaults(handler=handler)
 
-    g = groups.add_parser("poset", help="finite poset operations").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = g.add_parser("check")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_poset_check)
-    sp = g.add_parser("reduce")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_poset_reduce)
-    sp = g.add_parser("combine")
-    sp.add_argument("--mode", choices=["product", "disjoint_union"], required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    _add_common(sp, fmt=True)
-    sp.set_defaults(handler=_cmd_poset_combine)
-    sp = g.add_parser("interval")
-    sp.add_argument("--in", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_poset_interval)
-    sp = g.add_parser("bounds")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_poset_bounds)
-    sp = g.add_parser("sprinkle")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    _add_common(sp, fmt=True)
-    sp.set_defaults(handler=_cmd_poset_sprinkle)
-
-    g = groups.add_parser("cone", help="isotone cone operations").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = g.add_parser("isotone")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--f", required=True)
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL)
-    sp.set_defaults(handler=_cmd_cone_isotone)
-    sp = g.add_parser("order-from")
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--functions", required=True)
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL, fmt=True)
-    sp.set_defaults(handler=_cmd_cone_order_from)
-    sp = g.add_parser("express")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--generators", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--prune", action="store_true")
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL)
-    sp.set_defaults(handler=_cmd_cone_express)
-    sp = g.add_parser("eval")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--functions")
-    sp.add_argument("--size", type=int)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_cone_eval)
-    sp = g.add_parser("decompose")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--f", required=True)
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL)
-    sp.set_defaults(handler=_cmd_cone_decompose)
-    sp = g.add_parser("contains")
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--functions", required=True)
-    sp.add_argument("--f", required=True)
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL)
-    sp.set_defaults(handler=_cmd_cone_contains)
-    sp = g.add_parser("minimal")
-    sp.add_argument("--in", required=True)
-    sp.add_argument("--pair", nargs=2, metavar=("A", "B"))
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_cone_minimal)
-    sp = g.add_parser("cobounded")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_cone_cobounded)
-
-    g = groups.add_parser("herm", help="hermitian matrix operations").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = g.add_parser("spectral")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_herm_spectral)
-    sp = g.add_parser("fn")
-    sp.add_argument("--in", required=True)
-    sp.add_argument("--fn", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_herm_fn)
-    sp = g.add_parser("lattice")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_herm_lattice)
-    sp = g.add_parser("classify")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_herm_classify)
-
-    g = groups.add_parser("m2", help="2x2 algebra order operations").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = g.add_parser("hopf")
-    sp.add_argument("--xi", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_m2_hopf)
-    sp = g.add_parser("member")
-    sp.add_argument("--region", required=True)
-    sp.add_argument("--matrix", required=True)
-    _add_common(sp, tol_default=m2.GEOM_TOL)
-    sp.set_defaults(handler=_cmd_m2_member)
-    sp = g.add_parser("order")
-    sp.add_argument("--region", required=True)
-    sp.add_argument("--p")
-    sp.add_argument("--q")
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, tol_default=m2.GEOM_TOL, fmt=True)
-    sp.set_defaults(handler=_cmd_m2_order)
-    sp = g.add_parser("state-order")
-    sp.add_argument("--region", required=True)
-    sp.add_argument("--rho", required=True)
-    sp.add_argument("--sigma", required=True)
-    _add_common(sp, tol_default=m2.GEOM_TOL)
-    sp.set_defaults(handler=_cmd_m2_state_order)
-    sp = g.add_parser("fs")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_m2_fs)
-    sp = g.add_parser("transverse")
-    sp.add_argument("--region", required=True)
-    sp.add_argument("--matrix", required=True)
-    _add_common(sp, tol_default=m2.GEOM_TOL)
-    sp.set_defaults(handler=_cmd_m2_transverse)
-    sp = g.add_parser("join-coeffs")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_m2_join_coeffs)
-    sp = g.add_parser("cobounded")
-    sp.add_argument("--region", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_m2_cobounded)
-    sp = g.add_parser("rotation")
-    sp.add_argument("--region", required=True)
-    sp.add_argument("--matrix", required=True)
-    _add_common(sp, tol_default=m2.GEOM_TOL)
-    sp.set_defaults(handler=_cmd_m2_rotation)
-
-    g = groups.add_parser("dual", help="poset/algebra round trips").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = g.add_parser("from-poset")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_dual_from_poset)
-    sp = g.add_parser("characters")
-    sp.add_argument("--in", required=True)
-    _add_common(sp, fmt=True)
-    sp.set_defaults(handler=_cmd_dual_characters)
-    sp = g.add_parser("morphism")
-    sp.add_argument("--source", required=True, help="domain poset of the map")
-    sp.add_argument("--target", required=True, help="codomain poset of the map")
-    sp.add_argument("--map", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_dual_morphism)
-    sp = g.add_parser("cobounded-duality")
-    sp.add_argument("--in", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_dual_cobounded_duality)
-
-    g = groups.add_parser("gps", help="landmark orders on metric spaces").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = g.add_parser("complete")
-    sp.add_argument("--in", required=True)
-    sp.add_argument("--landmarks")
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL)
-    sp.set_defaults(handler=_cmd_gps_complete)
-    sp = g.add_parser("order")
-    sp.add_argument("--in", required=True)
-    sp.add_argument("--landmarks")
-    sp.add_argument("--orientation", choices=["remark", "reversed"], default="remark")
-    _add_common(sp, tol_default=isotone_cone.DEFAULT_TOL, fmt=True)
-    sp.set_defaults(handler=_cmd_gps_order)
-
-    g = groups.add_parser("accept", help="run the acceptance suite").add_subparsers(
-        dest="verb", required=True
-    )
+    g = groups.add_parser("accept", help="run the acceptance suite").add_subparsers(dest="verb", required=True)
     sp = g.add_parser("all")
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--fast", action="store_true", help="scaled-down smoke run")
     sp.add_argument("--criteria", help="comma-separated criterion numbers to run")
     sp.add_argument("--out", help="write the JSON report here")
-    sp.set_defaults(handler=_cmd_accept_all)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.group == "accept":
+            return _accept_all(args)
+        _emit(args, args.handler(args))
     except OrderConesError as exc:
-        print(
-            json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, sort_keys=True),
-            file=sys.stdout,
-        )
+        print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, sort_keys=True))
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ __all__ = [
     "operator_norm",
     "matrix_abs",
     "matrix_sqrt",
+    "nonnegative_sqrt",
     "projection_decomposition",
 ]
 
@@ -43,7 +44,9 @@ class HermitianMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"matrix must be square, got shape {m.shape}")
         gap = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if gap > HERMITICITY_TOL:
+        if not gap <= HERMITICITY_TOL:  # NaN or inf whenever an entry is non-finite
+            if not np.isfinite(m).all():
+                raise InvalidInput("matrix entries must be finite")
             raise NotHermitian(f"matrix is {gap:.2e} away from self-adjoint")
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
@@ -187,13 +190,15 @@ def matrix_abs(a) -> HermitianMatrix:
     return func_calc(a, abs)
 
 
-def matrix_sqrt(a) -> HermitianMatrix:
-    def root(x: float) -> float:
-        if x < -CLUSTER_TOL:
-            raise ValueError("negative spectral point")
-        return float(np.sqrt(max(x, 0.0)))
+def nonnegative_sqrt(x: float) -> float:
+    """Square root of a spectral point; values within CLUSTER_TOL below 0 count as 0."""
+    if x < -CLUSTER_TOL:
+        raise ValueError("negative spectral point")
+    return float(np.sqrt(max(x, 0.0)))
 
-    return func_calc(a, root)
+
+def matrix_sqrt(a) -> HermitianMatrix:
+    return func_calc(a, nonnegative_sqrt)
 
 
 def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:

@@ -322,7 +322,7 @@ class SphericalRegion:
             ang = np.arccos(np.clip(cosang, -1.0, 1.0))
             return zero | (ang <= np.pi / 2.0 - self.radius + tol)
         slack = (ds @ self._extreme.T).min(axis=1)
-        return zero | (slack >= -tol * np.maximum(norms, 1.0))
+        return zero | (slack >= -tol * norms)
 
 
 def _half_sphere_axis(verts: np.ndarray) -> np.ndarray | None:
@@ -458,8 +458,8 @@ class DensityState:
         b = np.asarray(bloch, dtype=float).reshape(-1)
         if b.shape != (3,):
             raise DimensionMismatch(f"Bloch vector must have 3 entries, got {b.shape}")
-        if np.linalg.norm(b) > 1.0 + 1e-12:
-            raise InvalidInput("density Bloch vector must have norm <= 1")
+        if not np.linalg.norm(b) <= 1.0 + 1e-12:  # a NaN entry fails too
+            raise InvalidInput("density Bloch vector must be finite with norm <= 1")
         b.setflags(write=False)
         self.bloch = b
 

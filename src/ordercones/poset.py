@@ -115,11 +115,16 @@ class FinitePreorder:
 
     @classmethod
     def from_json(cls, data: dict) -> "FinitePreorder":
+        """An instance of cls from {"elements", "relation"} or {"elements", "pairs"}."""
+        if not isinstance(data, dict):
+            raise InvalidInput(f"poset JSON must be an object, got {type(data).__name__}")
         if "elements" not in data:
             raise InvalidInput('missing "elements" key')
         if "relation" in data:
-            return cls(data["elements"], np.asarray(data["relation"], dtype=bool))
-        return build_preorder(data["elements"], data.get("pairs", []))
+            rel = np.asarray(data["relation"], dtype=bool)
+        else:
+            rel = _pairs_to_relation(list(data["elements"]), data.get("pairs", []))
+        return cls(data["elements"], rel)
 
 
 class FinitePoset(FinitePreorder):
@@ -159,14 +164,6 @@ class FinitePoset(FinitePreorder):
 
     def _emitted_pairs(self) -> list[tuple[str, str]]:
         return self.covering_pairs()
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FinitePoset":
-        if "elements" not in data:
-            raise InvalidInput('missing "elements" key')
-        if "relation" in data:
-            return cls(data["elements"], np.asarray(data["relation"], dtype=bool))
-        return build_poset(data["elements"], data.get("pairs", []))
 
 
 def _pairs_to_relation(elements, pairs) -> np.ndarray:

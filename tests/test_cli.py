@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ordercones.cli import main
+from ordercones.cli import build_parser, main
+from ordercones.isotone_cone import DEFAULT_TOL
+from ordercones.m2 import GEOM_TOL
 from ordercones.poset import FinitePoset
 
 CHAIN3 = json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"]]})
@@ -15,9 +18,14 @@ def run(capsys, argv):
     return code, out
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
 def run_json(capsys, argv):
+    """Exit code and stdout parsed as strict JSON (no NaN or Infinity tokens)."""
     code, out = run(capsys, argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_poset_check_valid_chain(capsys):
@@ -338,13 +346,20 @@ def test_dual_cobounded_duality_cli(capsys):
 
 
 def test_installed_script_entry_point():
+    import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
 
+    import ordercones
+
+    # The child imports the package from the same tree as this process.
+    env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [_sys.executable, "-m", "ordercones.cli", "m2", "hopf", "--xi", "[[1,0],[0,0]]"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bloch": [0.0, 0.0, 1.0]}
@@ -368,3 +383,127 @@ def test_accept_report_file(tmp_path, capsys):
     assert data["all_passed"] is True
     assert [c["number"] for c in data["criteria"]] == [6, 10]
     assert all(c["seed"] == 9 for c in data["criteria"])
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["herm", "classify", "--in", '{"re":[[NaN,0],[0,1]]}'], "InvalidInput"),
+        (
+            [
+                "m2", "state-order", "--region", '{"kind": "cap", "center": [0, 0, 1], "radius": 0.3}',
+                "--rho", '{"bloch":[NaN,0,0]}', "--sigma", '{"bloch":[0,0,1]}',
+            ],
+            "InvalidInput",
+        ),
+        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], "DomainError"),
+    ],
+    ids=["nan-matrix", "nan-density-state", "overflowing-join-coeffs"],
+)
+def test_non_finite_values_are_errors_in_strict_json(capsys, argv, kind):
+    with np.errstate(all="ignore"):
+        code, data = run_json(capsys, argv)
+    assert code == 1 and data["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_m2_order_rejects_non_positive_samples(capsys, samples):
+    cap = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 0.3})
+    argv = ["m2", "order", "--region", cap, "--samples", samples, "--p", '{"bloch":[0,0,-1]}', "--q", '{"bloch":[0,0,1]}']
+    code, data = run_json(capsys, argv)
+    assert code == 1 and data["error"]["kind"] == "InvalidInput" and "--samples" in data["error"]["detail"]
+
+
+@pytest.mark.parametrize("text", ["true", "null", "[1, 2]"])
+def test_poset_input_must_be_an_object(capsys, text):
+    code, data = run_json(capsys, ["poset", "bounds", "--in", text])
+    assert code == 1 and data["error"]["kind"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "combine", "--mode", "product", "--a", CHAIN3, "--b", json.dumps({"elements": ["x", "y"], "pairs": []})],
+        ["poset", "sprinkle", "--n", "12", "--seed", "4"],
+        ["cone", "order-from", "--elements", '["a","b","c"]', "--functions", "[[0,0,1],[1,0,2]]"],
+        ["dual", "characters", "--in", json.dumps({"elements": ["bot", "m", "top"], "pairs": [["bot", "m"], ["bot", "top"]]})],
+    ],
+    ids=["poset-combine", "poset-sprinkle", "cone-order-from", "dual-characters"],
+)
+def test_relation_csv_matches_json_relation(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    elements, rel = data["elements"], data["relation"]
+    expected = sorted(
+        f"{elements[i]},{elements[j]}" for i in range(len(elements)) for j in range(len(elements)) if i != j and rel[i][j]
+    )
+    code, out = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = out.rstrip("\n").split("\n")
+    assert header == "source,target"
+    assert rows == expected
+
+
+# Every verb with its --tol default (None: the verb has no --tol).
+VERB_TOLS = {
+    ("poset", "check"): None,
+    ("poset", "reduce"): None,
+    ("poset", "combine"): None,
+    ("poset", "interval"): None,
+    ("poset", "bounds"): None,
+    ("poset", "sprinkle"): None,
+    ("cone", "isotone"): DEFAULT_TOL,
+    ("cone", "order-from"): DEFAULT_TOL,
+    ("cone", "express"): DEFAULT_TOL,
+    ("cone", "eval"): None,
+    ("cone", "decompose"): DEFAULT_TOL,
+    ("cone", "contains"): DEFAULT_TOL,
+    ("cone", "minimal"): None,
+    ("cone", "cobounded"): None,
+    ("herm", "spectral"): None,
+    ("herm", "fn"): None,
+    ("herm", "lattice"): None,
+    ("herm", "classify"): None,
+    ("m2", "hopf"): None,
+    ("m2", "member"): GEOM_TOL,
+    ("m2", "order"): GEOM_TOL,
+    ("m2", "state-order"): GEOM_TOL,
+    ("m2", "fs"): None,
+    ("m2", "transverse"): GEOM_TOL,
+    ("m2", "join-coeffs"): None,
+    ("m2", "cobounded"): None,
+    ("m2", "rotation"): GEOM_TOL,
+    ("dual", "from-poset"): None,
+    ("dual", "characters"): None,
+    ("dual", "morphism"): None,
+    ("dual", "cobounded-duality"): None,
+    ("gps", "complete"): DEFAULT_TOL,
+    ("gps", "order"): DEFAULT_TOL,
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_verb_list_is_complete():
+    verbs = {(g, v) for g, gp in _subparsers(build_parser()).items() for v in _subparsers(gp)}
+    assert verbs == set(VERB_TOLS) | {("accept", "all")}
+
+
+@pytest.mark.parametrize("group, verb", list(VERB_TOLS), ids=[f"{g}-{v}" for g, v in VERB_TOLS])
+def test_verb_tol_default(group, verb):
+    sp = _subparsers(_subparsers(build_parser())[group])[verb]
+    expected = VERB_TOLS[group, verb]
+    assert sp.get_default("tol") == expected
+    assert ("--tol" in sp.format_help()) == (expected is not None)
+
+
+@pytest.mark.parametrize("group, verb", list(VERB_TOLS), ids=[f"{g}-{v}" for g, v in VERB_TOLS])
+def test_missing_required_flag_is_usage_error(capsys, group, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([group, verb])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required" in captured.err and "Traceback" not in captured.err

@@ -283,6 +283,20 @@ def test_cap_dual_cone_matches_boundary_minimum():
             assert region.dual_contains(d) == (low > 0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1e-3])
+def test_dual_cone_tolerance_is_scale_invariant(scale):
+    # d lies just outside the spread hull's dual cone: its slack on the first
+    # vertex is -5e-9 |d|, beyond the relative tolerance 1e-9 |d| at every scale
+    region = dict(region_fixtures())["hull-spread"]
+    v1 = region.vertices[0]
+    d0 = E3 - (v1 @ E3) * v1
+    d = 0.1 * d0 / np.linalg.norm(d0) - 5e-10 * v1
+    assert float((region.vertices @ d).min()) == pytest.approx(-5e-10, rel=1e-6)
+    d = scale * d
+    assert region.dual_contains(d) is False
+    assert region.dual_contains_many(d[None]).tolist() == [False]
+
+
 def test_hull_dual_cone_vertex_test_agrees_with_sampling():
     # conic convexity: the functional is nonnegative on the whole region
     # exactly when it is nonnegative on the extreme vertices; the sampled
