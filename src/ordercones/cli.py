@@ -74,6 +74,8 @@ def _functions_arg(value) -> list[np.ndarray]:
     data = _load(value)
     if isinstance(data, dict):
         data = data.get("functions", data.get("values"))
+    if not isinstance(data, list):
+        raise InvalidInput('functions must be a list of value lists, or an object with "functions" or "values"')
     return [isotone_cone.as_function(row) for row in data]
 
 
@@ -264,9 +266,10 @@ def _cmd_herm_classify(args):
 def _cmd_m2_hopf(args):
     data = _load(args.xi)
     if isinstance(data, dict):
+        if "xi" not in data:
+            raise InvalidInput('spinor JSON needs "xi"')
         data = data["xi"]
-    pairs = np.asarray(data, dtype=float)
-    return {"bloch": m2.hopf(pairs[:, 0] + 1j * pairs[:, 1])}
+    return {"bloch": m2.hopf(m2.spinor(data))}
 
 
 def _cmd_m2_member(args):

@@ -41,7 +41,6 @@ class FiniteCommutativeIStar:
     plus constants span the cone.
     """
 
-    elements: tuple[str, ...]
     cone: IsotoneCone
 
     @property
@@ -50,21 +49,21 @@ class FiniteCommutativeIStar:
 
     def characters(self) -> tuple[str, ...]:
         """Evaluations at elements, named by the element ids."""
-        return self.elements
+        return self.poset.elements
 
     def generator_functions(self) -> np.ndarray:
         return all_upset_indicators(self.poset)
 
     def to_json(self) -> dict:
         return {
-            "elements": list(self.elements),
+            "elements": list(self.poset.elements),
             "poset": self.poset.to_json(),
             "generators": self.generator_functions().tolist(),
         }
 
 
 def algebra_from_poset(p: FinitePoset) -> FiniteCommutativeIStar:
-    return FiniteCommutativeIStar(elements=p.elements, cone=IsotoneCone(p))
+    return FiniteCommutativeIStar(cone=IsotoneCone(p))
 
 
 def character_order(algebra: FiniteCommutativeIStar) -> FinitePoset:
@@ -75,12 +74,12 @@ def character_order(algebra: FiniteCommutativeIStar) -> FinitePoset:
     (integer arithmetic, no tolerance needed).
     """
     gens = algebra.generator_functions()
-    n = len(algebra.elements)
+    n = algebra.poset.n
     if gens.shape[0] == 0:
         rel = np.ones((n, n), dtype=bool)
     else:
         rel = (gens[:, :, None] <= gens[:, None, :]).all(axis=0)
-    return FinitePoset(algebra.elements, rel)
+    return FinitePoset(algebra.poset.elements, rel)
 
 
 @dataclass(frozen=True)

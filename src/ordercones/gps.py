@@ -67,6 +67,8 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMetricSpace":
+        if not isinstance(data, dict) or not {"points", "dist"} <= data.keys():
+            raise InvalidInput('metric space JSON must be an object with "points" and "dist"')
         return cls(data["points"], data["dist"])
 
 

@@ -48,7 +48,8 @@ class HermitianMatrix:
             if not np.isfinite(m).all():
                 raise InvalidInput("matrix entries must be finite")
             raise NotHermitian(f"matrix is {gap:.2e} away from self-adjoint")
-        m = (m + m.conj().T) / 2.0
+        m = m / 2.0  # halved first, so entries near the largest floats cannot overflow
+        m = m + m.conj().T
         m.setflags(write=False)
         self.mat = m
 

@@ -8,8 +8,10 @@ cone generators.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from numbers import Integral, Real
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -129,14 +131,21 @@ class Constant(LatticeExpr):
 
 
 @dataclass(frozen=True)
-class Sum(LatticeExpr):
+class _Nary(LatticeExpr):
+    """A node over any number of children, written {"op": op, "args": [...]}."""
+
+    op: ClassVar[str]
     children: tuple[LatticeExpr, ...]
 
     def __init__(self, *children: LatticeExpr):
         object.__setattr__(self, "children", tuple(children))
 
     def to_json(self):
-        return {"op": "sum", "args": [c.to_json() for c in self.children]}
+        return {"op": self.op, "args": [c.to_json() for c in self.children]}
+
+
+class Sum(_Nary):
+    op = "sum"
 
 
 @dataclass(frozen=True)
@@ -152,46 +161,42 @@ class Scale(LatticeExpr):
         return {"op": "scale", "factor": float(self.factor), "args": [self.child.to_json()]}
 
 
-@dataclass(frozen=True)
-class Join(LatticeExpr):
-    children: tuple[LatticeExpr, ...]
-
-    def __init__(self, *children: LatticeExpr):
-        object.__setattr__(self, "children", tuple(children))
-
-    def to_json(self):
-        return {"op": "join", "args": [c.to_json() for c in self.children]}
+class Join(_Nary):
+    op = "join"
 
 
-@dataclass(frozen=True)
-class Meet(LatticeExpr):
-    children: tuple[LatticeExpr, ...]
-
-    def __init__(self, *children: LatticeExpr):
-        object.__setattr__(self, "children", tuple(children))
-
-    def to_json(self):
-        return {"op": "meet", "args": [c.to_json() for c in self.children]}
+class Meet(_Nary):
+    op = "meet"
 
 
 def expr_from_json(data: dict) -> LatticeExpr:
     if not isinstance(data, dict):
         raise InvalidInput(f"expression node must be an object, got {type(data).__name__}")
     if "gen" in data:
+        if isinstance(data["gen"], bool) or not isinstance(data["gen"], Integral):
+            raise InvalidInput(f'"gen" must be an integer, got {data["gen"]!r}')
         return Generator(int(data["gen"]))
     if "const" in data:
-        return Constant(float(data["const"]))
-    op = data.get("op")
-    args = [expr_from_json(a) for a in data.get("args", [])]
-    if op == "sum":
-        return Sum(*args)
+        return Constant(_finite(data, "const"))
+    op, args = data.get("op"), data.get("args", [])
+    if not isinstance(args, list):
+        raise InvalidInput(f'"args" must be a list, got {args!r}')
+    args = [expr_from_json(a) for a in args]
+    if op == "scale" and len(args) != 1 or op in ("join", "meet") and not args:
+        raise InvalidInput(f"{op} takes {'exactly' if op == 'scale' else 'at least'} one arg, got {len(args)}")
     if op == "scale":
-        return Scale(float(data["factor"]), args[0])
-    if op == "join":
-        return Join(*args)
-    if op == "meet":
-        return Meet(*args)
+        return Scale(_finite(data, "factor"), args[0])
+    for cls in (Sum, Join, Meet):
+        if op == cls.op:
+            return cls(*args)
     raise InvalidInput(f"unknown expression node {data!r}")
+
+
+def _finite(data: dict, key: str) -> float:
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
+        raise InvalidInput(f'"{key}" must be a finite number, got {value!r}')
+    return float(value)
 
 
 def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarray:
@@ -225,16 +230,11 @@ def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarr
         if isinstance(node, Sum):
             vals = [run(c) for c in node.children]
             return np.sum(vals, axis=0) if vals else np.zeros(n)
-        if isinstance(node, Join):
+        if isinstance(node, (Join, Meet)):
             vals = [run(c) for c in node.children]
             if not vals:
-                raise InvalidInput("join needs at least one child")
-            return np.max(vals, axis=0)
-        if isinstance(node, Meet):
-            vals = [run(c) for c in node.children]
-            if not vals:
-                raise InvalidInput("meet needs at least one child")
-            return np.min(vals, axis=0)
+                raise InvalidInput(f"{node.op} needs at least one child")
+            return (np.max if isinstance(node, Join) else np.min)(vals, axis=0)
         raise InvalidInput(f"unknown expression node {node!r}")
 
     return run(expr)
@@ -258,7 +258,10 @@ def stone_nachbin_express(
     The generators must induce exactly the poset's order (otherwise
     OrderNotDetermined) and the target must be isotone (NotIsotone).
     With prune=True, branches that cannot affect the evaluation against
-    these generators are dropped; evaluation is preserved exactly.
+    these generators are dropped: a meet keeps the leaves no sibling lies
+    below at every element, the join the meets no sibling lies above, each
+    keeps the first of equal children, and a single survivor replaces its
+    parent.  Evaluation is preserved exactly.
     """
     fns = [as_function(f, p.n) for f in generators]
     if not fns:
@@ -270,70 +273,60 @@ def stone_nachbin_express(
     if not is_isotone(p, big_f, tol=tol):
         raise NotIsotone("target is not isotone for the poset's order")
 
+    # The interpolant for the pair (x_i, x_j) is lam[i, j]*g_k[i, j] + mu[i, j]:
+    # g_k has the widest gap in the direction of the target's rise (the first
+    # such generator on ties).  Pairs with equal target values are constant
+    # leaves; there lam is 0 and mu is f(x_i).
     stack = np.stack(fns)  # (m, n)
+    n = p.n
+    rise = big_f[None, :] - big_f[:, None]  # rise[i, j] = f(x_j) - f(x_i)
+    sign = np.sign(rise)
+    k = np.empty((n, n), dtype=np.intp)
+    step = max(1, (1 << 20) // (len(fns) * n or 1))  # gap blocks of at most 2^20 floats
+    for lo in range(0, n, step):
+        gaps = stack[:, None, :] - stack[:, lo : lo + step, None]  # g_k(x_j) - g_k(x_i)
+        k[lo : lo + step] = (gaps * sign[lo : lo + step]).argmax(axis=0)
+    idx = np.arange(n)
+    at_i = stack[k, idx[:, None]]
+    gap = stack[k, idx] - at_i
+    tied = sign == 0
+    short = (sign * gap <= tol) & ~tied
+    if short.any():  # only for targets isotone within tol but not exactly
+        i, j = np.argwhere(short)[0]
+        raise OrderNotDetermined(f"no generator separates {p.elements[i]!r} and {p.elements[j]!r}")
+    lam = rise / np.where(tied, 1.0, gap)
+    mu = big_f[:, None] - lam * at_i
 
-    def interpolant(i: int, j: int) -> LatticeExpr:
-        fx, fy = big_f[i], big_f[j]
-        if fx == fy:
-            return Constant(fx)
-        gaps = stack[:, j] - stack[:, i]
-        signed = gaps if fy > fx else -gaps
-        k = int(np.argmax(signed))
-        if signed[k] <= tol:
-            # Unreachable once the induced order matches: fx != fy forces
-            # a strict generator gap in the right direction.
-            raise OrderNotDetermined(
-                f"no generator separates {p.elements[i]!r} and {p.elements[j]!r}"
-            )
-        lam = (fy - fx) / gaps[k]
-        mu = fx - lam * stack[k, i]
-        return Sum(Scale(lam, Generator(k)), Constant(mu))
-
-    branches = []
-    for i in range(p.n):
-        leaves = [interpolant(i, j) for j in range(p.n)]
-        branches.append(Meet(*leaves))
-    expr: LatticeExpr = Join(*branches)
+    rows, cols = range(n), [range(n)] * n
     if prune:
-        expr = _prune(expr, fns)
-    return expr
+        # values[j] is leaf (i, j) at each element, rounded as eval_expr
+        # rounds lam*g + mu, so the masks see what evaluation sees.
+        mins = np.empty((n, n))
+        for i in range(n):
+            values = lam[i, :, None] * stack[k[i]] + mu[i, :, None]
+            cols[i] = _undominated(values, below=True)
+            mins[i] = values.min(axis=0)
+        rows = _undominated(mins, below=False)
+
+    fl, lam_l, mu_l, k_l, tied_l = big_f.tolist(), lam.tolist(), mu.tolist(), k.tolist(), tied.tolist()
+    branches = []
+    for i in rows:
+        leaves = [
+            Constant(fl[i]) if tied_l[i][j]
+            else Sum(Scale(lam_l[i][j], Generator(k_l[i][j])), Constant(mu_l[i][j]))
+            for j in cols[i]
+        ]
+        branches.append(leaves[0] if prune and len(leaves) == 1 else Meet(*leaves))
+    return branches[0] if prune and len(branches) == 1 else Join(*branches)
 
 
-def _prune(expr: LatticeExpr, fns) -> LatticeExpr:
-    """Drop dominated join/meet children; evaluation against fns is unchanged."""
-
-    def keep(children: tuple[LatticeExpr, ...], bigger_wins: bool):
-        vals = [eval_expr(c, fns) for c in children]
-        kept: list[int] = []
-        for i, v in enumerate(vals):
-            dominated = False
-            for k in kept:
-                if bigger_wins and (vals[k] >= v).all():
-                    dominated = True
-                    break
-                if not bigger_wins and (vals[k] <= v).all():
-                    dominated = True
-                    break
-            if not dominated:
-                kept = [
-                    k
-                    for k in kept
-                    if not (
-                        (v >= vals[k]).all() if bigger_wins else (v <= vals[k]).all()
-                    )
-                ]
-                kept.append(i)
-        return [children[i] for i in kept]
-
-    if isinstance(expr, Join):
-        children = tuple(_prune(c, fns) for c in expr.children)
-        kept = keep(children, bigger_wins=True)
-        return kept[0] if len(kept) == 1 else Join(*kept)
-    if isinstance(expr, Meet):
-        children = tuple(_prune(c, fns) for c in expr.children)
-        kept = keep(children, bigger_wins=False)
-        return kept[0] if len(kept) == 1 else Meet(*kept)
-    return expr
+def _undominated(rows: np.ndarray, below: bool) -> list[int]:
+    """Ascending indices of the rows no other row dominates pointwise from
+    below (<= everywhere) or, with below=False, from above; of equal rows the first."""
+    le = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)  # le[a, b]: rows[a] <= rows[b]
+    dom = le if below else le.T  # dom[a, b]: row a dominates row b
+    earlier = np.triu(np.ones(le.shape, dtype=bool), 1)  # earlier[a, b]: a < b
+    return np.flatnonzero(~(dom & (~dom.T | earlier)).any(axis=0)).tolist()
 
 
 def upset_decomposition(

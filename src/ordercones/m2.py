@@ -36,6 +36,7 @@ __all__ = [
     "pauli_coords",
     "matrix_from_pauli",
     "hopf",
+    "spinor",
     "SphericalRegion",
     "iso_membership",
     "PureStatePoint",
@@ -121,6 +122,14 @@ def hopf(xi) -> np.ndarray:
     xi = xi / nrm
     cross = np.conj(xi[0]) * xi[1]
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(xi[0]) ** 2 - abs(xi[1]) ** 2])
+
+
+def spinor(pairs) -> np.ndarray:
+    """The complex vector whose entries are given as [re, im] pairs."""
+    pairs = _floats(pairs, "xi")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DimensionMismatch(f"xi must be a list of [re, im] pairs, got shape {pairs.shape}")
+    return pairs[:, 0] + 1j * pairs[:, 1]
 
 
 def _floats(value, what: str) -> np.ndarray:
@@ -440,10 +449,9 @@ class PureStatePoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "PureStatePoint":
-        if "xi" in data:
-            pairs = np.asarray(data["xi"], dtype=float)
-            return cls.from_xi(pairs[:, 0] + 1j * pairs[:, 1])
-        if "bloch" in data:
+        if isinstance(data, dict) and "xi" in data:
+            return cls.from_xi(spinor(data["xi"]))
+        if isinstance(data, dict) and "bloch" in data:
             return cls.from_bloch(data["bloch"])
         raise InvalidInput('state JSON needs "xi" or "bloch"')
 
@@ -475,7 +483,7 @@ class DensityState:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityState":
-        if "bloch" in data:
+        if isinstance(data, dict) and "bloch" in data:
             return cls(data["bloch"])
         raise InvalidInput('density state JSON needs "bloch"')
 

@@ -171,8 +171,10 @@ def _pairs_to_relation(elements, pairs) -> np.ndarray:
     if len(index) != len(elements):
         raise InvalidInput("element ids must be distinct")
     rel = np.eye(len(elements), dtype=bool)
-    for x, y in pairs:
-        x, y = str(x), str(y)
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidInput(f"a pair must hold exactly two ids, got {pair!r}")
+        x, y = str(pair[0]), str(pair[1])
         if x not in index:
             raise UnknownId(f"unknown element id {x!r}")
         if y not in index:

@@ -397,8 +397,10 @@ def test_accept_report_file(tmp_path, capsys):
             "InvalidInput",
         ),
         (["m2", "join-coeffs", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], "DomainError"),
+        (["cone", "eval", "--expr", '{"const": Infinity}', "--size", "2"], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"op": "scale", "factor": NaN, "args": [{"gen": 0}]}', "--functions", "[[0,1]]"], "InvalidInput"),
     ],
-    ids=["nan-matrix", "nan-density-state", "overflowing-join-coeffs"],
+    ids=["nan-matrix", "nan-density-state", "overflowing-join-coeffs", "infinite-const", "nan-scale-factor"],
 )
 def test_non_finite_values_are_errors_in_strict_json(capsys, argv, kind):
     with np.errstate(all="ignore"):
@@ -418,6 +420,45 @@ def test_m2_order_rejects_non_positive_samples(capsys, samples):
 def test_poset_input_must_be_an_object(capsys, text):
     code, data = run_json(capsys, ["poset", "bounds", "--in", text])
     assert code == 1 and data["error"]["kind"] == "InvalidInput"
+
+
+_GENS = ["--functions", "[[0,1]]"]
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["cone", "eval", "--expr", '{"gen": "x"}', *_GENS], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"gen": true}', *_GENS], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"const": "1"}', "--size", "2"], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"op": "scale", "factor": 2}', *_GENS], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"op": "scale", "factor": 2, "args": [{"gen": 0}, {"gen": 0}]}', *_GENS], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"op": "join"}', *_GENS], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"op": "meet", "args": {"gen": 0}}', *_GENS], "InvalidInput"),
+        (["cone", "eval", "--expr", '{"gen": 0}', "--functions", '{"x": 1}'], "InvalidInput"),
+        (["gps", "order", "--in", '{"points": ["a"]}', "--landmarks", '["a"]'], "InvalidInput"),
+        (["gps", "complete", "--in", "[1]", "--landmarks", '["a"]'], "InvalidInput"),
+        (["poset", "bounds", "--in", json.dumps({"elements": ["a"], "pairs": [["a"]]})], "InvalidInput"),
+        (["m2", "hopf", "--xi", "{}"], "InvalidInput"),
+        (["m2", "hopf", "--xi", "[1, 0]"], "DimensionMismatch"),
+    ],
+    ids=[
+        "gen-string", "gen-bool", "const-string", "scale-without-arg", "scale-two-args", "join-without-args",
+        "args-not-a-list", "functions-without-key", "metric-without-dist", "metric-not-an-object",
+        "one-id-pair", "hopf-without-xi", "hopf-flat-xi",
+    ],
+)
+def test_malformed_input_is_an_error_object(capsys, argv, kind):
+    code, data = run_json(capsys, argv)
+    assert code == 1 and set(data) == {"error"} and data["error"]["kind"] == kind
+    assert isinstance(data["error"]["detail"], str)
+
+
+def test_poset_check_reports_malformed_pair(capsys):
+    bad = json.dumps({"elements": ["a", "b"], "pairs": [["a"]]})
+    code, data = run_json(capsys, ["poset", "check", "--in", bad])
+    assert code == 0
+    assert data["valid"] is False and data["reason"] == "InvalidInput"
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,17 @@ def test_construction_symmetrizes_tiny_noise():
     assert np.allclose(a.mat, a.mat.conj().T)
 
 
+def test_construction_keeps_the_largest_finite_entries_finite():
+    a = HermitianMatrix([[1e308, 0], [0, -1e308]])
+    assert np.isfinite(a.mat).all()
+    assert a.mat.tolist() == [[1e308, 0], [0, -1e308]]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = m + 1e-13 * rng.normal(size=(2, 2)) + m.conj().T
+        assert HermitianMatrix(m).mat.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+
 def test_construction_rejects_far_from_hermitian():
     with pytest.raises(NotHermitian):
         HermitianMatrix([[0, 1], [0, 0]])

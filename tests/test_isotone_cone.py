@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ordercones.errors import (
     PointsNotSeparated,
 )
 from ordercones.isotone_cone import (
+    _undominated,
     Constant,
     Generator,
     Join,
@@ -27,7 +30,7 @@ from ordercones.isotone_cone import (
     stone_nachbin_express,
     upset_decomposition,
 )
-from ordercones.poset import build_poset, combine
+from ordercones.poset import FinitePoset, build_poset, combine
 from ordercones.sampling import random_isotone, random_poset, random_total_order, separating_family
 
 
@@ -176,6 +179,89 @@ def test_prune_preserves_evaluation():
         pruned = stone_nachbin_express(p, gens, target, prune=True)
         assert np.array_equal(eval_expr(full, gens), eval_expr(pruned, gens))
         assert len(str(pruned.to_json())) <= len(str(full.to_json()))
+
+
+def _greedy_prune(expr, gens):
+    """Reference prune: children one by one, each against those kept so far."""
+    if not isinstance(expr, (Join, Meet)):
+        return expr
+    children = [_greedy_prune(c, gens) for c in expr.children]
+    vals = [eval_expr(c, gens) for c in children]
+    covers = (lambda a, b: (a >= b).all()) if isinstance(expr, Join) else (lambda a, b: (a <= b).all())
+    kept: list[int] = []
+    for i, v in enumerate(vals):
+        if not any(covers(vals[k], v) for k in kept):
+            kept = [k for k in kept if not covers(v, vals[k])] + [i]
+    kept_children = [children[i] for i in kept]
+    return kept_children[0] if len(kept_children) == 1 else type(expr)(*kept_children)
+
+
+def _random_express_inputs(rng, count):
+    """Random posets with n = 1..7, separating families and isotone targets;
+    every other target is rounded, so tied values and equal leaf rows occur."""
+    for t in range(count):
+        p = random_poset(rng, int(rng.integers(1, 8)))
+        target = random_isotone(rng, p)
+        yield p, separating_family(rng, p), np.round(target) if t % 2 else target
+
+
+def test_prune_matches_greedy_reference():
+    rng = np.random.default_rng(14)
+    for p, gens, target in _random_express_inputs(rng, 120):
+        full = stone_nachbin_express(p, gens, target)
+        pruned = stone_nachbin_express(p, gens, target, prune=True)
+        assert pruned.to_json() == _greedy_prune(full, gens).to_json()
+
+
+def _children(node, cls):
+    return list(node.children) if isinstance(node, cls) else [node]
+
+
+def test_prune_keeps_exactly_the_undominated_children():
+    rng = np.random.default_rng(15)
+    for p, gens, target in _random_express_inputs(rng, 60):
+        full = stone_nachbin_express(p, gens, target)
+        pruned = stone_nachbin_express(p, gens, target, prune=True)
+        leaf_vals = [[eval_expr(leaf, gens) for leaf in meet.children] for meet in full.children]
+        mins = [np.min(vals, axis=0) for vals in leaf_vals]
+        kept = _children(pruned, Join)
+        kept_vals = [eval_expr(c, gens) for c in kept]
+        # No kept join child lies below a sibling; every meet of the full tree does.
+        assert not any((kept_vals[b] >= kept_vals[a]).all() for a, b in permutations(range(len(kept)), 2))
+        assert all(any((k >= v).all() for k in kept_vals) for v in mins)
+        for child, value in zip(kept, kept_vals):
+            i = next(i for i, m in enumerate(mins) if np.array_equal(m, value))  # first equal meet
+            leaves = _children(child, Meet)
+            assert all(leaf in full.children[i].children for leaf in leaves)
+            vals = [eval_expr(leaf, gens) for leaf in leaves]
+            # No kept leaf lies above a sibling; every leaf of meet i does.
+            assert not any((vals[b] <= vals[a]).all() for a, b in permutations(range(len(vals)), 2))
+            assert all(any((k <= v).all() for k in vals) for v in leaf_vals[i])
+
+
+def test_prune_keeps_the_first_of_equal_rows():
+    # Rounded target on a chain: the middle meet has two equal constant
+    # leaves (the pairs (b, b) and (b, c)); exactly one, the first, stays.
+    p = chain("a", "b", "c")
+    gens = [[0.0, 1.0, 2.0]]
+    pruned = stone_nachbin_express(p, gens, np.round([0.2, 1.4, 1.1]), prune=True)
+    assert pruned.to_json() == {
+        "op": "meet",
+        "args": [
+            {"op": "sum", "args": [{"op": "scale", "factor": 1.0, "args": [{"gen": 0}]}, {"const": 0.0}]},
+            {"const": 1.0},
+        ],
+    }
+    rows = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 2.0], [0.0, 3.0], [2.0, 3.0]])
+    assert _undominated(rows, below=True) == [0, 1]
+    assert _undominated(rows, below=False) == [4]
+    assert _undominated(rows[:4], below=False) == [0, 1]
+
+
+def test_prune_on_the_empty_poset():
+    empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
+    for prune in (False, True):
+        assert stone_nachbin_express(empty, [[]], [], prune=prune).to_json() == {"op": "join", "args": []}
 
 
 # --------------------------------------------------------------------------
