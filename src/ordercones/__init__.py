@@ -65,6 +65,7 @@ from .m2 import (
     iso_membership,
     join_coeffs,
     pure_state_order,
+    pure_state_order_many,
     rotation_preserves,
     state_order,
     transversality,

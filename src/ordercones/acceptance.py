@@ -157,13 +157,9 @@ def _c4_join_coefficients(seed: int, fast: bool) -> tuple[bool, dict]:
     count = _scaled(100_000, fast)
     c = rng.normal(scale=2.0, size=(count, 2))
     v = rng.normal(size=(count, 2, 3))
-    alpha = np.empty(count)
-    beta = np.empty(count)
     t = c[:, 0] - c[:, 1]
-    d = v[:, 0] - v[:, 1]
-    r = np.linalg.norm(d, axis=1)
-    for i in range(count):
-        alpha[i], beta[i] = m2.join_coeffs_from_difference(float(t[i]), float(r[i]))
+    r = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
+    alpha, beta = m2.join_coeffs_many(t, r)
     # Reconstruction oracle: the spectral |a-b| route, independent of the
     # closed form above.
     mats1, mats2 = _pauli_stack(c[:, 0], v[:, 0]), _pauli_stack(c[:, 1], v[:, 1])

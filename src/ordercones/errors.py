@@ -1,4 +1,7 @@
-"""Domain error types shared across the library and surfaced by the CLI."""
+"""Domain error types shared across the library and surfaced by the CLI,
+and the numeric reader that turns unreadable input into InvalidInput."""
+
+import numpy as np
 
 
 class OrderConesError(Exception):
@@ -63,3 +66,11 @@ class NotARotation(OrderConesError):
 
 class InvalidInput(OrderConesError):
     """Malformed structure: broken invariants or unusable parameters."""
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """value as a float array; what numpy cannot read as one (text, ragged lists) is InvalidInput."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} must be numeric: {exc}") from exc

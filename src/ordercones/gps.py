@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, UnknownId
+from .errors import InvalidInput, UnknownId, float_array
 from .isotone_cone import DEFAULT_TOL, order_from_functions
 from .poset import FinitePreorder
 
@@ -29,7 +29,7 @@ class FiniteMetricSpace:
         points = tuple(str(x) for x in points)
         if len(set(points)) != len(points):
             raise InvalidInput("point ids must be distinct")
-        d = np.asarray(dist, dtype=float)
+        d = float_array(dist, "distance matrix")
         n = len(points)
         if d.shape != (n, n):
             raise InvalidInput(f"distance matrix must be {n}x{n}, got {d.shape}")
@@ -69,6 +69,8 @@ class FiniteMetricSpace:
     def from_json(cls, data: dict) -> "FiniteMetricSpace":
         if not isinstance(data, dict) or not {"points", "dist"} <= data.keys():
             raise InvalidInput('metric space JSON must be an object with "points" and "dist"')
+        if not isinstance(data["points"], list):
+            raise InvalidInput(f'"points" must be a list of ids, got {type(data["points"]).__name__}')
         return cls(data["points"], data["dist"])
 
 

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidInput, NotHermitian
+from .errors import DimensionMismatch, DomainError, InvalidInput, NotHermitian, float_array
 
 __all__ = [
     "HermitianMatrix",
@@ -90,10 +90,10 @@ class HermitianMatrix:
 
 def complex_matrix_from_json(data: dict) -> np.ndarray:
     """Parse {"n":..,"re":[[..]],"im":[[..]]} into a complex array."""
-    if "re" not in data:
-        raise InvalidInput('matrix JSON needs a "re" key')
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    if not isinstance(data, dict) or "re" not in data:
+        raise InvalidInput('matrix JSON must be an object with a "re" key')
+    re = float_array(data["re"], "matrix re part")
+    im = float_array(data.get("im", np.zeros_like(re)), "matrix im part")
     if re.shape != im.shape:
         raise DimensionMismatch("re and im parts must share a shape")
     return re + 1j * im

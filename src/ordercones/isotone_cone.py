@@ -23,6 +23,7 @@ from .errors import (
     NotIsotone,
     OrderNotDetermined,
     PointsNotSeparated,
+    float_array,
 )
 from .poset import FinitePoset, FinitePreorder
 
@@ -62,7 +63,7 @@ EXPR_TOL = 1e-9
 
 def as_function(values, n: int | None = None) -> np.ndarray:
     """Coerce to a float vector, rejecting NaN/inf and wrong lengths."""
-    f = np.asarray(values, dtype=float)
+    f = float_array(values, "function values")
     if f.ndim != 1:
         raise InvalidInput(f"function must be a flat vector, got shape {f.shape}")
     if n is not None and f.shape[0] != n:

@@ -26,6 +26,7 @@ from .errors import (
     NotARotation,
     NotNormal,
     NotNormalized,
+    float_array,
 )
 from .hermitian import HermitianMatrix, spectral
 
@@ -42,6 +43,7 @@ __all__ = [
     "PureStatePoint",
     "DensityState",
     "pure_state_order",
+    "pure_state_order_many",
     "state_order",
     "fubini_study",
     "transition_probability",
@@ -49,6 +51,7 @@ __all__ = [
     "transversality",
     "join_coeffs",
     "join_coeffs_from_difference",
+    "join_coeffs_many",
     "M2CoboundedWitness",
     "cobounded_witness",
     "rotation_preserves",
@@ -126,22 +129,14 @@ def hopf(xi) -> np.ndarray:
 
 def spinor(pairs) -> np.ndarray:
     """The complex vector whose entries are given as [re, im] pairs."""
-    pairs = _floats(pairs, "xi")
+    pairs = float_array(pairs, "xi")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise DimensionMismatch(f"xi must be a list of [re, im] pairs, got shape {pairs.shape}")
     return pairs[:, 0] + 1j * pairs[:, 1]
 
 
-def _floats(value, what: str) -> np.ndarray:
-    """value as a float array; what numpy cannot read as one is InvalidInput."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{what} must be numeric: {exc}") from exc
-
-
 def _unit(v, what: str, tol: float = 1e-6) -> np.ndarray:
-    v = _floats(v, what).reshape(-1)
+    v = float_array(v, what).reshape(-1)
     if v.shape != (3,):
         raise DimensionMismatch(f"{what} must have 3 entries, got {v.shape}")
     nrm = float(np.linalg.norm(v))
@@ -190,7 +185,7 @@ class SphericalRegion:
             return
         if kind == "cap":
             self.center = _unit(center, "cap center", tol=1e-12)
-            radius = _floats(radius, "cap radius")
+            radius = float_array(radius, "cap radius")
             if radius.shape != ():
                 raise InvalidInput("cap radius must be a number")
             radius = float(radius)
@@ -200,7 +195,7 @@ class SphericalRegion:
             self.center.setflags(write=False)
             return
         if kind == "hull":
-            verts = _floats(vertices, "hull vertices")
+            verts = float_array(vertices, "hull vertices")
             if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 3:
                 raise InvalidInput("hull needs at least 3 unit vertices of dimension 3")
             norms = np.linalg.norm(verts, axis=1)
@@ -463,7 +458,7 @@ class DensityState:
     """A 2x2 density matrix, carried as its Bloch vector of length <= 1."""
 
     def __init__(self, bloch):
-        b = np.asarray(bloch, dtype=float).reshape(-1)
+        b = float_array(bloch, "density Bloch vector").reshape(-1)
         if b.shape != (3,):
             raise DimensionMismatch(f"Bloch vector must have 3 entries, got {b.shape}")
         if not np.linalg.norm(b) <= 1.0 + 1e-12:  # a NaN entry fails too
@@ -509,6 +504,41 @@ def pure_state_order(region: SphericalRegion, p: PureStatePoint, q: PureStatePoi
     than with q, which is the dual-cone test on the Bloch difference.
     """
     return _bloch_relation(region, p.bloch, q.bloch, tol=tol)
+
+
+_RELATIONS = np.array(["equal", "less", "greater", "incomparable"], dtype=object)
+
+
+def _unit_rows(vs, what: str) -> np.ndarray:
+    """(N, 3) rows, each checked as PureStatePoint checks one and divided by its own norm."""
+    vs = float_array(vs, what)
+    if vs.ndim != 2 or vs.shape[1] != 3:
+        raise DimensionMismatch(f"{what} must be an (N, 3) array, got shape {vs.shape}")
+    norms = np.linalg.norm(vs, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= 1e-9)  # a NaN or infinite entry fails too
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidInput(f"{what} row {row} must be finite and unit length, got norm {norms[row]!r}")
+    return vs / norms[:, None]
+
+
+def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) -> list[str]:
+    """pure_state_order row by row on (N, 3) arrays of unit Bloch vectors.
+
+    One dual-cone batch test per direction decides every pair; the
+    relation of row i is that of PureStatePoint(P[i]) and PureStatePoint(Q[i]).
+    """
+    P = _unit_rows(P, "Bloch vectors p")
+    Q = _unit_rows(Q, "Bloch vectors q")
+    if P.shape != Q.shape:
+        raise DimensionMismatch(f"p and q must hold the same number of rows, got {len(P)} and {len(Q)}")
+    d = Q - P
+    codes = np.where(
+        np.linalg.norm(d, axis=1) <= tol, 0,
+        np.where(region.dual_contains_many(d, tol=tol), 1,
+                 np.where(region.dual_contains_many(-d, tol=tol), 2, 3)),
+    )
+    return _RELATIONS[codes].tolist()
 
 
 def state_order(region: SphericalRegion, rho: DensityState, sigma: DensityState, tol: float = GEOM_TOL) -> str:
@@ -601,6 +631,20 @@ def join_coeffs_from_difference(t: float, r: float) -> tuple[float, float]:
     return float(alpha), float(beta)
 
 
+def join_coeffs_many(t, r) -> tuple[np.ndarray, np.ndarray]:
+    """join_coeffs_from_difference elementwise, on arrays of t and r."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    hi, lo = np.abs(t + r), np.abs(t - r)
+    flat = r <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = 0.5 + (hi - lo) / (4.0 * r)
+        beta = (hi + lo) / 4.0 - t * (hi - lo) / (4.0 * r)
+    alpha = np.where(flat, np.where(np.abs(t) <= 1e-12, 0.5, np.where(t > 0, 1.0, 0.0)), alpha)
+    beta = np.where(flat, 0.0, beta)
+    return alpha, beta
+
+
 def join_coeffs(a, b) -> tuple[float, float]:
     """Coefficients with join(a, b) = alpha*a + (1-alpha)*b + beta*s0.
 
@@ -686,7 +730,7 @@ def rotation_preserves(region: SphericalRegion, rot, tol: float = GEOM_TOL) -> b
     Caps require the center to be fixed, hulls that the extreme vertices
     are permuted; the full sphere accepts every rotation.
     """
-    rot = np.asarray(rot, dtype=float)
+    rot = float_array(rot, "rotation")
     if rot.shape != (3, 3):
         raise DimensionMismatch(f"rotation must be 3x3, got {rot.shape}")
     if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(rot) - 1.0) > 1e-9:

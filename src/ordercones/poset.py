@@ -120,11 +120,17 @@ class FinitePreorder:
             raise InvalidInput(f"poset JSON must be an object, got {type(data).__name__}")
         if "elements" not in data:
             raise InvalidInput('missing "elements" key')
+        elements = data["elements"]
+        if not isinstance(elements, list):
+            raise InvalidInput(f'"elements" must be a list of ids, got {type(elements).__name__}')
         if "relation" in data:
-            rel = np.asarray(data["relation"], dtype=bool)
+            rel = _relation_from_json(data["relation"])
         else:
-            rel = _pairs_to_relation(list(data["elements"]), data.get("pairs", []))
-        return cls(data["elements"], rel)
+            pairs = data.get("pairs", [])
+            if not isinstance(pairs, list):
+                raise InvalidInput(f'"pairs" must be a list of [x, y] pairs, got {type(pairs).__name__}')
+            rel = _pairs_to_relation(elements, pairs)
+        return cls(elements, rel)
 
 
 class FinitePoset(FinitePreorder):
@@ -164,6 +170,17 @@ class FinitePoset(FinitePreorder):
 
     def _emitted_pairs(self) -> list[tuple[str, str]]:
         return self.covering_pairs()
+
+
+def _relation_from_json(relation) -> np.ndarray:
+    """A 0/1 matrix whose entries are booleans or the numbers 0 and 1, nothing else."""
+    try:
+        rel = np.asarray(relation)
+    except ValueError as exc:  # a ragged list
+        raise InvalidInput(f"relation must be a square 0/1 matrix: {exc}") from exc
+    if rel.dtype != bool and (rel.dtype.kind not in "iuf" or not np.isin(rel, (0, 1)).all()):
+        raise InvalidInput("relation entries must be true/false or the numbers 0 and 1")
+    return rel.astype(bool)
 
 
 def _pairs_to_relation(elements, pairs) -> np.ndarray:

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from ordercones import cli
 from ordercones.cli import build_parser, main
 from ordercones.isotone_cone import DEFAULT_TOL
-from ordercones.m2 import GEOM_TOL
+from ordercones.m2 import GEOM_TOL, PureStatePoint, pure_state_order
 from ordercones.poset import FinitePoset
+from ordercones.sampling import region_fixtures
 
 CHAIN3 = json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"]]})
 
@@ -190,6 +192,35 @@ def test_m2_order_sampled_csv_is_deterministic(capsys):
     assert len(first) == 7
     [float(x) for x in first[:6]]  # coordinates are plain numerals
     assert first[6] in ("less", "greater", "equal", "incomparable")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ["cap-0.3", "hull-skew", "full"])
+def test_m2_order_scan_matches_scalar_recomputation(capsys, monkeypatch, name, fmt):
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 64)  # three full blocks and a partial one
+    region = dict(region_fixtures())[name]
+    argv = ["m2", "order", "--region", json.dumps(region.to_json()), "--samples", "200", "--seed", "11",
+            "--format", fmt]
+    code, out = run(capsys, argv)
+    assert code == 0
+    if fmt == "csv":
+        lines = out.strip().splitlines()
+        assert lines[0] == "px,py,pz,qx,qy,qz,relation"
+        cells = [line.split(",") for line in lines[1:]]
+        pairs = np.array([[float(x) for x in row[:6]] for row in cells])
+        relations = [row[6] for row in cells]
+    else:
+        samples = json.loads(out)["samples"]
+        pairs = np.array([s["p"] + s["q"] for s in samples])
+        relations = [s["relation"] for s in samples]
+    pts = np.random.default_rng(11).normal(size=(400, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    assert pairs.tobytes() == pts.reshape(200, 6).tobytes()
+    want = [
+        pure_state_order(region, PureStatePoint.from_bloch(row[:3]), PureStatePoint.from_bloch(row[3:]))
+        for row in pairs
+    ]
+    assert relations == want
 
 
 def test_m2_transverse_cli(capsys):
@@ -441,11 +472,32 @@ _GENS = ["--functions", "[[0,1]]"]
         (["poset", "bounds", "--in", json.dumps({"elements": ["a"], "pairs": [["a"]]})], "InvalidInput"),
         (["m2", "hopf", "--xi", "{}"], "InvalidInput"),
         (["m2", "hopf", "--xi", "[1, 0]"], "DimensionMismatch"),
+        (["poset", "bounds", "--in", '{"elements": 5}'], "InvalidInput"),
+        (["poset", "bounds", "--in", '{"elements": ["a"], "pairs": 5}'], "InvalidInput"),
+        (["poset", "bounds", "--in", '{"elements": ["a", "b"], "relation": [[1, "x"], [0, 1]]}'], "InvalidInput"),
+        (["poset", "bounds", "--in", '{"elements": ["a", "b"], "relation": [[1, 2], [0, 1]]}'], "InvalidInput"),
+        (["poset", "bounds", "--in", '{"elements": ["a", "b"], "relation": [[1, 0], [0]]}'], "InvalidInput"),
+        (["gps", "order", "--in", '{"points": 5, "dist": [[0]]}', "--landmarks", '["a"]'], "InvalidInput"),
+        (["gps", "order", "--in", '{"points": ["a"], "dist": "x"}', "--landmarks", '["a"]'], "InvalidInput"),
+        (["gps", "order", "--in", '{"points": ["a"], "dist": [[0]], "landmarks": 5}'], "InvalidInput"),
+        (["herm", "spectral", "--in", '{"re": "x"}'], "InvalidInput"),
+        (["herm", "spectral", "--in", "true"], "InvalidInput"),
+        (["m2", "order", "--region", '{"kind": "full"}', "--p", "[[1, 0], [0]]", "--q", "[0, 0, 1]"], "InvalidInput"),
+        (["m2", "rotation", "--region", '{"kind": "full"}', "--matrix", '[["x"]]'], "InvalidInput"),
+        (["cone", "isotone", "--poset", '{"elements": ["a"]}', "--f", '["x"]'], "InvalidInput"),
+        (["dual", "morphism", "--source", '{"elements": ["a"]}', "--target", '{"elements": ["a"]}',
+          "--map", '["a"]'], "InvalidInput"),
+        (["m2", "state-order", "--region", '{"kind": "full"}', "--rho", '{"bloch": "x"}',
+          "--sigma", '{"bloch": [0, 0, 0]}'], "InvalidInput"),
     ],
     ids=[
         "gen-string", "gen-bool", "const-string", "scale-without-arg", "scale-two-args", "join-without-args",
         "args-not-a-list", "functions-without-key", "metric-without-dist", "metric-not-an-object",
         "one-id-pair", "hopf-without-xi", "hopf-flat-xi",
+        "elements-not-a-list", "pairs-not-a-list", "relation-string-entry", "relation-entry-two",
+        "relation-ragged", "points-not-a-list", "dist-string", "landmarks-not-a-list", "matrix-re-string",
+        "matrix-not-an-object", "ragged-xi", "rotation-string", "function-string", "map-not-an-object",
+        "density-bloch-string",
     ],
 )
 def test_malformed_input_is_an_error_object(capsys, argv, kind):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ordercones.errors import InvalidInput, NotARotation, NotNormal, NotNormalized
+from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
 from ordercones.hermitian import HermitianMatrix, func_calc, spectral
 from ordercones.m2 import (
     SIGMA,
@@ -15,9 +15,12 @@ from ordercones.m2 import (
     hopf,
     iso_membership,
     join_coeffs,
+    join_coeffs_from_difference,
+    join_coeffs_many,
     matrix_from_pauli,
     pauli_coords,
     pure_state_order,
+    pure_state_order_many,
     rotation_preserves,
     state_order,
     transition_probability,
@@ -385,6 +388,51 @@ def test_pure_state_order_axioms_sampled():
 # projective distance
 
 
+@pytest.mark.parametrize("name, region", region_fixtures(), ids=[name for name, _ in region_fixtures()])
+def test_pure_state_order_many_matches_scalar(name, region):
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(600, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    half = len(pts) // 2
+    # random pairs, then equal pairs (one side 1e-9 off unit length, so
+    # they are equal only after each row is divided by its norm), then
+    # antipodal pairs
+    P = np.vstack([pts[:half], pts[:50] * (1.0 + 9e-10), pts[:50]])
+    Q = np.vstack([pts[half:], pts[:50] * (1.0 - 9e-10), -pts[:50]])
+    batch = pure_state_order_many(region, P, Q)
+    scalar = [pure_state_order(region, PureStatePoint(p), PureStatePoint(q)) for p, q in zip(P, Q)]
+    assert batch == scalar
+    assert batch[half:half + 50] == ["equal"] * 50
+    if name not in ("cap-pi2", "full"):  # dual cones with interior order some random pairs
+        assert {"less", "greater", "incomparable"} <= set(batch)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.0, 0.0, 1.0 + 1e-6], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ids=["non-unit", "nan", "inf", "zero"],
+)
+def test_pure_state_order_many_rejects_bad_rows(row):
+    region = SphericalRegion.cap(E3, 0.3)
+    good = np.tile(E1, (3, 1))
+    bad = good.copy()
+    bad[1] = row
+    with pytest.raises(InvalidInput, match="row 1"):
+        pure_state_order_many(region, bad, good)
+    with pytest.raises(InvalidInput, match="row 1"):
+        pure_state_order_many(region, good, bad)
+
+
+def test_pure_state_order_many_checks_shapes():
+    region = SphericalRegion.full()
+    with pytest.raises(DimensionMismatch):
+        pure_state_order_many(region, [[1.0, 0.0]], [[0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        pure_state_order_many(region, [E1, E3], [E3])
+    with pytest.raises(InvalidInput):
+        pure_state_order_many(region, [["x", 0, 0]], [E3])
+
+
 def test_fubini_study_reference_values():
     north = PureStatePoint.from_bloch(E3)
     south = PureStatePoint.from_bloch(-E3)
@@ -511,6 +559,17 @@ def test_join_coeffs_comparable_and_equal_pairs():
     a = b + 5.0 * SIGMA[0]
     assert join_coeffs(a, b) == (1.0, 0.0)
     assert join_coeffs(b, b) == (0.5, 0.0)
+
+
+def test_join_coeffs_many_is_bit_identical_to_scalar():
+    rng = np.random.default_rng(12)
+    t = np.concatenate([rng.normal(scale=2.0, size=2000), [1.0, -1.0, 0.0, 1e-13, -2.5, 3.0, 0.0]])
+    r = np.concatenate([np.abs(rng.normal(size=2000)), [0.0, 0.0, 0.0, 0.0, 1e-12, 2e-12, 5e-13]])
+    alpha, beta = join_coeffs_many(t, r)
+    want = np.array([join_coeffs_from_difference(float(a), float(b)) for a, b in zip(t, r)])
+    assert alpha.tobytes() == want[:, 0].tobytes()
+    assert beta.tobytes() == want[:, 1].tobytes()
+    assert alpha[-7:-3].tolist() == [1.0, 0.0, 0.5, 0.5]
 
 
 def test_join_coeffs_random_reconstruction():

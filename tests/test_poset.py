@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ordercones.errors import AntisymmetryViolation, UnknownId
+from ordercones.errors import AntisymmetryViolation, InvalidInput, UnknownId
 from ordercones.poset import (
     FinitePoset,
     bounds,
@@ -227,3 +227,12 @@ def test_poset_json_round_trip():
         data = p.to_json()
         assert FinitePoset.from_json(data) == p
         assert FinitePoset.from_json({"elements": data["elements"], "pairs": data["pairs"]}) == p
+
+
+def test_poset_json_relation_entries_are_booleans_or_zero_one():
+    want = chain("a", "b")
+    for rel in ([[True, True], [False, True]], [[1, 1], [0, 1]], [[1.0, True], [0, 1]]):
+        assert FinitePoset.from_json({"elements": ["a", "b"], "relation": rel}) == want
+    for rel in ([[1, "x"], [0, 1]], [[1, 2], [0, 1]], [[1, 0.5], [0, 1]], [[1, None], [0, 1]], [[1, float("nan")], [0, 1]]):
+        with pytest.raises(InvalidInput):
+            FinitePoset.from_json({"elements": ["a", "b"], "relation": rel})
