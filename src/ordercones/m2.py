@@ -321,9 +321,9 @@ class SphericalRegion:
         if self.kind == "full":
             return zero
         if self.kind == "cap":
-            with np.errstate(invalid="ignore"):
-                cosang = np.where(norms > 0, ds @ self.center / np.where(norms > 0, norms, 1.0), 1.0)
-            ang = np.arccos(np.clip(cosang, -1.0, 1.0))
+            # normalise, then pair with the center, in the order dual_contains does
+            units = ds / np.where(norms > 0, norms, 1.0)[:, None]
+            ang = np.arccos(np.clip(units @ self.center, -1.0, 1.0))
             return zero | (ang <= np.pi / 2.0 - self.radius + tol)
         slack = (ds @ self._extreme.T).min(axis=1)
         return zero | (slack >= -tol * norms)
@@ -525,8 +525,11 @@ def _unit_rows(vs, what: str) -> np.ndarray:
 def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) -> list[str]:
     """pure_state_order row by row on (N, 3) arrays of unit Bloch vectors.
 
-    One dual-cone batch test per direction decides every pair; the
-    relation of row i is that of PureStatePoint(P[i]) and PureStatePoint(Q[i]).
+    One dual-cone batch test per direction decides every pair. The relation
+    of row i is that of PureStatePoint(P[i]) and PureStatePoint(Q[i]) up to
+    rounding: the batch norms and products may differ from the scalar ones
+    in the last bit, so a pair within rounding of the tol or cap-angle
+    boundary can be decided either way.
     """
     P = _unit_rows(P, "Bloch vectors p")
     Q = _unit_rows(Q, "Bloch vectors q")

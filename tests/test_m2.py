@@ -433,6 +433,36 @@ def test_pure_state_order_many_checks_shapes():
         pure_state_order_many(region, [["x", 0, 0]], [E3])
 
 
+@pytest.mark.parametrize("radius", [0.3, 1.0, 1.5])
+def test_cap_dual_boundary_batch_matches_scalar(radius):
+    # Directions 1e-11 rad either side of the cap's dual boundary (angle
+    # pi/2 - radius + tol from the center, tol = GEOM_TOL = 1e-9): far
+    # outside rounding, so batch and scalar must agree on every one.
+    center = np.array([0.48, -0.6, 0.64])
+    region = SphericalRegion.cap(center, radius)
+    e1 = np.cross(center, E3)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    edge = np.pi / 2 - radius + 1e-9
+    phi = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)[:, None]
+    u = {}
+    for side, theta in (("in", edge - 1e-11), ("out", edge + 1e-11)):
+        u[side] = np.cos(theta) * center + np.sin(theta) * (np.cos(phi) * e1 + np.sin(phi) * e2)
+    for side, want in (("in", True), ("out", False)):
+        for scale in (1e-3, 1.0, 10.0):
+            ds = scale * u[side]
+            assert region.dual_contains_many(ds).tolist() == [want] * len(ds)
+            assert [region.dual_contains(d) for d in ds] == [want] * len(ds)
+    # The pair (-u, u) has Bloch difference 2u: "less" just inside the
+    # boundary, "incomparable" just outside it (-2u is far from the dual).
+    P = -np.vstack([u["in"], u["out"]])
+    Q = -P
+    batch = pure_state_order_many(region, P, Q)
+    scalar = [pure_state_order(region, PureStatePoint(p), PureStatePoint(q)) for p, q in zip(P, Q)]
+    assert batch == scalar
+    assert batch == ["less"] * len(phi) + ["incomparable"] * len(phi)
+
+
 def test_fubini_study_reference_values():
     north = PureStatePoint.from_bloch(E3)
     south = PureStatePoint.from_bloch(-E3)
