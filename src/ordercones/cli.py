@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import acceptance, duality, gps, hermitian, isotone_cone, m2, poset
-from .errors import DomainError, InvalidInput, OrderConesError
+from .errors import DomainError, InvalidInput, OrderConesError, string_ids
 
 
 def _json_default(obj):
@@ -125,8 +125,12 @@ def _relation_payload(args, obj: poset.FinitePreorder, extra: dict | None = None
 
 
 def _cmd_poset_check(args):
+    data = _load(getattr(args, "in"))
+    if isinstance(data, dict) and isinstance(data.get("elements"), list):
+        # Ids that are not strings make unreadable input (exit 1), not an invalid order.
+        string_ids(data["elements"], "element ids")
     try:
-        p = _poset_arg(getattr(args, "in"))
+        p = poset.FinitePoset.from_json(data)
     except OrderConesError as exc:
         return {"valid": False, "reason": exc.kind, "detail": str(exc)}
     return {"valid": True, "bounded": poset.bounds(p).bounded}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownId
+from .errors import UnknownId, string_ids
 from .isotone_cone import (
     IsotoneCone,
     all_upset_indicators,
@@ -97,11 +97,12 @@ class MorphismReport:
 
 
 def _mapping_indices(mapping: dict, source: FinitePoset, target: FinitePoset) -> np.ndarray:
+    string_ids(mapping.values(), "map values")
     idx = np.empty(source.n, dtype=int)
     for i, e in enumerate(source.elements):
         if e not in mapping:
             raise UnknownId(f"map is not defined on {e!r}")
-        idx[i] = target.index(str(mapping[e]))
+        idx[i] = target.index(mapping[e])
     return idx
 
 

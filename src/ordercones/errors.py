@@ -1,5 +1,5 @@
 """Domain error types shared across the library and surfaced by the CLI,
-and the numeric reader that turns unreadable input into InvalidInput."""
+and the numeric and id readers that turn unreadable input into InvalidInput."""
 
 import numpy as np
 
@@ -74,3 +74,17 @@ def float_array(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{what} must be numeric: {exc}") from exc
+
+
+def string_ids(values, what: str) -> tuple[str, ...]:
+    """values as a tuple of ids; ids are strings, and anything else is InvalidInput (never str()-coerced)."""
+    if isinstance(values, (str, dict)):
+        raise InvalidInput(f"{what} must be a list of strings, got {type(values).__name__}")
+    try:
+        ids = tuple(values)
+    except TypeError as exc:
+        raise InvalidInput(f"{what} must be a list of strings, got {type(values).__name__}") from exc
+    for x in ids:
+        if not isinstance(x, str):
+            raise InvalidInput(f"{what} must be strings, got {type(x).__name__}")
+    return ids

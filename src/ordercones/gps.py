@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, UnknownId, float_array
+from .errors import InvalidInput, UnknownId, float_array, string_ids
 from .isotone_cone import DEFAULT_TOL, order_from_functions
 from .poset import FinitePreorder
 
@@ -26,7 +26,7 @@ class FiniteMetricSpace:
     """
 
     def __init__(self, points, dist):
-        points = tuple(str(x) for x in points)
+        points = string_ids(points, "point ids")
         if len(set(points)) != len(points):
             raise InvalidInput("point ids must be distinct")
         d = float_array(dist, "distance matrix")
@@ -76,7 +76,7 @@ class FiniteMetricSpace:
 
 def landmark_functions(space: FiniteMetricSpace, landmarks) -> np.ndarray:
     """One row per landmark z: the function x -> d(x, z)."""
-    rows = [space.dist[:, space.index(str(z))] for z in landmarks]
+    rows = [space.dist[:, space.index(z)] for z in string_ids(landmarks, "landmark ids")]
     return np.array(rows) if rows else np.zeros((0, space.n))
 
 

@@ -24,6 +24,7 @@ from .errors import (
     OrderNotDetermined,
     PointsNotSeparated,
     float_array,
+    string_ids,
 )
 from .poset import FinitePoset, FinitePreorder
 
@@ -92,7 +93,7 @@ def order_from_functions(elements, functions, tol: float = DEFAULT_TOL) -> Order
     partial order exactly when the family separates points, reported in
     the flag.
     """
-    elements = [str(e) for e in elements]
+    elements = string_ids(elements, "element ids")
     n = len(elements)
     fns = [as_function(f, n) for f in functions]
     if fns:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AntisymmetryViolation, InvalidInput, UnknownId
+from .errors import AntisymmetryViolation, InvalidInput, UnknownId, string_ids
 
 __all__ = [
     "FinitePreorder",
@@ -36,6 +36,15 @@ def _closure(rel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product: out[i, j] iff a[i, k] and b[k, j] for some k.
+
+    One float32 BLAS product, exact at any n: a sum of nonnegative 0/1
+    terms is > 0 exactly when one of them is 1.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -46,7 +55,7 @@ class FinitePreorder:
     """Element ids plus a reflexive, transitive boolean relation matrix."""
 
     def __init__(self, elements, rel):
-        elements = tuple(str(e) for e in elements)
+        elements = string_ids(elements, "element ids")
         if len(set(elements)) != len(elements):
             raise InvalidInput("element ids must be distinct")
         rel = np.asarray(rel, dtype=bool)
@@ -55,7 +64,7 @@ class FinitePreorder:
             raise InvalidInput(f"relation must be {n}x{n}, got {rel.shape}")
         if not rel.diagonal().all():
             raise InvalidInput("relation must be reflexive")
-        if not np.array_equal(_closure(rel), rel):
+        if (_compose(rel, rel) & ~rel).any():
             raise InvalidInput("relation must be transitive")
         self.elements = elements
         self.rel = _freeze(rel)
@@ -81,14 +90,18 @@ class FinitePreorder:
     def as_poset(self) -> "FinitePoset":
         return FinitePoset(self.elements, self.rel)
 
+    def _pairs(self, mask: np.ndarray) -> list[tuple[str, str]]:
+        """The id pairs where mask is set, in row-major order."""
+        e = self.elements
+        rows, cols = np.nonzero(mask)
+        return [(e[i], e[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+
+    def _strict(self) -> np.ndarray:
+        return self.rel & ~np.eye(self.n, dtype=bool)
+
     def strict_pairs(self) -> list[tuple[str, str]]:
         """All related pairs with distinct endpoints (regenerates the relation)."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self.rel[i, j]:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        return self._pairs(self._strict())
 
     def __eq__(self, other) -> bool:
         return (
@@ -143,23 +156,11 @@ class FinitePoset(FinitePreorder):
 
     def covering_pairs(self) -> list[tuple[str, str]]:
         """Transitive reduction: pairs x<y with nothing strictly between."""
-        strict = self.rel & ~np.eye(self.n, dtype=bool)
-        via = (strict @ strict.astype(np.int64)) > 0
-        cover = strict & ~via
-        return [
-            (self.elements[i], self.elements[j])
-            for i in range(self.n)
-            for j in range(self.n)
-            if cover[i, j]
-        ]
+        strict = self._strict()
+        return self._pairs(strict & ~_compose(strict, strict))
 
     def incomparable_pairs(self) -> list[tuple[str, str]]:
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if not self.rel[i, j] and not self.rel[j, i]:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        return self._pairs(np.triu(~(self.rel | self.rel.T), 1))
 
     def is_total(self) -> bool:
         return (self.rel | self.rel.T).all()
@@ -184,14 +185,14 @@ def _relation_from_json(relation) -> np.ndarray:
 
 
 def _pairs_to_relation(elements, pairs) -> np.ndarray:
-    index = {str(e): i for i, e in enumerate(elements)}
+    index = {e: i for i, e in enumerate(string_ids(elements, "element ids"))}
     if len(index) != len(elements):
         raise InvalidInput("element ids must be distinct")
     rel = np.eye(len(elements), dtype=bool)
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInput(f"a pair must hold exactly two ids, got {pair!r}")
-        x, y = str(pair[0]), str(pair[1])
+        x, y = string_ids(pair, "pair ids")
         if x not in index:
             raise UnknownId(f"unknown element id {x!r}")
         if y not in index:
@@ -222,23 +223,11 @@ def reduce_preorder(q: FinitePreorder) -> tuple[FinitePoset, dict[str, str]]:
     returned projection maps each id to its class id and is isotone.
     """
     mutual = q.rel & q.rel.T
-    class_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(q.n):
-        for r in reps:
-            if mutual[i, r]:
-                class_of[i] = r
-                break
-        else:
-            class_of[i] = i
-            reps.append(i)
-    names = [q.elements[r] for r in reps]
-    rel = np.zeros((len(reps), len(reps)), dtype=bool)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            rel[a, b] = q.rel[ra, rb]
-    projection = {q.elements[i]: q.elements[class_of[i]] for i in range(q.n)}
-    return FinitePoset(names, rel), projection
+    first = mutual.argmax(axis=1) if q.n else np.zeros(0, dtype=int)  # first member of each class
+    reps = np.flatnonzero(first == np.arange(q.n))
+    names = [q.elements[r] for r in reps.tolist()]
+    projection = {e: q.elements[f] for e, f in zip(q.elements, first.tolist())}
+    return FinitePoset(names, q.rel[np.ix_(reps, reps)]), projection
 
 
 def combine(p: FinitePoset, q: FinitePoset, mode: str) -> FinitePoset:
@@ -269,8 +258,7 @@ def combine(p: FinitePoset, q: FinitePoset, mode: str) -> FinitePoset:
 def interval(p: FinitePoset, x: str, y: str) -> list[str]:
     """The closed interval {z : x <= z <= y}; empty when x is not below y."""
     i, j = p.index(x), p.index(y)
-    mask = p.rel[i] & p.rel[:, j]
-    return [p.elements[k] for k in range(p.n) if mask[k]]
+    return [p.elements[k] for k in np.flatnonzero(p.rel[i] & p.rel[:, j]).tolist()]
 
 
 @dataclass(frozen=True)
@@ -284,14 +272,13 @@ class Bounds:
 
 
 def bounds(p: FinitePoset) -> Bounds:
-    """Greatest and lowest elements, when they exist."""
-    top = bottom = None
-    for i in range(p.n):
-        if p.rel[:, i].all():
-            top = p.elements[i]
-        if p.rel[i].all():
-            bottom = p.elements[i]
-    return Bounds(top=top, bottom=bottom)
+    """Greatest and lowest elements, when they exist (the last one listed, in a preorder)."""
+    tops = np.flatnonzero(p.rel.all(axis=0))
+    bottoms = np.flatnonzero(p.rel.all(axis=1))
+    return Bounds(
+        top=p.elements[tops[-1]] if len(tops) else None,
+        bottom=p.elements[bottoms[-1]] if len(bottoms) else None,
+    )
 
 
 _MASK64 = (1 << 64) - 1
@@ -343,15 +330,10 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
         v = next(stream) / 2.0**64
         pts.append(((u + v) / 2.0, (u - v) / 2.0, u, v))
     pts.sort()
-    elements = [f"p{i}" for i in range(n)]
-    rel = np.eye(n, dtype=bool)
-    for i in range(n):
-        ti, _, ui, vi = pts[i]
-        for j in range(n):
-            tj, _, uj, vj = pts[j]
-            if uj >= ui and vj >= vi and tj > ti:
-                rel[i, j] = True
-    poset = FinitePoset(elements, rel)
+    t, _, u, v = np.array(pts, dtype=float).reshape(n, 4).T
+    rel = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
+    rel |= np.eye(n, dtype=bool)
+    poset = FinitePoset([f"p{i}" for i in range(n)], rel)
     return Sprinkling(
         poset=poset,
         t=tuple(p[0] for p in pts),

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -72,6 +73,21 @@ def test_sprinkle_deterministic_bytes(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert FinitePoset.from_json(data).n == 30
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "200", "--seed", "5"], "998b387a8a137740f58e0beb69b6cc1092070a88ed7b8917567697193b6ba851"),
+        (["--n", "200", "--seed", "5", "--format", "csv"],
+         "90b7ec3ca6b9645aa05f55d2c054840b996495bbaff06586665f14dbb154113b"),
+    ],
+    ids=["json", "csv"],
+)
+def test_sprinkle_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, ["poset", "sprinkle", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_emitted_poset_json_reparses_equal(capsys):
@@ -489,6 +505,17 @@ _GENS = ["--functions", "[[0,1]]"]
           "--map", '["a"]'], "InvalidInput"),
         (["m2", "state-order", "--region", '{"kind": "full"}', "--rho", '{"bloch": "x"}',
           "--sigma", '{"bloch": [0, 0, 0]}'], "InvalidInput"),
+        (["poset", "check", "--in", '{"elements": ["None", null]}'], "InvalidInput"),
+        (["poset", "bounds", "--in", '{"elements": [{"a": 1}, null, 1.5]}'], "InvalidInput"),
+        (["poset", "bounds", "--in", '{"elements": ["a", "1"], "pairs": [["a", 1]]}'], "InvalidInput"),
+        (["cone", "order-from", "--elements", '["a", 1]', "--functions", "[[0, 1]]"], "InvalidInput"),
+        (["cone", "order-from", "--elements", '{"a": 1}', "--functions", "[[0]]"], "InvalidInput"),
+        (["gps", "order", "--in", '{"points": ["a", 2], "dist": [[0, 1], [1, 0]]}', "--landmarks", '["a"]'],
+         "InvalidInput"),
+        (["gps", "order", "--in", '{"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}', "--landmarks", "[null]"],
+         "InvalidInput"),
+        (["dual", "morphism", "--source", '{"elements": ["a"]}', "--target", '{"elements": ["a"]}',
+          "--map", '{"map": {"a": null}}'], "InvalidInput"),
     ],
     ids=[
         "gen-string", "gen-bool", "const-string", "scale-without-arg", "scale-two-args", "join-without-args",
@@ -497,7 +524,8 @@ _GENS = ["--functions", "[[0,1]]"]
         "elements-not-a-list", "pairs-not-a-list", "relation-string-entry", "relation-entry-two",
         "relation-ragged", "points-not-a-list", "dist-string", "landmarks-not-a-list", "matrix-re-string",
         "matrix-not-an-object", "ragged-xi", "rotation-string", "function-string", "map-not-an-object",
-        "density-bloch-string",
+        "density-bloch-string", "check-null-id", "object-and-number-ids", "number-pair-id",
+        "cone-number-id", "cone-elements-object", "number-point-id", "null-landmark", "null-map-value",
     ],
 )
 def test_malformed_input_is_an_error_object(capsys, argv, kind):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercones.errors import AntisymmetryViolation, InvalidInput, UnknownId
 from ordercones.poset import (
     FinitePoset,
+    FinitePreorder,
     bounds,
     build_poset,
     build_preorder,
@@ -236,3 +239,81 @@ def test_poset_json_relation_entries_are_booleans_or_zero_one():
     for rel in ([[1, "x"], [0, 1]], [[1, 2], [0, 1]], [[1, 0.5], [0, 1]], [[1, None], [0, 1]], [[1, float("nan")], [0, 1]]):
         with pytest.raises(InvalidInput):
             FinitePoset.from_json({"elements": ["a", "b"], "relation": rel})
+
+
+def test_ids_must_be_strings():
+    for elements in (["a", 1], [None, "None"], [("a",)]):
+        with pytest.raises(InvalidInput):
+            FinitePoset(elements, np.eye(2, dtype=bool)[: len(elements), : len(elements)])
+    with pytest.raises(InvalidInput):
+        build_poset(["a", "b"], [("a", None)])
+
+
+# Oracle tests: the array kernels against triple loops written out here,
+# on every relation shape up to n = 12 that the fixed example set reaches.
+
+_ORACLE = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _warshall(rel):
+    out = rel.copy()
+    n = out.shape[0]
+    for i in range(n):
+        out[i, i] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if out[i, k] and out[k, j]:
+                    out[i, j] = True
+    return out
+
+
+@st.composite
+def _relations(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(bits, dtype=bool).reshape(n, n)
+
+
+@st.composite
+def _posets(draw):
+    """A random DAG under a random ordering of the ids, closed by the oracle."""
+    edges = draw(_relations())
+    n = edges.shape[0]
+    perm = draw(st.permutations(range(n)))
+    rel = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(a + 1, n):
+            rel[perm[a], perm[b]] = edges[a, b]
+    return FinitePoset([f"e{i}" for i in range(n)], _warshall(rel))
+
+
+@_ORACLE
+@given(_posets())
+def test_pair_lists_match_triple_loop_oracles(p):
+    rel, e, n = p.rel, p.elements, p.n
+    strict = [(e[i], e[j]) for i in range(n) for j in range(n) if i != j and rel[i, j]]
+    covers = [
+        (e[i], e[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and rel[i, j] and not any(k not in (i, j) and rel[i, k] and rel[k, j] for k in range(n))
+    ]
+    incomparable = [(e[i], e[j]) for i in range(n) for j in range(i + 1, n) if not rel[i, j] and not rel[j, i]]
+    assert p.strict_pairs() == strict
+    assert p.covering_pairs() == covers
+    assert p.incomparable_pairs() == incomparable
+
+
+@_ORACLE
+@given(_relations(), st.booleans())
+def test_construction_rejects_exactly_the_non_transitive_relations(rel, close):
+    rel = rel | np.eye(rel.shape[0], dtype=bool)
+    if close:
+        rel = _warshall(rel)
+    ids = [f"e{i}" for i in range(rel.shape[0])]
+    if np.array_equal(_warshall(rel), rel):
+        assert np.array_equal(FinitePreorder(ids, rel).rel, rel)
+    else:
+        with pytest.raises(InvalidInput, match="transitive"):
+            FinitePreorder(ids, rel)
