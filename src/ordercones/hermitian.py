@@ -23,9 +23,11 @@ __all__ = [
     "classify",
     "operator_norm",
     "matrix_abs",
+    "matrix_abs_many",
     "matrix_sqrt",
     "nonnegative_sqrt",
     "projection_decomposition",
+    "projection_decomposition_many",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -191,6 +193,12 @@ def matrix_abs(a) -> HermitianMatrix:
     return func_calc(a, abs)
 
 
+def matrix_abs_many(mats: np.ndarray) -> np.ndarray:
+    """|m| for a stack of hermitian 2x2 matrices, through LAPACK."""
+    vals, vecs = np.linalg.eigh(mats)
+    return (vecs * np.abs(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+
 def nonnegative_sqrt(x: float) -> float:
     """Square root of a spectral point; values within CLUSTER_TOL below 0 count as 0."""
     if x < -CLUSTER_TOL:
@@ -270,3 +278,60 @@ def projection_decomposition(a, tol: float = 1e-12) -> list[tuple[float, Hermiti
             terms.append((coeff, proj))
         prev = lam
     return terms
+
+
+def _hermitian_stack(mats) -> np.ndarray:
+    """An (N, 2, 2) stack checked and symmetrized as HermitianMatrix does each matrix."""
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix entries must be finite")
+    gap = np.abs(m - m.conj().transpose(0, 2, 1)).max(initial=0.0)
+    if not gap <= HERMITICITY_TOL:
+        raise NotHermitian(f"a matrix is {gap:.2e} away from self-adjoint")
+    m = m / 2.0
+    return m + m.conj().transpose(0, 2, 1)
+
+
+def projection_decomposition_many(
+    mats, tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """projection_decomposition for an (N, 2, 2) stack of positive matrices.
+
+    Returns (coeffs, projs, kept) of shapes (N, 2), (N, 2, 2, 2) and (N, 2).
+    Row i's terms are (coeffs[i, t], projs[i, t]) for the t with kept[i, t],
+    in the scalar's order: t = 0 is the lowest level times the identity
+    projection (dropped when at most tol), t = 1 the gap to the top
+    eigenvalue times the projection on its eigenvector (present only when
+    the spectrum is two clusters).  Dropped terms have coefficient 0, so
+    summing coeffs * projs over t rebuilds each row.  This is the 2x2
+    closed form of `spectral` on the whole stack, so values match the
+    scalar path.
+    """
+    m = _hermitian_stack(mats)
+    c = (m[:, 0, 0].real + m[:, 1, 1].real) / 2.0
+    v1, v2 = m[:, 1, 0].real, m[:, 1, 0].imag
+    v3 = (m[:, 0, 0].real - m[:, 1, 1].real) / 2.0
+    r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    low, high = c - r, c + r
+    if not (low >= -tol).all():
+        raise InvalidInput("matrices must be positive semidefinite")
+    theta = np.arccos(np.clip(v3 / np.where(r == 0.0, 1.0, r), -1.0, 1.0))
+    phi = np.arctan2(v2, v1)
+    co, si = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    plus = np.stack([co + 0j, np.exp(1j * phi) * si], axis=1)
+    minus = np.stack([-np.exp(-1j * phi) * si, co + 0j], axis=1)
+    vecs = np.stack([minus, plus], axis=2)
+    vecs[r == 0.0] = np.eye(2)
+    projs = np.stack(
+        [vecs @ vecs.conj().transpose(0, 2, 1), plus[:, :, None] @ plus.conj()[:, None, :]],
+        axis=1,
+    )
+    projs = projs / 2.0
+    projs = projs + projs.conj().swapaxes(-1, -2)
+    split = ~(high - low <= CLUSTER_TOL)
+    base = np.where(split, low, (low + high) / 2.0)
+    kept = np.stack([base > tol, split], axis=1)
+    coeffs = np.where(kept, np.stack([base, high - low], axis=1), 0.0)
+    return coeffs, projs, kept

@@ -36,6 +36,7 @@ __all__ = [
     "PauliCoords",
     "pauli_coords",
     "matrix_from_pauli",
+    "matrix_from_pauli_many",
     "hopf",
     "spinor",
     "SphericalRegion",
@@ -98,6 +99,16 @@ def matrix_from_pauli(c: float, v) -> HermitianMatrix:
         raise DimensionMismatch(f"coefficient vector must have 3 entries, got {v.shape}")
     m = c * SIGMA[0] + v[0] * SIGMA[1] + v[1] * SIGMA[2] + v[2] * SIGMA[3]
     return HermitianMatrix(m)
+
+
+def matrix_from_pauli_many(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (N, 2, 2) complex stack c*s0 + v.s for c of shape (N,) and v of shape (N, 3)."""
+    return (
+        c[:, None, None] * SIGMA[0]
+        + v[:, 0, None, None] * SIGMA[1]
+        + v[:, 1, None, None] * SIGMA[2]
+        + v[:, 2, None, None] * SIGMA[3]
+    )
 
 
 def pauli_vparts_many(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

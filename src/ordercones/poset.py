@@ -70,6 +70,20 @@ class FinitePreorder:
         self.rel = _freeze(rel)
         self._index = {e: i for i, e in enumerate(elements)}
 
+    @classmethod
+    def _closed(cls, elements, rel: np.ndarray):
+        """An instance over a relation the library has just built and closed itself.
+
+        Skips every check __init__ makes (ids, shape, reflexivity,
+        transitivity, antisymmetry): callers guarantee them.  Never use it
+        on input from outside the library.
+        """
+        self = cls.__new__(cls)
+        self.elements = tuple(elements)
+        self.rel = _freeze(rel)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        return self
+
     @property
     def n(self) -> int:
         return len(self.elements)

@@ -27,8 +27,7 @@ def random_poset(rng: np.random.Generator, n: int, edge_prob: float = 0.35) -> F
     a, b = np.nonzero(~np.tri(n, dtype=bool))  # a < b in row-major order, as a scalar loop would draw
     rel = np.eye(n, dtype=bool)
     rel[perm[a], perm[b]] = rng.random(len(a)) < edge_prob
-    rel = _closure(rel)
-    return FinitePoset([f"e{i}" for i in range(n)], rel)
+    return FinitePoset._closed([f"e{i}" for i in range(n)], _closure(rel))
 
 
 def random_total_order(rng: np.random.Generator, n: int) -> FinitePoset:
@@ -36,7 +35,7 @@ def random_total_order(rng: np.random.Generator, n: int) -> FinitePoset:
     a, b = np.nonzero(~np.tri(n, dtype=bool))
     rel = np.eye(n, dtype=bool)
     rel[perm[a], perm[b]] = True
-    return FinitePoset([f"e{i}" for i in range(n)], rel)
+    return FinitePoset._closed([f"e{i}" for i in range(n)], rel)
 
 
 def random_preorder_relation(rng: np.random.Generator, n: int, edge_prob: float = 0.3) -> np.ndarray:
@@ -47,10 +46,7 @@ def random_preorder_relation(rng: np.random.Generator, n: int, edge_prob: float 
 def random_isotone(rng: np.random.Generator, p: FinitePoset, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:
     """Random isotone function: running maxima of noise over down-sets."""
     raw = rng.uniform(lo, hi, size=p.n)
-    out = np.empty(p.n)
-    for i in range(p.n):
-        out[i] = raw[p.rel[:, i]].max()
-    return out
+    return np.where(p.rel, raw[:, None], -np.inf).max(axis=0, initial=-np.inf)
 
 
 def random_nonneg_isotone(rng: np.random.Generator, p: FinitePoset, hi: float = 3.0) -> np.ndarray:

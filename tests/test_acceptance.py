@@ -15,3 +15,11 @@ def test_criterion(results, number, name):
     print(outcome.line())
     assert outcome.name == name
     assert outcome.passed, outcome.line()
+
+
+def test_seed7_work_counts(results):
+    """The full run decides every item it reports, so a faster path cannot do less work."""
+    assert results[3].details["checked"] == 400_000
+    c8 = results[8].details
+    assert (c8["functions"], c8["matrices"], c8["bad_projections"]) == (10_000, 10_000, 0)
+    assert (results[9].details["pairs"], results[9].details["failures"]) == (10_000, 0)

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordercones.errors import DimensionMismatch, DomainError, NotHermitian
+from ordercones.errors import DimensionMismatch, DomainError, InvalidInput, NotHermitian
 from ordercones.hermitian import (
+    CLUSTER_TOL,
     HermitianMatrix,
     classify,
     func_calc,
     lattice_ops,
     matrix_abs,
+    matrix_abs_many,
     matrix_sqrt,
     projection_decomposition,
+    projection_decomposition_many,
     spectral,
 )
 
@@ -220,3 +225,79 @@ def test_matrix_json_round_trip():
     rng = np.random.default_rng(8)
     a = random_hermitian(rng, 2)
     assert HermitianMatrix.from_json(a.to_json()).allclose(a, tol=0.0)
+
+
+def test_matrix_abs_many_matches_the_scalar():
+    rng = np.random.default_rng(9)
+    mats = np.stack([random_hermitian(rng, 2).mat for _ in range(50)])
+    got = matrix_abs_many(mats)
+    for m, g in zip(mats, got):
+        assert np.max(np.abs(matrix_abs(m).mat - g)) <= 1e-12
+
+
+# Scalar against batch for projection_decomposition_many, over the spectral
+# shapes its cluster and drop rules separate.
+
+_EXAMPLES = settings(derandomize=True, max_examples=60, deadline=None)
+_size = st.floats(1e-3, 10.0)
+_direction = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+
+
+@st.composite
+def _psd_rows(draw):
+    """(kind, matrix): the Pauli form c*s0 + r*k.s of one positive 2x2 matrix."""
+    kind = draw(st.sampled_from(["generic", "identity", "cluster", "singular"]))
+    k = np.array(draw(_direction))
+    k /= np.linalg.norm(k)
+    if kind == "identity":  # r = 0; at c <= tol there are no terms at all
+        c, r = draw(st.one_of(st.sampled_from([0.0, 1e-13]), _size)), 0.0
+    elif kind == "cluster":  # 0 < 2r <= CLUSTER_TOL: one spectral cluster
+        c, r = draw(_size), draw(st.floats(1e-15, 0.4 * CLUSTER_TOL))
+    elif kind == "singular":  # lowest eigenvalue 0: its term is dropped
+        r = draw(_size)
+        c = r
+    else:
+        r = draw(_size)
+        c = r + draw(_size)
+    v = r * k
+    return kind, c * S0 + v[0] * S1 + v[1] * S2 + v[2] * S3
+
+
+@_EXAMPLES
+@given(st.lists(_psd_rows(), min_size=1, max_size=8))
+def test_projection_decomposition_many_matches_the_scalar(rows):
+    mats = np.stack([m for _, m in rows])
+    coeffs, projs, kept = projection_decomposition_many(mats)
+    assert (coeffs[~kept] == 0.0).all()
+    for i, (kind, m) in enumerate(rows):
+        terms = projection_decomposition(m)
+        assert kept[i].sum() == len(terms)
+        for (coeff, proj), t in zip(terms, np.flatnonzero(kept[i])):
+            assert abs(coeff - coeffs[i, t]) <= 1e-12
+            assert np.max(np.abs(proj.mat - projs[i, t])) <= 1e-12
+        total = (coeffs[i, :, None, None] * projs[i]).sum(axis=0)
+        assert np.max(np.abs(total - m)) <= 1e-9
+        if kind in ("identity", "cluster"):
+            assert not kept[i, 1]
+            assert kept[i, 0] == (np.trace(m).real / 2.0 > 1e-12)
+        if kind == "singular":
+            assert not kept[i, 0] and kept[i, 1]
+
+
+@_EXAMPLES
+@given(st.lists(_psd_rows(), min_size=1, max_size=6), st.data())
+def test_projection_decomposition_many_rejects_a_bad_row(rows, data):
+    mats = np.stack([m for _, m in rows])
+    row = data.draw(st.integers(0, len(rows) - 1))
+    if data.draw(st.booleans()):
+        shift = data.draw(st.floats(2e-12, 10.0))  # lowest eigenvalue below -tol
+        mats[row] -= (np.linalg.eigvalsh(mats[row])[0] + shift) * S0
+        with pytest.raises(InvalidInput):
+            projection_decomposition(mats[row])
+    else:
+        mats[row, data.draw(st.integers(0, 1)), 0] = np.nan
+    with pytest.raises(InvalidInput):
+        projection_decomposition_many(mats)

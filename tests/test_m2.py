@@ -18,6 +18,7 @@ from ordercones.m2 import (
     join_coeffs_from_difference,
     join_coeffs_many,
     matrix_from_pauli,
+    matrix_from_pauli_many,
     pauli_coords,
     pure_state_order,
     pure_state_order_many,
@@ -600,6 +601,14 @@ def test_join_coeffs_many_is_bit_identical_to_scalar():
     assert alpha.tobytes() == want[:, 0].tobytes()
     assert beta.tobytes() == want[:, 1].tobytes()
     assert alpha[-7:-3].tolist() == [1.0, 0.0, 0.5, 0.5]
+
+
+def test_matrix_from_pauli_many_is_bit_identical_to_scalar():
+    rng = np.random.default_rng(13)
+    c, v = rng.normal(size=300), rng.normal(size=(300, 3))
+    got = matrix_from_pauli_many(c, v)
+    want = np.stack([matrix_from_pauli(ci, vi).mat for ci, vi in zip(c, v)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_join_coeffs_random_reconstruction():
