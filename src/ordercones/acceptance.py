@@ -329,7 +329,7 @@ def _c8_projections(seed: int, fast: bool) -> tuple[bool, dict]:
         stacks.append((mats, coeffs, projs, kept))
     # Tie the scalar operation to the batch terms.
     spot_err = 0.0
-    for idx in rng.integers(0, 10 * per_region, size=200):
+    for idx in rng.integers(0, len(stacks) * per_region, size=200):
         mats, coeffs, projs, kept = stacks[idx // per_region]
         i = idx % per_region
         terms = hermitian.projection_decomposition(mats[i])
@@ -341,7 +341,7 @@ def _c8_projections(seed: int, fast: bool) -> tuple[bool, dict]:
     ok = worst_coeff >= -1e-12 and bad == 0 and max_err <= 1e-9 and spot_err <= 1e-12
     return ok, {
         "functions": n_functions,
-        "matrices": per_region * 10,
+        "matrices": len(stacks) * per_region,
         "min_coeff": float(worst_coeff),
         "bad_projections": bad,
         "max_error": max_err,

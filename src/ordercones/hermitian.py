@@ -32,6 +32,24 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 CLUSTER_TOL = 1e-10
+# Lowest eigenvalue allowed below 0 in a positive matrix, and the largest
+# lowest-level coefficient a projection decomposition drops.
+PSD_TOL = 1e-12
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """m, or a stack of them on the last two axes, made exactly self-adjoint.
+
+    Input within HERMITICITY_TOL of self-adjoint is symmetrized, anything
+    further off is rejected.
+    """
+    gap = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not gap <= HERMITICITY_TOL:  # NaN or inf whenever an entry is non-finite
+        if not np.isfinite(m).all():
+            raise InvalidInput("matrix entries must be finite")
+        raise NotHermitian(f"matrix is {gap:.2e} away from self-adjoint")
+    m = m / 2.0  # halved first, so entries near the largest floats cannot overflow
+    return m + m.conj().swapaxes(-1, -2)
 
 
 class HermitianMatrix:
@@ -45,13 +63,7 @@ class HermitianMatrix:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"matrix must be square, got shape {m.shape}")
-        gap = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if not gap <= HERMITICITY_TOL:  # NaN or inf whenever an entry is non-finite
-            if not np.isfinite(m).all():
-                raise InvalidInput("matrix entries must be finite")
-            raise NotHermitian(f"matrix is {gap:.2e} away from self-adjoint")
-        m = m / 2.0  # halved first, so entries near the largest floats cannot overflow
-        m = m + m.conj().T
+        m = _symmetrized(m)
         m.setflags(write=False)
         self.mat = m
 
@@ -253,7 +265,7 @@ def operator_norm(a) -> float:
     return classify(a).norm
 
 
-def projection_decomposition(a, tol: float = 1e-12) -> list[tuple[float, HermitianMatrix]]:
+def projection_decomposition(a, tol: float = PSD_TOL) -> list[tuple[float, HermitianMatrix]]:
     """Positive span over spectral projections of a positive matrix.
 
     With ascending spectral levels v_1 < v_2 < ..., the matrix equals
@@ -280,42 +292,29 @@ def projection_decomposition(a, tol: float = 1e-12) -> list[tuple[float, Hermiti
     return terms
 
 
-def _hermitian_stack(mats) -> np.ndarray:
-    """An (N, 2, 2) stack checked and symmetrized as HermitianMatrix does each matrix."""
-    m = np.asarray(mats, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (2, 2):
-        raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix entries must be finite")
-    gap = np.abs(m - m.conj().transpose(0, 2, 1)).max(initial=0.0)
-    if not gap <= HERMITICITY_TOL:
-        raise NotHermitian(f"a matrix is {gap:.2e} away from self-adjoint")
-    m = m / 2.0
-    return m + m.conj().transpose(0, 2, 1)
-
-
-def projection_decomposition_many(
-    mats, tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """projection_decomposition for an (N, 2, 2) stack of positive matrices.
 
     Returns (coeffs, projs, kept) of shapes (N, 2), (N, 2, 2, 2) and (N, 2).
     Row i's terms are (coeffs[i, t], projs[i, t]) for the t with kept[i, t],
     in the scalar's order: t = 0 is the lowest level times the identity
-    projection (dropped when at most tol), t = 1 the gap to the top
+    projection (dropped when at most PSD_TOL), t = 1 the gap to the top
     eigenvalue times the projection on its eigenvector (present only when
     the spectrum is two clusters).  Dropped terms have coefficient 0, so
     summing coeffs * projs over t rebuilds each row.  This is the 2x2
     closed form of `spectral` on the whole stack, so values match the
     scalar path.
     """
-    m = _hermitian_stack(mats)
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
+    m = _symmetrized(m)
     c = (m[:, 0, 0].real + m[:, 1, 1].real) / 2.0
     v1, v2 = m[:, 1, 0].real, m[:, 1, 0].imag
     v3 = (m[:, 0, 0].real - m[:, 1, 1].real) / 2.0
     r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     low, high = c - r, c + r
-    if not (low >= -tol).all():
+    if not (low >= -PSD_TOL).all():
         raise InvalidInput("matrices must be positive semidefinite")
     theta = np.arccos(np.clip(v3 / np.where(r == 0.0, 1.0, r), -1.0, 1.0))
     phi = np.arctan2(v2, v1)
@@ -328,10 +327,9 @@ def projection_decomposition_many(
         [vecs @ vecs.conj().transpose(0, 2, 1), plus[:, :, None] @ plus.conj()[:, None, :]],
         axis=1,
     )
-    projs = projs / 2.0
-    projs = projs + projs.conj().swapaxes(-1, -2)
+    projs = _symmetrized(projs)
     split = ~(high - low <= CLUSTER_TOL)
     base = np.where(split, low, (low + high) / 2.0)
-    kept = np.stack([base > tol, split], axis=1)
+    kept = np.stack([base > PSD_TOL, split], axis=1)
     coeffs = np.where(kept, np.stack([base, high - low], axis=1), 0.0)
     return coeffs, projs, kept

@@ -292,12 +292,22 @@ def test_projection_decomposition_many_matches_the_scalar(rows):
 def test_projection_decomposition_many_rejects_a_bad_row(rows, data):
     mats = np.stack([m for _, m in rows])
     row = data.draw(st.integers(0, len(rows) - 1))
-    if data.draw(st.booleans()):
-        shift = data.draw(st.floats(2e-12, 10.0))  # lowest eigenvalue below -tol
+    fault = data.draw(st.sampled_from(["non-psd", "nan", "non-hermitian"]))
+    if fault == "non-psd":
+        shift = data.draw(st.floats(2e-12, 10.0))  # lowest eigenvalue below -PSD_TOL
         mats[row] -= (np.linalg.eigvalsh(mats[row])[0] + shift) * S0
-        with pytest.raises(InvalidInput):
-            projection_decomposition(mats[row])
-    else:
+    elif fault == "nan":
         mats[row, data.draw(st.integers(0, 1)), 0] = np.nan
-    with pytest.raises(InvalidInput):
+    else:
+        mats[row, 0, 1] += data.draw(st.floats(2e-12, 10.0))  # off-diagonal gap above tol
+    error = NotHermitian if fault == "non-hermitian" else InvalidInput
+    with pytest.raises(error):
+        projection_decomposition(mats[row])
+    with pytest.raises(error):
         projection_decomposition_many(mats)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3, 3), (4, 2, 3), (4, 2, 2, 1)])
+def test_projection_decomposition_many_rejects_a_wrong_shape(shape):
+    with pytest.raises(DimensionMismatch):
+        projection_decomposition_many(np.zeros(shape))
