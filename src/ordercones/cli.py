@@ -70,13 +70,13 @@ def _function_arg(value) -> np.ndarray:
     return isotone_cone.as_function(data)
 
 
-def _functions_arg(value) -> list[np.ndarray]:
+def _functions_arg(value) -> np.ndarray:
     data = _load(value)
     if isinstance(data, dict):
         data = data.get("functions", data.get("values"))
     if not isinstance(data, list):
         raise InvalidInput('functions must be a list of value lists, or an object with "functions" or "values"')
-    return [isotone_cone.as_function(row) for row in data]
+    return isotone_cone.as_functions(data)
 
 
 def _poset_arg(value) -> poset.FinitePoset:
@@ -414,8 +414,20 @@ def _cmd_gps_order(args):
 # accept: a text report and an exit code, not a payload
 
 
+def _criteria_arg(text: str) -> list[int]:
+    try:
+        only = [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InvalidInput(f"--criteria must be comma-separated integers, got {text!r}") from exc
+    known = [number for number, *_ in acceptance.CRITERIA]
+    unknown = [c for c in only if c not in known]
+    if unknown:
+        raise InvalidInput(f"unknown criteria {unknown}: the criteria are numbered {known[0]}-{known[-1]}")
+    return only
+
+
 def _accept_all(args) -> int:
-    only = [int(x) for x in args.criteria.split(",")] if args.criteria else None
+    only = _criteria_arg(args.criteria) if args.criteria is not None else None
     results = acceptance.run_all(seed=args.seed, fast=args.fast, only=only)
     for r in results:
         print(r.line())

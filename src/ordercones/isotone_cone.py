@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral, Real
 from typing import ClassVar, NamedTuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "DEFAULT_TOL",
     "EXPR_TOL",
     "as_function",
+    "as_functions",
     "is_isotone",
     "order_from_functions",
     "OrderFromFunctions",
@@ -40,6 +42,7 @@ __all__ = [
     "Sum",
     "Scale",
     "Join",
+    "TableJoin",
     "Meet",
     "expr_from_json",
     "eval_expr",
@@ -74,6 +77,31 @@ def as_function(values, n: int | None = None) -> np.ndarray:
     return f
 
 
+def as_functions(functions, n: int | None = None) -> np.ndarray:
+    """A function family as an (m, n) float array, checked in one pass.
+
+    Rejects what as_function rejects, with the same errors.  A family that
+    is not one rectangular numeric array is checked row by row, so its
+    first bad row names the fault; without n, the rows must share a length.
+    """
+    try:
+        stack = np.asarray(functions, dtype=float)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.ndim != 2:
+        rows = [as_function(f, n) for f in functions]
+        if n is None and len({f.shape[0] for f in rows}) > 1:
+            raise DimensionMismatch("generator functions must share a length")
+        return np.stack(rows) if rows else np.empty((0, n or 0))
+    if not len(stack):
+        return np.empty((0, stack.shape[1] if n is None else n))
+    if n is not None and stack.shape[1] != n:
+        raise DimensionMismatch(f"expected {n} values, got {stack.shape[1]}")
+    if not np.isfinite(stack).all():
+        raise InvalidInput("function values must be finite")
+    return stack
+
+
 def is_isotone(p: FinitePreorder, f, tol: float = DEFAULT_TOL) -> bool:
     """True iff f(x) <= f(y) + tol for every related pair x <= y."""
     f = as_function(f, p.n)
@@ -94,15 +122,13 @@ def order_from_functions(elements, functions, tol: float = DEFAULT_TOL) -> Order
     the flag.
     """
     elements = string_ids(elements, "element ids")
-    n = len(elements)
-    fns = [as_function(f, n) for f in functions]
-    if fns:
-        stack = np.stack(fns)  # (m, n)
-        rel = (stack[:, :, None] <= stack[:, None, :] + tol).all(axis=0)
-    else:
-        rel = np.ones((n, n), dtype=bool)
-    pre = FinitePreorder(elements, rel)
+    pre = FinitePreorder(elements, _induced(as_functions(functions, len(elements)), tol))
     return OrderFromFunctions(pre, pre.is_antisymmetric())
+
+
+def _induced(stack: np.ndarray, tol: float) -> np.ndarray:
+    """rel[i, j] iff s(x_i) <= s(x_j) + tol for every row s of the (m, n) stack."""
+    return (stack[:, :, None] <= stack[:, None, :] + tol).all(axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -171,6 +197,62 @@ class Meet(_Nary):
     op = "meet"
 
 
+class _Table(NamedTuple):
+    """The Stone-Nachbin normal form of a target f, stored densely.
+
+    Leaf (i, j) is the constant f[i] where tied[i, j], else
+    lam[i, j]*g_k[i, j] + mu[i, j].  The join runs over rows, the meet of
+    row i over its columns; after a prune only the listed rows and the
+    columns keep[i] marks remain, and keep is None when nothing was pruned.
+    """
+
+    f: np.ndarray  # (n,)
+    lam: np.ndarray  # (n, n)
+    mu: np.ndarray  # (n, n)
+    k: np.ndarray  # (n, n) generator indices
+    tied: np.ndarray  # (n, n) bool
+    rows: np.ndarray  # ascending row indices
+    keep: np.ndarray | None  # (n, n) bool
+
+    def branches(self) -> list[LatticeExpr]:
+        """The explicit join children: a Meet per row, or its single leaf after a prune."""
+        fl, lam, mu, k, tied = (a.tolist() for a in (self.f, self.lam, self.mu, self.k, self.tied))
+        out = []
+        for i in self.rows.tolist():
+            cols = range(len(fl)) if self.keep is None else np.flatnonzero(self.keep[i]).tolist()
+            leaves = [
+                Constant(fl[i]) if tied[i][j]
+                else Sum(Scale(lam[i][j], Generator(k[i][j])), Constant(mu[i][j]))
+                for j in cols
+            ]
+            out.append(leaves[0] if self.keep is not None and len(leaves) == 1 else Meet(*leaves))
+        return out
+
+
+class TableJoin(Join):
+    """A join of meets kept as the Stone-Nachbin tables it was built from.
+
+    eval_expr evaluates the tables directly.  children (and with it
+    to_json, equality and repr) builds the explicit Meets and leaves on
+    first use; it equals the Join of the same children.  Built from
+    children alone, as TableJoin(*children), it is a plain Join.
+    """
+
+    def __init__(self, *children: LatticeExpr, table: _Table | None = None):
+        if table is None:
+            super().__init__(*children)
+        object.__setattr__(self, "table", table)
+
+    @cached_property
+    def children(self) -> tuple[LatticeExpr, ...]:
+        return tuple(self.table.branches())
+
+    def __eq__(self, other):
+        return isinstance(other, Join) and self.children == other.children
+
+    __hash__ = Join.__hash__
+
+
 def expr_from_json(data: dict) -> LatticeExpr:
     if not isinstance(data, dict):
         raise InvalidInput(f"expression node must be an object, got {type(data).__name__}")
@@ -205,20 +287,22 @@ def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarr
     """Evaluate an expression tree against a generator family.
 
     join/meet are pointwise max/min.  size is only needed when the family
-    is empty and the tree is all constants.
+    is empty and the tree is all constants.  A TableJoin is evaluated from
+    its tables, to the bytes the walk of its children gives.
     """
-    fns = [as_function(f) for f in functions]
-    if fns:
-        n = fns[0].shape[0]
-        for f in fns:
-            if f.shape[0] != n:
-                raise DimensionMismatch("generator functions must share a length")
+    fns = as_functions(functions)
+    if len(fns):
+        n = fns.shape[1]
     elif size is not None:
         n = int(size)
     else:
         raise InvalidInput("empty generator family needs an explicit size")
 
     def run(node: LatticeExpr) -> np.ndarray:
+        # numpy reduces a single column as one contiguous run, whose
+        # signed-zero ties the row blocks would not repeat: n = 1 walks the tree.
+        if isinstance(node, TableJoin) and node.table is not None and n > 1:
+            return _eval_table(node.table, fns, n)
         if isinstance(node, Generator):
             if not 0 <= node.index < len(fns):
                 raise IndexOutOfRange(
@@ -242,6 +326,38 @@ def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarr
     return run(expr)
 
 
+def _eval_table(t: _Table, fns: np.ndarray, n: int) -> np.ndarray:
+    """The tree walk of t's join of meets, computed in row blocks.
+
+    Each leaf gets the tree's float operations (one multiply, one add from
+    the additive identity, or the tied constant) and min/max are exact, so
+    the bytes are the tree walk's.  Only leaves the tree visits must have a
+    generator in range; pruned leaves enter the meet as +inf.
+    """
+    if not len(t.rows):
+        raise InvalidInput("join needs at least one child")
+    k = t.k[t.rows]
+    visited = ~t.tied[t.rows] if t.keep is None else t.keep[t.rows] & ~t.tied[t.rows]
+    bad = visited & (k >= len(fns))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise IndexOutOfRange(f"generator index {k[i, j]} out of range for {len(fns)} functions")
+    if not len(fns):  # every visited leaf is a constant; any row serves the others
+        fns = np.zeros((1, n))
+    k = np.minimum(k, len(fns) - 1)
+    meets = np.empty((len(t.rows), n))
+    step = max(1, (1 << 16) // (k.shape[1] * n))  # blocks of at most 2^16 floats
+    for lo in range(0, len(t.rows), step):
+        r = t.rows[lo : lo + step]
+        vals = t.lam[r, :, None] * fns[k[lo : lo + step]] + t.mu[r, :, None]
+        vals += 0.0  # a Sum node reduces from +0.0, so a -0.0 leaf comes out +0.0
+        vals = np.where(t.tied[r, :, None], t.f[r, None, None], vals)
+        if t.keep is not None:
+            vals = np.where(t.keep[r, :, None], vals, np.inf)
+        meets[lo : lo + step] = vals.min(axis=1)
+    return meets.max(axis=0)
+
+
 def stone_nachbin_express(
     p: FinitePoset,
     generators,
@@ -255,7 +371,7 @@ def stone_nachbin_express(
     taken through the target values at x and y, with j picked from the
     generators to have the widest usable gap.  The result is the join over
     x of the meet over y of these interpolants, which reproduces the
-    target exactly on a finite poset.
+    target exactly on a finite poset.  It is returned as a TableJoin.
 
     The generators must induce exactly the poset's order (otherwise
     OrderNotDetermined) and the target must be isotone (NotIsotone).
@@ -263,15 +379,17 @@ def stone_nachbin_express(
     these generators are dropped: a meet keeps the leaves no sibling lies
     below at every element, the join the meets no sibling lies above, each
     keeps the first of equal children, and a single survivor replaces its
-    parent.  Evaluation is preserved exactly.
+    parent (a single meet or leaf is returned as a plain tree).
+    Evaluation is preserved exactly.
     """
-    fns = [as_function(f, p.n) for f in generators]
-    if not fns:
+    stack = as_functions(generators, p.n)  # (m, n)
+    if not len(stack):
         raise OrderNotDetermined("generator family is empty")
-    induced = order_from_functions(p.elements, fns, tol=tol).preorder
-    if not np.array_equal(induced.rel, p.rel):
+    induced = _induced(stack, tol)
+    if not np.array_equal(induced, p.rel):
+        FinitePreorder(p.elements, induced)  # rejects a relation the tolerance left intransitive
         raise OrderNotDetermined("generators do not induce the poset's order")
-    big_f = as_function(target, p.n)
+    big_f = as_function(target, p.n).copy()
     if not is_isotone(p, big_f, tol=tol):
         raise NotIsotone("target is not isotone for the poset's order")
 
@@ -279,12 +397,11 @@ def stone_nachbin_express(
     # g_k has the widest gap in the direction of the target's rise (the first
     # such generator on ties).  Pairs with equal target values are constant
     # leaves; there lam is 0 and mu is f(x_i).
-    stack = np.stack(fns)  # (m, n)
     n = p.n
     rise = big_f[None, :] - big_f[:, None]  # rise[i, j] = f(x_j) - f(x_i)
     sign = np.sign(rise)
     k = np.empty((n, n), dtype=np.intp)
-    step = max(1, (1 << 20) // (len(fns) * n or 1))  # gap blocks of at most 2^20 floats
+    step = max(1, (1 << 20) // (len(stack) * n or 1))  # gap blocks of at most 2^20 floats
     for lo in range(0, n, step):
         gaps = stack[:, None, :] - stack[:, lo : lo + step, None]  # g_k(x_j) - g_k(x_i)
         k[lo : lo + step] = (gaps * sign[lo : lo + step]).argmax(axis=0)
@@ -299,27 +416,23 @@ def stone_nachbin_express(
     lam = rise / np.where(tied, 1.0, gap)
     mu = big_f[:, None] - lam * at_i
 
-    rows, cols = range(n), [range(n)] * n
+    rows, keep = idx, None
     if prune:
         # values[j] is leaf (i, j) at each element, rounded as eval_expr
         # rounds lam*g + mu, so the masks see what evaluation sees.
+        keep = np.zeros((n, n), dtype=bool)
         mins = np.empty((n, n))
         for i in range(n):
             values = lam[i, :, None] * stack[k[i]] + mu[i, :, None]
-            cols[i] = _undominated(values, below=True)
+            keep[i, _undominated(values, below=True)] = True
             mins[i] = values.min(axis=0)
-        rows = _undominated(mins, below=False)
-
-    fl, lam_l, mu_l, k_l, tied_l = big_f.tolist(), lam.tolist(), mu.tolist(), k.tolist(), tied.tolist()
-    branches = []
-    for i in rows:
-        leaves = [
-            Constant(fl[i]) if tied_l[i][j]
-            else Sum(Scale(lam_l[i][j], Generator(k_l[i][j])), Constant(mu_l[i][j]))
-            for j in cols[i]
-        ]
-        branches.append(leaves[0] if prune and len(leaves) == 1 else Meet(*leaves))
-    return branches[0] if prune and len(branches) == 1 else Join(*branches)
+        rows = np.array(_undominated(mins, below=False), dtype=np.intp)
+    table = _Table(big_f, lam, mu, k, tied, rows, keep)
+    for a in table:
+        if a is not None:
+            a.setflags(write=False)
+    expr = TableJoin(table=table)
+    return expr.children[0] if prune and len(rows) == 1 else expr
 
 
 def _undominated(rows: np.ndarray, below: bool) -> list[int]:

@@ -19,6 +19,10 @@ def test_criterion(results, number, name):
 
 def test_seed7_work_counts(results):
     """The full run decides every item it reports, so a faster path cannot do less work."""
+    c1 = results[1].details
+    assert (c1["posets"], c1["targets_each"]) == (200, 20)
+    # Reconstructions evaluate to the tree walk's bytes, so the worst error is exact.
+    assert c1["max_error"] == 6.306066779870889e-14
     assert results[3].details["checked"] == 400_000
     c8 = results[8].details
     assert (c8["functions"], c8["matrices"], c8["bad_projections"]) == (10_000, 10_000, 0)

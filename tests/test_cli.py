@@ -432,6 +432,44 @@ def test_accept_report_file(tmp_path, capsys):
     assert all(c["seed"] == 9 for c in data["criteria"])
 
 
+@pytest.mark.parametrize("criteria", ["8,x", "8,,9", "", "1.5"])
+def test_accept_rejects_non_integer_criteria(capsys, criteria):
+    code, data = run_json(capsys, ["accept", "all", "--fast", "--criteria", criteria])
+    assert code == 1 and data["error"]["kind"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("criteria", ["99", "0", "6,12", "-1"])
+def test_accept_rejects_unknown_criteria(capsys, criteria):
+    code, data = run_json(capsys, ["accept", "all", "--fast", "--criteria", criteria])
+    assert code == 1 and data["error"]["kind"] == "InvalidInput"
+    assert "1-11" in data["error"]["detail"]
+
+
+# family -> error kind of `cone express` on the 3-chain and of `cone eval` of
+# {"gen": 0}; None where the call succeeds.
+@pytest.mark.parametrize(
+    "family, express_kind, eval_kind",
+    [
+        ("[[0, 1, 2], [0, 1]]", "DimensionMismatch", "DimensionMismatch"),
+        ("[[0, 1, 2], [NaN, 1]]", "InvalidInput", "InvalidInput"),
+        ("[0, 1, 2]", "InvalidInput", "InvalidInput"),
+        ("[[0, 1], [1, 0]]", "DimensionMismatch", None),
+        ("[[0, NaN, 2]]", "InvalidInput", "InvalidInput"),
+        ("[[0, 1, Infinity]]", "InvalidInput", "InvalidInput"),
+        ("[[0, NaN]]", "InvalidInput", "InvalidInput"),
+        ('[[0, "x", 2]]', "InvalidInput", "InvalidInput"),
+        ("[]", "OrderNotDetermined", "InvalidInput"),
+    ],
+    ids=["ragged", "ragged-nan", "flat", "wrong-width", "nan", "inf", "nan-wrong-width", "text", "empty"],
+)
+def test_cone_bad_families_keep_their_error_kinds(capsys, family, express_kind, eval_kind):
+    express = ["cone", "express", "--poset", CHAIN3, "--generators", family, "--target", "[0, 1, 2]"]
+    evaluate = ["cone", "eval", "--expr", '{"gen": 0}', "--functions", family]
+    for argv, kind in ((express, express_kind), (evaluate, eval_kind)):
+        code, data = run_json(capsys, argv)
+        assert (code, data.get("error", {}).get("kind")) == ((1, kind) if kind else (0, None))
+
+
 @pytest.mark.parametrize(
     "argv, kind",
     [

@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercones.errors import (
     DimensionMismatch,
@@ -9,10 +11,12 @@ from ordercones.errors import (
     InvalidInput,
     NegativeValues,
     NotIsotone,
+    OrderConesError,
     OrderNotDetermined,
     PointsNotSeparated,
 )
 from ordercones.isotone_cone import (
+    _Table,
     _undominated,
     Constant,
     Generator,
@@ -20,6 +24,9 @@ from ordercones.isotone_cone import (
     Meet,
     Scale,
     Sum,
+    TableJoin,
+    as_function,
+    as_functions,
     cobounded_commutative,
     eval_expr,
     expr_from_json,
@@ -156,6 +163,16 @@ def test_express_rejects_wrong_order_or_target():
         stone_nachbin_express(p, [[0.0, 1.0, 2.0]], [0.0, 2.0, 1.0])
 
 
+def test_express_rejects_an_intransitive_induced_order_as_order_from_functions():
+    # With tol = 1 the family makes a ~ b ~ c but not c <= a: that relation
+    # is no preorder, and both calls refuse it the same way.
+    p = chain("a", "b", "c")
+    with pytest.raises(InvalidInput, match="transitive"):
+        order_from_functions(p.elements, [[0.0, 0.6, 1.2]], tol=1.0)
+    with pytest.raises(InvalidInput, match="transitive"):
+        stone_nachbin_express(p, [[0.0, 0.6, 1.2]], [0.0, 1.0, 2.0], tol=1.0)
+
+
 def test_express_random_exactness():
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -262,6 +279,156 @@ def test_prune_on_the_empty_poset():
     empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
     for prune in (False, True):
         assert stone_nachbin_express(empty, [[]], [], prune=prune).to_json() == {"op": "join", "args": []}
+
+
+_EXAMPLES = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def _express_inputs(draw):
+    """A random poset with n = 1..12, a separating family and an isotone target.
+    Half the targets are rounded to halves, so tied values and -0.0 occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_poset(rng, draw(st.integers(1, 12)), edge_prob=draw(st.sampled_from([0.1, 0.35, 0.7])))
+    gens = np.array(separating_family(rng, p))
+    target = random_isotone(rng, p)
+    if draw(st.booleans()):
+        target = np.round(2 * target) / 2
+    return rng, p, gens, target
+
+
+def _outcome(expr, functions, size=None):
+    """eval_expr's bytes, or the message of the IndexOutOfRange it raises."""
+    try:
+        return eval_expr(expr, functions, size=size).tobytes()
+    except IndexOutOfRange as exc:
+        return str(exc)
+
+
+@_EXAMPLES
+@given(_express_inputs(), st.booleans())
+def test_table_join_evaluates_as_its_tree(inputs, prune):
+    rng, p, gens, target = inputs
+    expr = stone_nachbin_express(p, gens, target, prune=prune)
+    tree = Join(*expr.children) if isinstance(expr, TableJoin) else expr
+    got = eval_expr(expr, gens)
+    assert np.max(np.abs(got - target)) <= 1e-9
+    assert got.tobytes() == eval_expr(tree, gens).tobytes()
+    assert expr.to_json() == tree.to_json()
+    assert expr == tree == expr_from_json(expr.to_json()) and hash(expr) == hash(tree)
+    # Another family of the same length, rounded so -0.0 and ties occur; then
+    # a shorter one, where only the leaves the tree visits need their generator.
+    other = np.round(2 * rng.uniform(-2.0, 2.0, size=gens.shape)) / 2
+    assert _outcome(expr, other) == _outcome(tree, other)
+    short = gens[: int(rng.integers(0, len(gens)))]
+    assert _outcome(expr, short, size=p.n) == _outcome(tree, short, size=p.n)
+
+
+def test_table_join_keeps_the_trees_signed_zeros():
+    # The only leaf the pruned row of a keeps is lam*g_0 + mu with mu = -0.0.
+    # Where a family has g_0 = -0.0, lam*g_0 + mu alone is -0.0, but the
+    # tree's Sum node reduces from +0.0 and gives +0.0.
+    p = FinitePoset(["a", "b", "c"], np.eye(3, dtype=bool))
+    gens = [
+        [0.0, -0.44566046143620586, -1.7217039875062294],
+        [-1.6437021807084986, 1.841859693257264, -1.9154552553927333],
+        [-0.12455466033956686, 0.0, 0.11525891740081962],
+    ]
+    expr = stone_nachbin_express(p, gens, [-0.0, -1.0, -1.0], prune=True)
+    tree = Join(*expr.children)
+    families = (
+        [[-1.0, 0.0, -0.0], [0.0, -1.0, -0.0], [-0.0, -0.0, 0.0]],
+        [[-0.0, -0.0, 1.0], [0.0, -0.0, -1.0], [0.0, 1.0, 0.0]],
+    )
+    for family in families:
+        assert eval_expr(expr, family).tobytes() == eval_expr(tree, family).tobytes()
+
+
+def test_table_join_repeats_the_trees_reduction_order():
+    # Hand-made tables whose leaves are all zeros of either sign: which zero a
+    # min or max returns then depends on the order numpy reduces in.  With a
+    # one-column family numpy reduces each meet as one contiguous run.
+    rng = np.random.default_rng(4)
+    for t in range(60):
+        n = int(rng.integers(8, 20))
+        keep = rng.random((n, n)) < 0.7
+        keep[:, 0] = True
+        table = _Table(
+            rng.choice([-0.0, 0.0], size=n), np.ones((n, n)), rng.choice([-0.0, 0.0], size=(n, n)),
+            np.zeros((n, n), dtype=np.intp), rng.random((n, n)) < 0.5, np.arange(n), keep if t % 2 else None,
+        )
+        expr = TableJoin(table=table)
+        tree = Join(*expr.children)
+        for family in ([[0.0]], [[-0.0]], [[-0.0, 0.0, -0.0]]):
+            assert eval_expr(expr, family).tobytes() == eval_expr(tree, family).tobytes()
+
+
+def test_table_join_from_children_is_a_plain_join():
+    expr = TableJoin(Meet(Generator(0), Constant(1.0)), Constant(0.5))
+    assert expr.table is None
+    assert expr.to_json() == Join(*expr.children).to_json()
+    assert eval_expr(expr, [[0.0, 2.0]]).tolist() == [0.5, 1.0]
+
+
+# --------------------------------------------------------------------------
+# checking function families
+
+
+_NAN, _INF = float("nan"), float("inf")
+# name -> (family, error kind of eval_expr, of order_from_functions and of
+# stone_nachbin_express on the 3-chain; None where the call succeeds)
+_FAMILIES = {
+    "ragged": ([[0, 1, 2], [0, 1]], DimensionMismatch, DimensionMismatch, DimensionMismatch),
+    "ragged-nan": ([[0, 1, 2], [_NAN, 1]], InvalidInput, DimensionMismatch, DimensionMismatch),
+    "flat": ([0, 1, 2], InvalidInput, InvalidInput, InvalidInput),
+    "wrong-width": ([[0, 1], [1, 0]], None, DimensionMismatch, DimensionMismatch),
+    "nan": ([[0, _NAN, 2]], InvalidInput, InvalidInput, InvalidInput),
+    "inf": ([[0, 1, _INF]], InvalidInput, InvalidInput, InvalidInput),
+    "nan-wrong-width": ([[0, _NAN]], InvalidInput, DimensionMismatch, DimensionMismatch),
+    "text": ([[0, "x", 2]], InvalidInput, InvalidInput, InvalidInput),
+    "nested": ([[[0, 1, 2]]], InvalidInput, InvalidInput, InvalidInput),
+    "empty": ([], InvalidInput, None, OrderNotDetermined),
+    "good": ([[0, 1, 2], [0, 0, 1]], None, None, None),
+}
+
+
+def _row_by_row(functions, n=None):
+    """The per-row check as_functions replaced, kept as its reference."""
+    rows = [as_function(f, n) for f in functions]
+    if n is None and len({f.shape[0] for f in rows}) > 1:
+        raise DimensionMismatch("generator functions must share a length")
+    return rows
+
+
+def _error(call):
+    try:
+        call()
+    except OrderConesError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [None, 3])
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_as_functions_matches_the_row_by_row_check(name, n):
+    family = _FAMILIES[name][0]
+    want = _error(lambda: _row_by_row(family, n))
+    assert _error(lambda: as_functions(family, n)) == want
+    if want is None:
+        assert as_functions(family, n).tolist() == [f.tolist() for f in _row_by_row(family, n)]
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_bad_families_keep_their_error_kinds(name):
+    family, *kinds = _FAMILIES[name]
+    calls = (
+        lambda: eval_expr(Generator(0), family),
+        lambda: order_from_functions(["a", "b", "c"], family),
+        lambda: stone_nachbin_express(chain("a", "b", "c"), family, [0.0, 1.0, 2.0]),
+    )
+    for call, kind in zip(calls, kinds):
+        error = _error(call)
+        assert (error and error[0]) == kind
 
 
 # --------------------------------------------------------------------------
