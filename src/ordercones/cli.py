@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,10 +26,47 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_encode = json.JSONEncoder(default=_json_default, allow_nan=False).encode
+
+
+def _key(key) -> str:
+    # A key that is not a string is written as the C encoder writes keys.
+    return _encode(key) if isinstance(key, str) else _encode({key: None})[1:-7]
+
+
+def _indented(obj, indent: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it at this indent.
+
+    json.dumps with an indent always runs the pure-Python encoder; here
+    every scalar, key and flat list goes through the C encoder instead.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_key(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if not isinstance(obj[0], (str, list, tuple, dict)):
+            body = _encode(obj)[1:-1]
+            # Without quotes or brackets the body holds only bare numbers,
+            # true, false and null, so every ", " is an item separator.
+            if '"' not in body and "[" not in body and "{" not in body:
+                return "[\n" + inner + body.replace(", ", ",\n" + inner) + "\n" + indent + "]"
+        items = [_indented(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if obj is None or isinstance(obj, (str, int, float)):
+        return _encode(obj)
+    return _indented(_json_default(obj), indent)
+
+
 def _dumps(payload: dict | list) -> str:
-    """Strict JSON: a NaN or infinite value is a DomainError, never a bare token."""
+    """Strict JSON, sorted keys, two-space indent: a NaN or infinite value is a DomainError."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+        return _indented(payload, "")
     except ValueError as exc:
         raise DomainError(f"result is not finite: {exc}") from exc
 
@@ -103,6 +141,12 @@ def _pure_state_arg(value) -> m2.PureStatePoint:
     if isinstance(data, list):
         data = {"xi": data} if any(isinstance(x, list) for x in data) else {"bloch": data}
     return m2.PureStatePoint.from_json(data)
+
+
+def _check_seed(seed: int) -> None:
+    """numpy's generators take non-negative seeds only."""
+    if seed < 0:
+        raise InvalidInput(f"--seed must be non-negative, got {seed}")
 
 
 def _relation_csv(pre: poset.FinitePreorder) -> str:
@@ -293,6 +337,7 @@ def _cmd_m2_order(args):
         return {"relation": m2.pure_state_order(region, p, q, tol=args.tol)}
     if args.samples <= 0:
         raise InvalidInput(f"--samples must be positive, got {args.samples}")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     pts = rng.normal(size=(2 * args.samples, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -428,6 +473,7 @@ def _criteria_arg(text: str) -> list[int]:
 
 def _accept_all(args) -> int:
     only = _criteria_arg(args.criteria) if args.criteria is not None else None
+    _check_seed(args.seed)
     results = acceptance.run_all(seed=args.seed, fast=args.fast, only=only)
     for r in results:
         print(r.line())
@@ -548,6 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise InvalidInput(f"--tol must be a finite non-negative number, got {tol!r}")
         if args.group == "accept":
             return _accept_all(args)
         _emit(args, args.handler(args))

@@ -666,3 +666,58 @@ def test_missing_required_flag_is_usage_error(capsys, group, verb):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the following arguments are required" in captured.err and "Traceback" not in captured.err
+
+
+_CAP = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 0.3})
+_FULL = '{"kind": "full"}'
+_SPACE = json.dumps({"points": ["0", "1"], "dist": [[0, 1], [1, 0]], "landmarks": ["0"]})
+
+# A call that succeeds at the default --tol, for every verb with --tol.
+TOL_CALLS = {
+    ("cone", "isotone"): ["--poset", CHAIN3, "--f", "[0,1,2]"],
+    ("cone", "order-from"): ["--elements", '["a","b"]', "--functions", "[[0,1]]"],
+    ("cone", "express"): ["--poset", CHAIN3, "--generators", "[[0,1,2]]", "--target", "[0,3,7]"],
+    ("cone", "decompose"): ["--poset", CHAIN3, "--f", "[0,1,2]"],
+    ("cone", "contains"): ["--elements", '["a","b"]', "--functions", "[[0,1]]", "--f", "[0,2]"],
+    ("m2", "member"): ["--region", _CAP, "--matrix", "[[8,0],[0,6]]"],
+    ("m2", "order"): ["--region", _FULL, "--p", '{"bloch":[0,0,1]}', "--q", '{"bloch":[0,0,-1]}'],
+    ("m2", "state-order"): ["--region", _CAP, "--rho", '{"bloch":[0,0,0]}', "--sigma", '{"bloch":[0,0,1]}'],
+    ("m2", "transverse"): ["--region", _CAP, "--matrix", "[[1,0],[0,-1]]"],
+    ("m2", "rotation"): ["--region", _CAP, "--matrix", "[[0,-1,0],[1,0,0],[0,0,1]]"],
+    ("gps", "complete"): ["--in", _SPACE],
+    ("gps", "order"): ["--in", _SPACE],
+}
+
+
+def test_tol_calls_cover_every_tol_verb():
+    assert set(TOL_CALLS) == {verb for verb, tol in VERB_TOLS.items() if tol is not None}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("group, verb", list(TOL_CALLS), ids=[f"{g}-{v}" for g, v in TOL_CALLS])
+def test_tol_must_be_finite_and_non_negative(capsys, group, verb, tol):
+    code, _ = run_json(capsys, [group, verb, *TOL_CALLS[group, verb]])
+    assert code == 0
+    code, data = run_json(capsys, [group, verb, *TOL_CALLS[group, verb], f"--tol={tol}"])
+    assert code == 1 and data["error"]["kind"] == "InvalidInput" and "--tol" in data["error"]["detail"]
+    code, _ = run_json(capsys, [group, verb, *TOL_CALLS[group, verb], "--tol", "0"])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["m2", "order", "--region", _FULL, "--samples", "3", "--seed", "-5"],
+        ["accept", "all", "--fast", "--criteria", "1", "--seed", "-1"],
+    ],
+    ids=["m2-order-scan", "accept-all"],
+)
+def test_negative_seed_is_invalid_input(capsys, argv):
+    code, out = run(capsys, argv)
+    data = json.loads(out)
+    assert code == 1 and data["error"]["kind"] == "InvalidInput" and "--seed" in data["error"]["detail"]
+
+
+def test_sprinkle_takes_a_negative_seed(capsys):
+    code, data = run_json(capsys, ["poset", "sprinkle", "--n", "5", "--seed", "-1"])
+    assert code == 0 and FinitePoset.from_json(data).n == 5

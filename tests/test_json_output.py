@@ -1,0 +1,118 @@
+"""The CLI's JSON emitter writes what json.dumps(sort_keys=True, indent=2) writes."""
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ordercones import cli
+from ordercones.errors import DomainError
+
+
+def _reference(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, default=cli._json_default, allow_nan=False)
+
+
+_EXAMPLES = settings(derandomize=True, max_examples=200, deadline=None)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Strings that look like the emitter's separators and brackets, or need escaping.
+_text = st.one_of(st.text(max_size=6), st.sampled_from(['", "', ", ", '"', "[", "{", "]}", "\n", "a, b", "é✓", "\x00", ""]))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    _finite,
+    st.sampled_from([0.0, -0.0, 1e300, -1e-300, 5e-324]),
+    _text,
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3), elements=_finite),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+)
+_payloads = st.recursive(
+    st.one_of(_scalars, _arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_text, inner, max_size=5),
+        st.dictionaries(st.one_of(st.integers(-5, 5), _finite), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+# Flat lists of scalars, where a string after a number puts a quote in the
+# fast path's body, are drawn on their own as well.
+@_EXAMPLES
+@given(st.one_of(_payloads, st.lists(_scalars, min_size=2, max_size=6)))
+@example([1, "a, b"])
+@example([0.5, [1, 2], {}])
+def test_emitter_matches_json_dumps(payload):
+    assert cli._dumps(payload) == _reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"a": float("nan")},
+        [1, 2, float("inf")],
+        [-float("inf")],
+        {"a": ["x", {"b": [0.5, float("nan")]}]},
+        {"a": np.array([[1.0, np.inf]])},
+        [np.float64("nan")],
+        {float("nan"): 1},
+    ],
+    ids=["dict-value", "flat-list", "lone-item", "nested", "array", "numpy-scalar", "key"],
+)
+def test_non_finite_values_are_domain_errors(payload):
+    with pytest.raises(ValueError):
+        _reference(payload)
+    with pytest.raises(DomainError):
+        cli._dumps(payload)
+
+
+def _stdout_sha256(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+_GRID = [(x, y) for x in range(3) for y in range(4)]
+_EXPRESS = [
+    "cone", "express", "--prune",
+    "--poset", json.dumps({
+        "elements": [f"p{x}{y}" for x, y in _GRID],
+        "relation": [[int(a[0] <= b[0] and a[1] <= b[1]) for b in _GRID] for a in _GRID],
+    }),
+    "--generators", json.dumps([[x for x, _ in _GRID], [y for _, y in _GRID], [x * y for x, y in _GRID]]),
+    "--target", json.dumps([0.5 * x + y * y + 0.25 * x * y for x, y in _GRID]),
+]
+
+
+# sha256 of stdout as json.dumps(sort_keys=True, indent=2) wrote it before
+# the emitter replaced that call.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["poset", "sprinkle", "--n", "200", "--seed", "42"],
+         "192ffc82ae475cbf374643340e88528b0632533898304ac9901a3144fc8e7ac1"),
+        (_EXPRESS, "f410dd52b8b49f021642797ccfac9ca49e3b03725e00baf37f2ea6c5a8c4c9a9"),
+        (["m2", "order", "--region", '{"kind": "cap", "center": [0, 0, 1], "radius": 0.3}',
+          "--samples", "200", "--seed", "1"],
+         "6492114679db967094611d7a991dbc5394f05a88d6f65d3e1fa68513378efc10"),
+    ],
+    ids=["sprinkle", "express-prune", "m2-order-scan"],
+)
+def test_stdout_bytes_are_pinned(argv, digest):
+    assert _stdout_sha256(argv) == digest
