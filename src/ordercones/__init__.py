@@ -46,6 +46,7 @@ from .isotone_cone import (
     order_from_functions,
     stone_nachbin_express,
     upset_decomposition,
+    upset_decomposition_many,
 )
 from .hermitian import (
     HermitianMatrix,

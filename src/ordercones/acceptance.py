@@ -288,24 +288,11 @@ def _c8_projections(seed: int, fast: bool) -> tuple[bool, dict]:
     rng = _rng(seed, 8)
     n_functions = _scaled(10_000, fast)
     per_region = _scaled(1_000, fast)
-    # Every poset and its terms padded to max_n elements and max_n levels: a
-    # padded element is unrelated and a padded term is zero, so both pass
-    # every check.
-    max_n = 8
-    rels = np.zeros((n_functions, max_n, max_n), dtype=bool)
-    values = np.zeros((n_functions, max_n))
-    gaps = np.zeros((n_functions, max_n))
-    ind = np.zeros((n_functions, max_n, max_n))
-    present = np.zeros((n_functions, max_n), dtype=bool)
-    for row in range(n_functions):
-        p = sampling.random_poset(rng, int(rng.integers(1, max_n + 1)))
-        f = sampling.random_nonneg_isotone(rng, p)
-        rels[row, : p.n, : p.n] = p.rel
-        values[row, : p.n] = f
-        for t, (coeff, indicator) in enumerate(isotone_cone.upset_decomposition(p, f)):
-            gaps[row, t] = coeff
-            ind[row, t, : p.n] = indicator
-            present[row, t] = True
+    # Every poset and its terms padded to 8 elements and 8 levels: a padded
+    # element is unrelated and a padded term is zero, so both pass every check.
+    rels, values = sampling.random_isotone_stack(rng, n_functions, 8)
+    values = values[:, 0]
+    gaps, ind, present = isotone_cone.upset_decomposition_many(rels, values)
     worst_coeff = float(gaps[present].min(initial=np.inf))
     # term t is an up-set iff ind[t, j] >= ind[t, i] wherever i <= j
     up_ok = (~rels[:, None] | (ind[:, :, None, :] >= ind[:, :, :, None] - 1e-12)).all(axis=(2, 3))
@@ -352,14 +339,11 @@ def _c9_products(seed: int, fast: bool) -> tuple[bool, dict]:
     """Pointwise products of nonnegative isotone functions stay in the cone."""
     rng = _rng(seed, 9)
     count = _scaled(10_000, fast)
-    failures = 0
-    for _ in range(count):
-        p = sampling.random_poset(rng, int(rng.integers(1, 9)))
-        f = sampling.random_nonneg_isotone(rng, p)
-        g = sampling.random_nonneg_isotone(rng, p)
-        prod = f * g
-        if not isotone_cone.is_isotone(p, prod, tol=0.0) or (prod < 0).any():
-            failures += 1
+    rels, values = sampling.random_isotone_stack(rng, count, 8, functions=2)
+    prod = values[:, 0] * values[:, 1]
+    # is_isotone(p, prod, tol=0.0) on every row: prod(j) - prod(i) >= -0.0 wherever i <= j
+    isotone = (~rels | (prod[:, None, :] - prod[:, :, None] >= -0.0)).all(axis=(1, 2))
+    failures = int((~isotone | (prod < 0).any(axis=1)).sum())
     return failures == 0, {"pairs": count, "failures": failures}
 
 

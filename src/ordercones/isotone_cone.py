@@ -27,7 +27,7 @@ from .errors import (
     float_array,
     string_ids,
 )
-from .poset import FinitePoset, FinitePreorder
+from .poset import FinitePoset, FinitePreorder, _compose
 
 __all__ = [
     "DEFAULT_TOL",
@@ -48,6 +48,7 @@ __all__ = [
     "eval_expr",
     "stone_nachbin_express",
     "upset_decomposition",
+    "upset_decomposition_many",
     "generated_cone_contains",
     "minimal_witness",
     "MinimalWitness",
@@ -295,6 +296,8 @@ def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarr
         n = fns.shape[1]
     elif size is not None:
         n = int(size)
+        if n < 0:
+            raise InvalidInput(f"size must be nonnegative, got {n}")
     else:
         raise InvalidInput("empty generator family needs an explicit size")
 
@@ -472,6 +475,61 @@ def upset_decomposition(
             terms.append((coeff, indicator))
         prev = v
     return terms
+
+
+def upset_decomposition_many(
+    rels, values, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """upset_decomposition for an (N, m, m) stack of relations and an (N, m) stack of values.
+
+    Element i of row r is present iff rels[r, i, i]; a padded element is
+    unrelated to every element and its value is ignored.  Returns (coeffs,
+    indicators, kept) of shapes (N, m), (N, m, m) and (N, m): row r's terms
+    are (coeffs[r, t], indicators[r, t]) for the t with kept[r, t], which
+    come first and in the scalar's order, with the scalar's bytes and 0 on
+    padded elements; everything else is 0.  The scalar's rules run as masks
+    over the m sorted positions.  A row the scalar refuses raises its error,
+    the first such row deciding which.
+    """
+    rels = np.asarray(rels)
+    if rels.dtype != bool or rels.ndim != 3 or rels.shape[1] != rels.shape[2]:
+        raise InvalidInput(f"relations must be an (N, m, m) boolean stack, got {rels.dtype} {rels.shape}")
+    f = float_array(values, "function values")
+    if f.shape != rels.shape[:2]:
+        raise DimensionMismatch(f"expected values of shape {rels.shape[:2]}, got {f.shape}")
+    present = rels.diagonal(axis1=1, axis2=2)
+    if (rels & ~(present[:, :, None] & present[:, None, :])).any() or (_compose(rels, rels) & ~rels).any():
+        raise InvalidInput("relations must be transitive, and padded elements unrelated")
+    if not np.isfinite(f[present]).all():
+        raise InvalidInput("function values must be finite")
+    f = np.where(present, f, 0.0)
+    not_isotone = (rels & ~(f[:, None, :] - f[:, :, None] >= -tol)).any(axis=(1, 2))
+    bad = not_isotone | (present & (f < -tol)).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not_isotone[row]:
+            raise NotIsotone(f"function {row} is not isotone")
+        raise NegativeValues(f"function {row} must be nonnegative")
+    m = f.shape[1]
+    real = np.arange(m) < present.sum(axis=1)[:, None]
+    ordered = np.where(real, np.sort(np.where(present, f, np.inf), axis=1), 0.0)
+    # A sorted value opens a level when it clears the last level by more than
+    # tol; its coefficient is the rise from the last level (from 0 for the first).
+    level = np.zeros(f.shape, dtype=bool)
+    rise = np.zeros(f.shape)
+    last = np.zeros(len(f))
+    for j in range(m):
+        step = ordered[:, j] - last
+        level[:, j] = real[:, j] & ((step > tol) | (j == 0))
+        rise[:, j] = np.where(level[:, j], step, 0.0)
+        last = np.where(level[:, j], ordered[:, j], last)
+    level[:, 0] &= rise[:, 0] > tol
+    r, j = np.nonzero(level)
+    t = np.cumsum(level, axis=1)[r, j] - 1
+    coeffs, indicators = np.zeros(f.shape), np.zeros(rels.shape)
+    coeffs[r, t] = rise[r, j]
+    indicators[r, t] = present[r] & (f[r] >= (ordered[r, j] - tol)[:, None])
+    return coeffs, indicators, np.arange(m) < level.sum(axis=1)[:, None]
 
 
 def generated_cone_contains(elements, generators, f, tol: float = DEFAULT_TOL) -> bool:

@@ -28,11 +28,14 @@ __all__ = [
 
 
 def _closure(rel: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure, Warshall style (n is small)."""
-    out = rel.copy()
-    np.fill_diagonal(out, True)
-    for k in range(out.shape[0]):
-        out |= out[:, k : k + 1] & out[k : k + 1, :]
+    """Reflexive-transitive closure over the last two axes, Warshall style (n is small).
+
+    A (..., n, n) stack is closed slice by slice in the same n steps.
+    """
+    n = rel.shape[-1]
+    out = rel | np.eye(n, dtype=bool)
+    for k in range(n):
+        out |= out[..., :, k : k + 1] & out[..., k : k + 1, :]
     return out
 
 

@@ -12,6 +12,7 @@ __all__ = [
     "random_total_order",
     "random_preorder_relation",
     "random_isotone",
+    "random_isotone_stack",
     "random_nonneg_isotone",
     "separating_family",
     "random_metric_space_data",
@@ -20,19 +21,38 @@ __all__ = [
     "sample_cone_members",
 ]
 
+# Defaults of random_poset and random_nonneg_isotone, which random_isotone_stack repeats.
+_EDGE_PROB = 0.35
+_NONNEG_HI = 3.0
 
-def random_poset(rng: np.random.Generator, n: int, edge_prob: float = 0.35) -> FinitePoset:
+
+def random_poset(rng: np.random.Generator, n: int, edge_prob: float = _EDGE_PROB) -> FinitePoset:
     """Random n-element poset from a shuffled upper-triangular edge set."""
-    perm = rng.permutation(n)
-    a, b = np.nonzero(~np.tri(n, dtype=bool))  # a < b in row-major order, as a scalar loop would draw
-    rel = np.eye(n, dtype=bool)
-    rel[perm[a], perm[b]] = rng.random(len(a)) < edge_prob
+    perm, edges = _draw_edges(rng, n, edge_prob)
+    a, b = _upper_pairs(n)
+    rel = np.zeros((n, n), dtype=bool)
+    rel[perm[a], perm[b]] = edges
     return FinitePoset._closed([f"e{i}" for i in range(n)], _closure(rel))
+
+
+def _draw_edges(rng: np.random.Generator, n: int, edge_prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """random_poset's draws: a permutation and one edge flag per pair a < b of _upper_pairs(n)."""
+    return rng.permutation(n), rng.random(n * (n - 1) // 2) < edge_prob
+
+
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a < b of n elements in row-major order, as a scalar loop would draw them."""
+    return np.nonzero(~np.tri(n, dtype=bool))
+
+
+def _running_max(rel: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """out[..., j] = max of raw[..., i] over i <= j: the least isotone function above raw."""
+    return np.where(rel, raw[..., :, None], -np.inf).max(axis=-2, initial=-np.inf)
 
 
 def random_total_order(rng: np.random.Generator, n: int) -> FinitePoset:
     perm = rng.permutation(n)
-    a, b = np.nonzero(~np.tri(n, dtype=bool))
+    a, b = _upper_pairs(n)
     rel = np.eye(n, dtype=bool)
     rel[perm[a], perm[b]] = True
     return FinitePoset._closed([f"e{i}" for i in range(n)], rel)
@@ -45,11 +65,45 @@ def random_preorder_relation(rng: np.random.Generator, n: int, edge_prob: float 
 
 def random_isotone(rng: np.random.Generator, p: FinitePoset, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:
     """Random isotone function: running maxima of noise over down-sets."""
-    raw = rng.uniform(lo, hi, size=p.n)
-    return np.where(p.rel, raw[:, None], -np.inf).max(axis=0, initial=-np.inf)
+    return _running_max(p.rel, rng.uniform(lo, hi, size=p.n))
 
 
-def random_nonneg_isotone(rng: np.random.Generator, p: FinitePoset, hi: float = 3.0) -> np.ndarray:
+def random_isotone_stack(
+    rng: np.random.Generator, count: int, max_n: int = 8, functions: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """count random posets with `functions` random nonnegative isotone functions on each, as padded stacks.
+
+    Makes the draws of the loop that, count times, takes n = rng.integers(1,
+    max_n + 1), p = random_poset(rng, n) and then `functions` times
+    random_nonneg_isotone(rng, p): the same values and the same final
+    generator state.  Returns (rels, values) of shapes (count, max_n, max_n)
+    and (count, functions, max_n).  Row r holds its poset in rels[r, :n, :n]
+    and its functions in values[r, :, :n]; a padded element has no relation,
+    not even to itself, and value 0.
+    """
+    sizes = np.empty(count, dtype=np.intp)
+    perms = np.zeros((count, max_n), dtype=np.intp)
+    edges = np.zeros((count, max_n * (max_n - 1) // 2), dtype=bool)
+    raw = np.zeros((count, functions, max_n))
+    for row in range(count):
+        n = sizes[row] = rng.integers(1, max_n + 1)
+        perms[row, :n], edges[row, : n * (n - 1) // 2] = _draw_edges(rng, n, _EDGE_PROB)
+        for k in range(functions):
+            raw[row, k, :n] = rng.uniform(0.0, _NONNEG_HI, size=n)
+    rels = np.zeros((count, max_n, max_n), dtype=bool)
+    for n in range(2, max_n + 1):
+        rows = np.flatnonzero(sizes == n)
+        a, b = _upper_pairs(n)
+        perm = perms[rows, :n]
+        rels[rows[:, None], perm[:, a], perm[:, b]] = edges[rows, : len(a)]
+    # Padded elements close to themselves alone, so their running max is their raw 0.
+    rels = _closure(rels)
+    values = _running_max(rels[:, None], raw)
+    present = np.arange(max_n) < sizes[:, None]
+    return rels & present[:, :, None] & present[:, None, :], values
+
+
+def random_nonneg_isotone(rng: np.random.Generator, p: FinitePoset, hi: float = _NONNEG_HI) -> np.ndarray:
     return random_isotone(rng, p, lo=0.0, hi=hi)
 
 

@@ -26,4 +26,7 @@ def test_seed7_work_counts(results):
     assert results[3].details["checked"] == 400_000
     c8 = results[8].details
     assert (c8["functions"], c8["matrices"], c8["bad_projections"]) == (10_000, 10_000, 0)
+    # The up-set terms and their sums are the scalar decomposition's bytes.
+    assert c8["min_coeff"] == 1.586153525590106e-05
+    assert c8["max_error"] == 7.653923751057514e-14
     assert (results[9].details["pairs"], results[9].details["failures"]) == (10_000, 0)

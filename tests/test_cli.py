@@ -493,6 +493,12 @@ def test_non_finite_values_are_errors_in_strict_json(capsys, argv, kind):
     assert code == 1 and data["error"]["kind"] == kind
 
 
+def test_cone_eval_size_must_be_nonnegative(capsys):
+    code, data = run_json(capsys, ["cone", "eval", "--expr", '{"const": 1}', "--size", "-1"])
+    assert code == 1 and data["error"]["kind"] == "InvalidInput" and "size" in data["error"]["detail"]
+    assert run_json(capsys, ["cone", "eval", "--expr", '{"const": 1}', "--size", "0"]) == (0, {"values": []})
+
+
 @pytest.mark.parametrize("samples", ["-3", "0"])
 def test_m2_order_rejects_non_positive_samples(capsys, samples):
     cap = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 0.3})

@@ -36,6 +36,7 @@ from ordercones.isotone_cone import (
     order_from_functions,
     stone_nachbin_express,
     upset_decomposition,
+    upset_decomposition_many,
 )
 from ordercones.poset import FinitePoset, build_poset, combine
 from ordercones.sampling import random_isotone, random_poset, random_total_order, separating_family
@@ -476,6 +477,84 @@ def test_upset_decomposition_reconstructs_random():
             assert is_isotone(p, ind)
             total += coeff * ind
         assert np.max(np.abs(total - f)) <= 1e-9
+
+
+# Levels that tie, fall within the default tol of each other, or sit at (signed) zero.
+_LEVELS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, 5e-13, -5e-13, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 2.0, 3.0]),
+    st.floats(0.0, 3.0),
+)
+
+
+@st.composite
+def _padded_row(draw, m):
+    """(poset, values or None when refused by as_function, padded values) for one stack row."""
+    n = draw(st.integers(0, m))
+    p = random_poset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    raw = np.array(draw(st.lists(_LEVELS, min_size=n, max_size=n)), dtype=float)
+    kind = draw(st.sampled_from(["isotone", "isotone", "isotone", "raw", "negative"]))
+    if kind != "raw":
+        raw = np.where(p.rel, raw[:, None], -np.inf).max(axis=0, initial=-np.inf)
+    if kind == "negative" and n:
+        raw[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1e-13, -1.0]))
+    padding = draw(st.lists(st.sampled_from([0.0, 5.0, -3.0, np.nan]), min_size=m - n, max_size=m - n))
+    return p, raw, np.concatenate([raw, padding])
+
+
+@st.composite
+def _padded_stacks(draw):
+    m = draw(st.integers(1, 8))
+    return m, draw(st.lists(_padded_row(m), min_size=1, max_size=6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_padded_stacks(), st.sampled_from([1e-12, 0.0, 0.5]))
+def test_upset_decomposition_many_is_the_scalar_row_by_row(stack, tol):
+    m, rows = stack
+    rels = np.zeros((len(rows), m, m), dtype=bool)
+    for r, (p, _, _) in enumerate(rows):
+        rels[r, : p.n, : p.n] = p.rel
+    values = np.stack([padded for _, _, padded in rows])
+    want = []
+    for p, f, _ in rows:
+        try:
+            want.append(upset_decomposition(p, f, tol=tol))
+        except OrderConesError as exc:
+            with pytest.raises(type(exc)):
+                upset_decomposition_many(rels, values, tol=tol)
+            return
+    coeffs, indicators, kept = upset_decomposition_many(rels, values, tol=tol)
+    assert coeffs.shape == kept.shape == (len(rows), m) and indicators.shape == (len(rows), m, m)
+    for r, ((p, _, _), terms) in enumerate(zip(rows, want)):
+        assert kept[r].tolist() == [t < len(terms) for t in range(m)]
+        for t, (coeff, ind) in enumerate(terms):
+            assert np.float64(coeff).tobytes() == coeffs[r, t].tobytes()
+            assert ind.tobytes() == indicators[r, t, : p.n].tobytes()
+        assert not indicators[r, :, p.n :].any() and not indicators[r, len(terms) :].any()
+        assert not coeffs[r, len(terms) :].any()
+
+
+def test_upset_decomposition_many_checks_its_stacks():
+    chain2 = np.array([[[True, True], [False, True]]])
+    with pytest.raises(DimensionMismatch):
+        upset_decomposition_many(chain2, [[0.0, 1.0, 2.0]])
+    with pytest.raises(InvalidInput):
+        upset_decomposition_many(chain2.astype(int), [[0.0, 1.0]])
+    with pytest.raises(InvalidInput):
+        upset_decomposition_many(chain2, [[0.0, np.inf]])
+    # the padded second element is related to the first
+    with pytest.raises(InvalidInput):
+        upset_decomposition_many(np.array([[[True, True], [False, False]]]), [[0.0, 0.0]])
+    # a -> b -> c without a -> c
+    intransitive = np.eye(3, dtype=bool)[None] | np.array([[[0, 1, 0], [0, 0, 1], [0, 0, 0]]], dtype=bool)
+    with pytest.raises(InvalidInput):
+        upset_decomposition_many(intransitive, [[0.0, 1.0, 2.0]])
+    # the first refused row decides the error
+    two = np.concatenate([chain2, chain2])
+    with pytest.raises(NegativeValues):
+        upset_decomposition_many(two, [[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(NotIsotone):
+        upset_decomposition_many(two, [[1.0, 0.0], [-1.0, 0.0]])
 
 
 # --------------------------------------------------------------------------

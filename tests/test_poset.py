@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ordercones.errors import AntisymmetryViolation, InvalidInput, UnknownId
 from ordercones.poset import (
+    _closure,
+    _compose,
     FinitePoset,
     FinitePreorder,
     bounds,
@@ -48,6 +50,39 @@ def test_two_cycle_rejected():
 def test_unknown_id_rejected():
     with pytest.raises(UnknownId):
         build_poset(["a"], [("a", "zz")])
+
+
+def _warshall(rel):
+    """Reflexive-transitive closure of one n x n relation, element by element."""
+    out = rel.copy()
+    n = len(out)
+    for i in range(n):
+        out[i, i] = True
+    for k in range(n):
+        for i in range(n):
+            if out[i, k]:
+                out[i] |= out[k]
+    return out
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_closure_of_a_stack_closes_every_slice(n):
+    rng = np.random.default_rng(100 + n)
+    stack = rng.random((60, n, n)) < (0.05, 0.2, 0.5)[n % 3]
+    before = stack.copy()
+    closed = _closure(stack)
+    assert np.array_equal(stack, before)
+    assert closed.shape == stack.shape and closed.dtype == bool
+    for rel, got in zip(stack, closed):
+        assert np.array_equal(got, _warshall(rel))
+        assert np.array_equal(got, _closure(rel))
+    # the least fixpoint of R -> R | R.R above the reflexive relation, on the whole stack
+    fix = stack | np.eye(n, dtype=bool)
+    while not np.array_equal(nxt := fix | _compose(fix, fix), fix):
+        fix = nxt
+    assert np.array_equal(closed, fix)
+    # further leading axes close the same way
+    assert np.array_equal(_closure(stack.reshape(3, 20, n, n)), closed.reshape(3, 20, n, n))
 
 
 def test_closure_idempotent_on_random_posets():

@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from ordercones import sampling
 from ordercones.poset import FinitePoset
@@ -49,3 +50,20 @@ def test_sampled_posets_and_isotone_values_are_pinned():
     assert rels.hexdigest() == RELATIONS_SHA256
     assert values.hexdigest() == VALUES_SHA256
     assert state.hexdigest() == STATE_SHA256
+
+
+@pytest.mark.parametrize("count", [10_000, 500], ids=["full", "fast"])
+@pytest.mark.parametrize("functions", [1, 2])
+def test_isotone_stack_draws_what_the_scalar_loop_draws(functions, count):
+    stacked, looped = np.random.default_rng([7, 7 + functions]), np.random.default_rng([7, 7 + functions])
+    rels, values = sampling.random_isotone_stack(stacked, count, 8, functions)
+    assert rels.shape == (count, 8, 8) and values.shape == (count, functions, 8)
+    want_rels, want_values = np.zeros_like(rels), np.zeros_like(values)
+    for row in range(count):
+        p = sampling.random_poset(looped, int(looped.integers(1, 9)))
+        want_rels[row, : p.n, : p.n] = p.rel
+        for k in range(functions):
+            want_values[row, k, : p.n] = sampling.random_nonneg_isotone(looped, p)
+    assert np.array_equal(rels, want_rels)
+    assert values.tobytes() == want_values.tobytes()
+    assert stacked.bit_generator.state == looped.bit_generator.state
