@@ -513,17 +513,16 @@ def upset_decomposition_many(
     m = f.shape[1]
     real = np.arange(m) < present.sum(axis=1)[:, None]
     ordered = np.where(real, np.sort(np.where(present, f, np.inf), axis=1), 0.0)
-    # A sorted value opens a level when it clears the last level by more than
-    # tol; its coefficient is the rise from the last level (from 0 for the first).
-    level = np.zeros(f.shape, dtype=bool)
-    rise = np.zeros(f.shape)
+    # The first sorted value opens a level; a later one opens a level when it
+    # rises more than tol above the last.  A level is a term when that rise
+    # (from 0 for the first) is more than tol, so every level but the first is.
+    rise = np.empty(f.shape)
+    level = np.empty(f.shape, dtype=bool)
     last = np.zeros(len(f))
     for j in range(m):
-        step = ordered[:, j] - last
-        level[:, j] = real[:, j] & ((step > tol) | (j == 0))
-        rise[:, j] = np.where(level[:, j], step, 0.0)
-        last = np.where(level[:, j], ordered[:, j], last)
-    level[:, 0] &= rise[:, 0] > tol
+        rise[:, j] = ordered[:, j] - last
+        level[:, j] = real[:, j] & (rise[:, j] > tol)
+        last = np.where(level[:, j] | (j == 0), ordered[:, j], last)
     r, j = np.nonzero(level)
     t = np.cumsum(level, axis=1)[r, j] - 1
     coeffs, indicators = np.zeros(f.shape), np.zeros(rels.shape)

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordercones.errors import (
@@ -479,22 +479,25 @@ def test_upset_decomposition_reconstructs_random():
         assert np.max(np.abs(total - f)) <= 1e-9
 
 
-# Levels that tie, fall within the default tol of each other, or sit at (signed) zero.
+# Levels that tie, fall within the default tol or within 0.5 of each other
+# (quarter steps), or sit at (signed) zero.
 _LEVELS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-13, 5e-13, -5e-13, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 2.0, 3.0]),
+    st.sampled_from([0.0, -0.0, 1e-13, 5e-13, -5e-13, 1.0, 1.0 + 5e-13, 1.0 + 1.2e-12, 1.0 + 2e-12]),
+    st.integers(0, 12).map(lambda k: k / 4),
     st.floats(0.0, 3.0),
 )
 
 
 @st.composite
-def _padded_row(draw, m):
-    """(poset, values or None when refused by as_function, padded values) for one stack row."""
-    n = draw(st.integers(0, m))
+def _padded_row(draw, m, kind):
+    """(poset, values, padded values) for one stack row; a "raw" or "negative" row may be refused."""
+    n = draw(st.sampled_from(range(m, -1, -1)))
     p = random_poset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     raw = np.array(draw(st.lists(_LEVELS, min_size=n, max_size=n)), dtype=float)
-    kind = draw(st.sampled_from(["isotone", "isotone", "isotone", "raw", "negative"]))
     if kind != "raw":
         raw = np.where(p.rel, raw[:, None], -np.inf).max(axis=0, initial=-np.inf)
+    if kind == "shifted":  # a minimum below 0, within some tol
+        raw = raw - draw(st.sampled_from([1e-13, 0.3]))
     if kind == "negative" and n:
         raw[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1e-13, -1.0]))
     padding = draw(st.lists(st.sampled_from([0.0, 5.0, -3.0, np.nan]), min_size=m - n, max_size=m - n))
@@ -503,12 +506,26 @@ def _padded_row(draw, m):
 
 @st.composite
 def _padded_stacks(draw):
-    m = draw(st.integers(1, 8))
-    return m, draw(st.lists(_padded_row(m), min_size=1, max_size=6))
+    """m and up to six rows; one stack in three also holds one row that may be refused."""
+    m = draw(st.sampled_from(range(8, -1, -1)))
+    rows = draw(st.lists(st.sampled_from(["isotone", "shifted"]).flatmap(lambda k: _padded_row(m, k)), max_size=5))
+    if draw(st.integers(0, 2)) == 0:
+        bad = draw(_padded_row(m, draw(st.sampled_from(["raw", "negative"]))))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    return m, rows or [draw(_padded_row(m, "isotone"))]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+def _antichain_row(values, padding):
+    p = FinitePoset([f"e{i}" for i in range(len(values))], np.eye(len(values), dtype=bool))
+    return p, np.array(values), np.array(values + padding)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(_padded_stacks(), st.sampled_from([1e-12, 0.0, 0.5]))
+# 0.25 merges into the level at 0 but is within tol of the level at 0.75
+@example((4, [_antichain_row([0.0, 0.25, 0.75], [5.0])]), 0.5)
+# the level at 0.45 is within tol of the padded element's 0
+@example((3, [_antichain_row([-0.3, 0.45], [0.0])]), 0.5)
 def test_upset_decomposition_many_is_the_scalar_row_by_row(stack, tol):
     m, rows = stack
     rels = np.zeros((len(rows), m, m), dtype=bool)
