@@ -511,6 +511,7 @@ def upset_decomposition_many(
             raise NotIsotone(f"function {row} is not isotone")
         raise NegativeValues(f"function {row} must be nonnegative")
     m = f.shape[1]
+    # ordered[r, j]: the j-th smallest present value of row r where real[r, j], else 0
     real = np.arange(m) < present.sum(axis=1)[:, None]
     ordered = np.where(real, np.sort(np.where(present, f, np.inf), axis=1), 0.0)
     # The first sorted value opens a level; a later one opens a level when it
