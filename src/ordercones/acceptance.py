@@ -294,8 +294,8 @@ def _c8_projections(seed: int, fast: bool) -> tuple[bool, dict]:
     values = values[:, 0]
     gaps, ind, present = isotone_cone.upset_decomposition_many(rels, values)
     worst_coeff = float(gaps[present].min(initial=np.inf))
-    # term t is an up-set iff ind[t, j] >= ind[t, i] wherever i <= j
-    up_ok = (~rels[:, None] | (ind[:, :, None, :] >= ind[:, :, :, None] - 1e-12)).all(axis=(2, 3))
+    # term t is an up-set iff its indicator is isotone
+    up_ok = isotone_cone._isotone(rels[:, None], ind, 1e-12)
     rounded = np.round(ind, 12)
     zero_one = ((rounded == 0.0) | (rounded == 1.0)).all(axis=2)
     bad = int((~(up_ok & zero_one)).sum())
@@ -341,8 +341,7 @@ def _c9_products(seed: int, fast: bool) -> tuple[bool, dict]:
     count = _scaled(10_000, fast)
     rels, values = sampling.random_isotone_stack(rng, count, 8, functions=2)
     prod = values[:, 0] * values[:, 1]
-    # is_isotone(p, prod, tol=0.0) on every row: prod(j) - prod(i) >= -0.0 wherever i <= j
-    isotone = (~rels | (prod[:, None, :] - prod[:, :, None] >= -0.0)).all(axis=(1, 2))
+    isotone = isotone_cone._isotone(rels, prod, 0.0)
     failures = int((~isotone | (prod < 0).any(axis=1)).sum())
     return failures == 0, {"pairs": count, "failures": failures}
 

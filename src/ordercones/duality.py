@@ -13,10 +13,12 @@ import numpy as np
 
 from .errors import UnknownId, string_ids
 from .isotone_cone import (
+    DEFAULT_TOL,
     IsotoneCone,
+    _induced,
+    _isotone,
     all_upset_indicators,
     cobounded_commutative,
-    is_isotone,
 )
 from .poset import FinitePoset, bounds, build_poset
 
@@ -73,13 +75,7 @@ def character_order(algebra: FiniteCommutativeIStar) -> FinitePoset:
     up-set indicator family this reproduces the underlying poset exactly
     (integer arithmetic, no tolerance needed).
     """
-    gens = algebra.generator_functions()
-    n = algebra.poset.n
-    if gens.shape[0] == 0:
-        rel = np.ones((n, n), dtype=bool)
-    else:
-        rel = (gens[:, :, None] <= gens[:, None, :]).all(axis=0)
-    return FinitePoset(algebra.poset.elements, rel)
+    return FinitePoset(algebra.poset.elements, _induced(algebra.generator_functions(), 0.0))
 
 
 @dataclass(frozen=True)
@@ -121,16 +117,8 @@ def morphism_check(mapping: dict, source: FinitePoset, target: FinitePoset) -> M
     map, which is what makes the order side and the algebra side match.
     """
     idx = _mapping_indices(mapping, source, target)
-    isotone = True
-    for i in range(source.n):
-        for j in range(source.n):
-            if source.rel[i, j] and not target.rel[idx[i], idx[j]]:
-                isotone = False
-                break
-        if not isotone:
-            break
-    gens = all_upset_indicators(target)
-    preserves = all(is_isotone(source, g[idx]) for g in gens)
+    isotone = not (source.rel & ~target.rel[np.ix_(idx, idx)]).any()
+    preserves = bool(_isotone(source.rel, all_upset_indicators(target)[:, idx], DEFAULT_TOL).all())
     return MorphismReport(star_morphism=True, isotone=isotone, pullback_preserves_cone=preserves)
 
 

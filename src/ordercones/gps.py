@@ -35,9 +35,9 @@ class FiniteMetricSpace:
             raise InvalidInput(f"distance matrix must be {n}x{n}, got {d.shape}")
         if not np.isfinite(d).all():
             raise InvalidInput("distances must be finite")
-        if np.max(np.abs(d - d.T)) > 1e-9:
+        if np.max(np.abs(d - d.T), initial=0.0) > 1e-9:
             raise InvalidInput("distance matrix must be symmetric")
-        if np.max(np.abs(np.diag(d))) > 0:
+        if np.max(np.abs(np.diag(d)), initial=0.0) > 0:
             raise InvalidInput("distance matrix must have a zero diagonal")
         off = d + np.eye(n)
         if (off <= 0).any():
@@ -81,13 +81,8 @@ def landmark_functions(space: FiniteMetricSpace, landmarks) -> np.ndarray:
 
 
 def gps_complete(space: FiniteMetricSpace, landmarks, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the landmark distance profile identifies every point."""
-    profiles = landmark_functions(space, landmarks)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if profiles.shape[0] == 0 or np.max(np.abs(profiles[:, i] - profiles[:, j])) <= tol:
-                return False
-    return True
+    """Whether the landmark order is antisymmetric: no two points share a profile within tol."""
+    return order_from_functions(space.points, landmark_functions(space, landmarks), tol=tol).separates_points
 
 
 class GpsOrder(NamedTuple):
@@ -113,5 +108,4 @@ def gps_order(
     profiles = landmark_functions(space, landmarks)
     if orientation == "reversed":
         profiles = -profiles
-    pre, _ = order_from_functions(space.points, profiles, tol=tol)
-    return GpsOrder(pre, gps_complete(space, landmarks, tol=tol))
+    return GpsOrder(*order_from_functions(space.points, profiles, tol=tol))

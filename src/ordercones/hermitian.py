@@ -21,7 +21,6 @@ __all__ = [
     "func_calc",
     "lattice_ops",
     "classify",
-    "operator_norm",
     "matrix_abs",
     "matrix_abs_many",
     "matrix_sqrt",
@@ -140,12 +139,18 @@ class SpectralDecomp:
         }
 
 
+def _pauli_parts(m: np.ndarray) -> tuple:
+    """Pauli coordinates (c, v1, v2, v3) with m = c*s0 + v.s: scalars for one
+    2x2 matrix, (N,) arrays for an (N, 2, 2) stack."""
+    t = m.T  # t[j, i] is entry (i, j): a scalar for one matrix, where m[..., i, j] is a 0-d array
+    c = (t[0, 0].real + t[1, 1].real) / 2.0
+    return c, t[0, 1].real, t[0, 1].imag, (t[0, 0].real - t[1, 1].real) / 2.0
+
+
 def _spectral2(m: np.ndarray) -> SpectralDecomp:
     # Closed form on the Pauli coordinates: eigenvalues c +- r, eigenvectors
     # from the polar angles of the traceless part.
-    c = (m[0, 0].real + m[1, 1].real) / 2.0
-    v1, v2 = m[1, 0].real, m[1, 0].imag
-    v3 = (m[0, 0].real - m[1, 1].real) / 2.0
+    c, v1, v2, v3 = _pauli_parts(m)
     r = float(np.sqrt(v1 * v1 + v2 * v2 + v3 * v3))
     if r == 0.0:
         return SpectralDecomp(np.array([c, c]), np.eye(2, dtype=complex))
@@ -261,10 +266,6 @@ def classify(a) -> Classification:
     )
 
 
-def operator_norm(a) -> float:
-    return classify(a).norm
-
-
 def projection_decomposition(a, tol: float = PSD_TOL) -> list[tuple[float, HermitianMatrix]]:
     """Positive span over spectral projections of a positive matrix.
 
@@ -308,10 +309,7 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
-    m = _symmetrized(m)
-    c = (m[:, 0, 0].real + m[:, 1, 1].real) / 2.0
-    v1, v2 = m[:, 1, 0].real, m[:, 1, 0].imag
-    v3 = (m[:, 0, 0].real - m[:, 1, 1].real) / 2.0
+    c, v1, v2, v3 = _pauli_parts(_symmetrized(m))
     r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     low, high = c - r, c + r
     if not (low >= -PSD_TOL).all():

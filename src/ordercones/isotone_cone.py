@@ -27,7 +27,7 @@ from .errors import (
     float_array,
     string_ids,
 )
-from .poset import FinitePoset, FinitePreorder, _compose
+from .poset import FinitePoset, FinitePreorder, _compose, bounds
 
 __all__ = [
     "DEFAULT_TOL",
@@ -105,9 +105,12 @@ def as_functions(functions, n: int | None = None) -> np.ndarray:
 
 def is_isotone(p: FinitePreorder, f, tol: float = DEFAULT_TOL) -> bool:
     """True iff f(x) <= f(y) + tol for every related pair x <= y."""
-    f = as_function(f, p.n)
-    diff = f[None, :] - f[:, None]  # diff[i, j] = f(j) - f(i)
-    return bool((diff[p.rel] >= -tol).all())
+    return bool(_isotone(p.rel, as_function(f, p.n), tol))
+
+
+def _isotone(rel: np.ndarray, f: np.ndarray, tol: float) -> np.ndarray:
+    """Whether f(x_j) - f(x_i) >= -tol wherever rel[i, j], over the leading axes of rel and f."""
+    return ((f[..., None, :] - f[..., :, None] >= -tol) | ~rel).all(axis=(-2, -1))
 
 
 class OrderFromFunctions(NamedTuple):
@@ -503,7 +506,7 @@ def upset_decomposition_many(
     if not np.isfinite(f[present]).all():
         raise InvalidInput("function values must be finite")
     f = np.where(present, f, 0.0)
-    not_isotone = (rels & ~(f[:, None, :] - f[:, :, None] >= -tol)).any(axis=(1, 2))
+    not_isotone = ~_isotone(rels, f, tol)
     bad = not_isotone | (present & (f < -tol)).any(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
@@ -617,13 +620,12 @@ def cobounded_commutative(p: FinitePoset) -> CoboundedResult:
     """
     if p.n == 0:
         raise InvalidInput("co-boundedness needs a nonempty poset")
-    from .poset import bounds as _bounds
-
-    b = _bounds(p)
+    b = bounds(p)
     if b.bounded:
         return CoboundedResult(True, None)
-    maximal = [i for i in range(p.n) if not (p.rel[i] & ~np.eye(p.n, dtype=bool)[i]).any()]
-    minimal = [i for i in range(p.n) if not (p.rel[:, i] & ~np.eye(p.n, dtype=bool)[:, i]).any()]
+    strict = p._strict()
+    maximal = np.flatnonzero(~strict.any(axis=1))
+    minimal = np.flatnonzero(~strict.any(axis=0))
     if b.top is None:
         # Two maximal elements; each function peaks only at its own, since
         # the up-set of a maximal element is the singleton.
@@ -656,18 +658,9 @@ def all_upset_indicators(p: FinitePoset, limit: int = 12) -> np.ndarray:
     """
     if p.n > limit:
         return principal_upset_indicators(p)
-    up_masks = [int("".join("1" if b else "0" for b in reversed(p.rel[i])), 2) for i in range(p.n)]
-    rows = []
-    for mask in range(1, 1 << p.n):
-        closed = 0
-        for i in range(p.n):
-            if mask >> i & 1:
-                closed |= up_masks[i]
-        if closed == mask:
-            rows.append([float(mask >> i & 1) for i in range(p.n)])
-    if not rows:
-        return np.zeros((0, p.n))
-    return np.array(rows)
+    # row k - 1 is the subset whose bit i is set in k, in ascending k
+    subsets = (np.arange(1, 1 << p.n)[:, None] >> np.arange(p.n) & 1).astype(float)
+    return subsets[_isotone(p.rel, subsets, 0.0)]
 
 
 @dataclass(frozen=True)

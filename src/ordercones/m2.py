@@ -28,7 +28,7 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, spectral
+from .hermitian import HermitianMatrix, _pauli_parts, spectral
 
 __all__ = [
     "GEOM_TOL",
@@ -86,43 +86,31 @@ def pauli_coords(a) -> PauliCoords:
     m = a.mat if isinstance(a, HermitianMatrix) else HermitianMatrix(a).mat
     if m.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {m.shape}")
-    c = float((m[0, 0].real + m[1, 1].real) / 2.0)
-    v = np.array(
-        [m[1, 0].real, m[1, 0].imag, (m[0, 0].real - m[1, 1].real) / 2.0]
-    )
-    return PauliCoords(c, v)
+    c, *v = _pauli_parts(m)
+    return PauliCoords(float(c), np.array(v))
 
 
 def matrix_from_pauli(c: float, v) -> HermitianMatrix:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatch(f"coefficient vector must have 3 entries, got {v.shape}")
-    m = c * SIGMA[0] + v[0] * SIGMA[1] + v[1] * SIGMA[2] + v[2] * SIGMA[3]
-    return HermitianMatrix(m)
+    return HermitianMatrix(matrix_from_pauli_many(np.asarray(c), v))
 
 
 def matrix_from_pauli_many(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The (N, 2, 2) complex stack c*s0 + v.s for c of shape (N,) and v of shape (N, 3)."""
+    """The (..., 2, 2) complex stack c*s0 + v.s for c of shape (...) and v of shape (..., 3)."""
     return (
-        c[:, None, None] * SIGMA[0]
-        + v[:, 0, None, None] * SIGMA[1]
-        + v[:, 1, None, None] * SIGMA[2]
-        + v[:, 2, None, None] * SIGMA[3]
+        c[..., None, None] * SIGMA[0]
+        + v[..., 0, None, None] * SIGMA[1]
+        + v[..., 1, None, None] * SIGMA[2]
+        + v[..., 2, None, None] * SIGMA[3]
     )
 
 
 def pauli_vparts_many(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch (c, v) extraction from an (N, 2, 2) complex stack."""
-    c = (mats[:, 0, 0].real + mats[:, 1, 1].real) / 2.0
-    v = np.stack(
-        [
-            mats[:, 1, 0].real,
-            mats[:, 1, 0].imag,
-            (mats[:, 0, 0].real - mats[:, 1, 1].real) / 2.0,
-        ],
-        axis=1,
-    )
-    return c, v
+    c, *v = _pauli_parts(mats)
+    return c, np.stack(v, axis=1)
 
 
 def hopf(xi) -> np.ndarray:

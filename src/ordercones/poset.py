@@ -182,10 +182,6 @@ class FinitePoset(FinitePreorder):
     def is_total(self) -> bool:
         return (self.rel | self.rel.T).all()
 
-    def up_set_mask(self, x: str) -> np.ndarray:
-        """Boolean mask of {y : x <= y}."""
-        return self.rel[self.index(x)].copy()
-
     def _emitted_pairs(self) -> list[tuple[str, str]]:
         return self.covering_pairs()
 

@@ -90,6 +90,44 @@ def test_sprinkle_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_POS6 = json.dumps({"elements": ["a", "b", "c", "d", "e", "f"],
+                    "pairs": [["a", "c"], ["b", "c"], ["b", "d"], ["c", "e"], ["d", "e"], ["d", "f"]]})
+_DIAMOND = json.dumps({"elements": ["p", "q", "r", "s"], "pairs": [["p", "q"], ["p", "r"], ["q", "s"], ["r", "s"]]})
+_HULL = json.dumps({"kind": "hull", "vertices": [
+    [0.09759000729485331, 0.19518001458970663, 0.9759000729485331],
+    [0.4833682445228318, -0.09667364890456637, 0.8700628401410972],
+    [-0.3179993640019079, 0.42399915200254396, 0.8479983040050879],
+    [0.0, -0.5070201265633938, 0.8619342151577695]]})
+_MAT_A = json.dumps({"n": 2, "re": [[2.5, 0.3], [0.3, 1.25]], "im": [[0, -0.7], [0.7, 0]]})
+_MAT_B = json.dumps({"n": 2, "re": [[1.0, -0.2], [-0.2, 3.0]], "im": [[0, 0.4], [-0.4, 0]]})
+
+
+# sha256 of stdout recorded before isotonicity, the induced order and the
+# Pauli coordinates each had one shared kernel.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["dual", "from-poset", "--in", _POS6], "e95be2c02bad435c26a17015129e442f9b34c602ceb9316e398c25969983dec0"),
+        (["dual", "morphism", "--source", _DIAMOND, "--target", _POS6, "--map", '{"p": "b", "q": "c", "r": "d", "s": "e"}'],
+         "e4e46093d5a3ce41b3e71ac74b343254a1c3500bbd2606d6d4bd9e28249bcb27"),
+        (["dual", "morphism", "--source", _DIAMOND, "--target", _POS6, "--map", '{"p": "b", "q": "c", "r": "f", "s": "e"}'],
+         "3a6f30a7de3808f767f3314070df4082d30117c0e1b7c8ae2c9cd01f7a67c292"),
+        (["herm", "spectral", "--in", _MAT_A], "4882467898acf447effab15083a7b0227082c6a2b12ad97f390c95263385cf35"),
+        (["m2", "join-coeffs", "--a", _MAT_A, "--b", _MAT_B],
+         "aa3209a7b22b17e2c452feb46c86102f64d8cea072009c48393e10eafac41907"),
+        (["m2", "member", "--region", _HULL, "--matrix", _MAT_A],
+         "d02ba242cb261c22fe7573813011af3d4e223e42a9f0063c557965ef3c1de603"),
+        (["m2", "member", "--region", _HULL, "--matrix", '{"n":2,"re":[[2,0.1],[0.1,0.5]]}'],
+         "9469cab82b79236abfc44a4d4ef8518a872d48404e169f24158af485672938f1"),
+    ],
+    ids=["from-poset", "morphism-isotone", "morphism-not-isotone", "spectral", "join-coeffs", "member-out", "member-in"],
+)
+def test_order_rule_outputs_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_emitted_poset_json_reparses_equal(capsys):
     code, data = run_json(capsys, ["poset", "combine", "--mode", "disjoint_union", "--a", CHAIN3, "--b", json.dumps({"elements": ["z"], "pairs": []})])
     assert code == 0

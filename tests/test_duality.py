@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercones.duality import (
     algebra_from_poset,
@@ -10,7 +12,7 @@ from ordercones.duality import (
     pullback,
 )
 from ordercones.errors import UnknownId
-from ordercones.isotone_cone import is_isotone
+from ordercones.isotone_cone import all_upset_indicators, is_isotone
 from ordercones.poset import build_poset
 from ordercones.sampling import random_isotone, random_poset
 
@@ -83,6 +85,39 @@ def test_morphism_flags_agree_on_random_maps():
         mapping = {e: dst.elements[int(rng.integers(dst.n))] for e in src.elements}
         report = morphism_check(mapping, src, dst)
         assert report.isotone == report.pullback_preserves_cone
+
+
+def _morphism_flags_by_loops(mapping, source, target):
+    """morphism_check's flags as loops over the related pairs and over the target's up-sets."""
+    idx = [target.index(mapping[e]) for e in source.elements]
+    isotone = True
+    for i in range(source.n):
+        for j in range(source.n):
+            if source.rel[i, j] and not target.rel[idx[i], idx[j]]:
+                isotone = False
+    preserves = all(is_isotone(source, g[idx]) for g in all_upset_indicators(target))
+    return isotone, preserves
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "constant", "self"]),
+)
+def test_morphism_flags_are_the_loops(m, n, edge_prob, seed, kind):
+    rng = np.random.default_rng(seed)
+    src = random_poset(rng, m, edge_prob)
+    dst = src if kind == "self" else random_poset(rng, n, edge_prob)
+    if kind == "constant":
+        mapping = dict.fromkeys(src.elements, dst.elements[int(rng.integers(dst.n))])
+    else:
+        mapping = {e: dst.elements[int(rng.integers(dst.n))] for e in src.elements}
+    report = morphism_check(mapping, src, dst)
+    assert type(report.isotone) is bool and type(report.pullback_preserves_cone) is bool
+    assert (report.isotone, report.pullback_preserves_cone) == _morphism_flags_by_loops(mapping, src, dst)
 
 
 def test_pullback_contravariant_composition():

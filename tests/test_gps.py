@@ -88,9 +88,11 @@ def test_gps_order_matches_function_induced_order():
         space = FiniteMetricSpace(ids, dist)
         landmarks = [ids[i] for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
         fns = landmark_functions(space, landmarks)
-        got = gps_order(space, landmarks).order
+        result = gps_order(space, landmarks)
+        got = result.order
         want = order_from_functions(ids, fns).preorder
         assert got == want
+        assert result.complete == got.is_antisymmetric() == gps_complete(space, landmarks)
         for f in fns:
             assert is_isotone(got, f)
 
@@ -126,3 +128,30 @@ def test_metric_json_round_trip():
     again = FiniteMetricSpace.from_json(sq.to_json())
     assert again.points == sq.points
     assert np.array_equal(again.dist, sq.dist)
+
+
+def test_complete_means_the_emitted_order_is_antisymmetric():
+    # d(y, z) - d(x, z) is just over tol, but d(y, z) <= d(x, z) + tol once rounded: x <= y <= x
+    space = FiniteMetricSpace(["x", "y", "z"], [[0, 0.5, 1], [0.5, 0, 1.000000000001], [1, 1.000000000001, 0]])
+    for orientation in ("remark", "reversed"):
+        result = gps_order(space, ["z"], orientation=orientation)
+        assert result.complete == result.order.is_antisymmetric()
+        assert not result.complete
+    assert not gps_complete(space, ["z"])
+
+
+def test_complete_refuses_what_order_refuses():
+    # profiles 1, 1 + 0.8e-12, 1 + 1.6e-12: neighbours tie within tol, the outer two do not, so no transitive relation
+    d = [[0, 0.5, 0.5, 1], [0.5, 0, 0.5, 1 + 0.8e-12], [0.5, 0.5, 0, 1 + 1.6e-12], [1, 1 + 0.8e-12, 1 + 1.6e-12, 0]]
+    space = FiniteMetricSpace(["a", "b", "c", "z"], d)
+    for check in (gps_order, gps_complete):
+        with pytest.raises(InvalidInput, match="transitive"):
+            check(space, ["z"])
+
+
+def test_empty_space():
+    space = FiniteMetricSpace([], np.zeros((0, 0)))
+    assert space.n == 0 and space.dist.shape == (0, 0)
+    result = gps_order(space, [])
+    assert result.complete and result.order.n == 0
+    assert gps_complete(space, [])

@@ -25,6 +25,7 @@ from ordercones.isotone_cone import (
     Scale,
     Sum,
     TableJoin,
+    all_upset_indicators,
     as_function,
     as_functions,
     cobounded_commutative,
@@ -740,3 +741,27 @@ def test_direct_sum_membership_is_componentwise():
             x, y = p.strict_pairs()[0]
             bad_f[p.index(x)] = bad_f[p.index(y)] + 1.0
             assert is_isotone(union, np.concatenate([bad_f, g])) == is_isotone(p, bad_f)
+
+
+def _upsets_by_bitmask(p):
+    """all_upset_indicators as a loop over the subset bitmasks, keeping those closed upward."""
+    up_masks = [int("".join("1" if b else "0" for b in reversed(p.rel[i])), 2) for i in range(p.n)]
+    rows = []
+    for mask in range(1, 1 << p.n):
+        closed = 0
+        for i in range(p.n):
+            if mask >> i & 1:
+                closed |= up_masks[i]
+        if closed == mask:
+            rows.append([float(mask >> i & 1) for i in range(p.n)])
+    return np.array(rows) if rows else np.zeros((0, p.n))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_all_upset_indicators_are_the_bitmask_loop(n, edge_prob, seed, limit):
+    p = random_poset(np.random.default_rng(seed), n, edge_prob)
+    got = all_upset_indicators(p, limit=limit)
+    want = _upsets_by_bitmask(p) if n <= limit else p.rel.astype(float)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
