@@ -294,8 +294,9 @@ def _c8_projections(seed: int, fast: bool) -> tuple[bool, dict]:
     values = values[:, 0]
     gaps, ind, present = isotone_cone.upset_decomposition_many(rels, values)
     worst_coeff = float(gaps[present].min(initial=np.inf))
-    # term t is an up-set iff its indicator is isotone
-    up_ok = isotone_cone._isotone(rels[:, None], ind, 1e-12)
+    # term t is an up-set iff its indicator is isotone; one term slot at a
+    # time, so no (functions, terms, 8, 8) temporary is built
+    up_ok = np.stack([isotone_cone._isotone(rels, ind[:, t], 1e-12) for t in range(ind.shape[1])], axis=1)
     rounded = np.round(ind, 12)
     zero_one = ((rounded == 0.0) | (rounded == 1.0)).all(axis=2)
     bad = int((~(up_ok & zero_one)).sum())

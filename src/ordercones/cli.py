@@ -77,19 +77,21 @@ def _load(text: str):
     if not stripped:
         raise InvalidInput("empty input")
     if stripped == "-":
-        return json.load(sys.stdin)
-    if stripped[:1] in "[{" or stripped in ("true", "false", "null"):
-        try:
-            return json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"inline JSON does not parse: {exc}") from exc
+        source, read = "standard input does not parse as JSON", sys.stdin.read
+    elif stripped[:1] in "[{" or stripped in ("true", "false", "null"):
+        source, read = "inline JSON does not parse", lambda: stripped
+    else:
+        source = f"file {text!r} does not parse as JSON"
+
+        def read() -> str:
+            with open(text, "r", encoding="utf-8") as fh:
+                return fh.read()
     try:
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read())
     except OSError as exc:
         raise InvalidInput(f"cannot read {text!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"file {text!r} does not parse as JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise InvalidInput(f"{source}: {exc}") from exc
 
 
 def _emit(args, payload: dict | list | str) -> None:

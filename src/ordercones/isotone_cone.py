@@ -31,7 +31,6 @@ from .poset import FinitePoset, FinitePreorder, _compose, bounds
 
 __all__ = [
     "DEFAULT_TOL",
-    "EXPR_TOL",
     "as_function",
     "as_functions",
     "is_isotone",
@@ -62,8 +61,6 @@ __all__ = [
 
 # Pairwise membership tolerance; double precision over small lattices.
 DEFAULT_TOL = 1e-12
-# Expression reconstruction tolerance; allows accumulated arithmetic.
-EXPR_TOL = 1e-9
 
 
 def as_function(values, n: int | None = None) -> np.ndarray:

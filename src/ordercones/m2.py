@@ -7,15 +7,16 @@ of the identity.  Pure states map to the sphere through the Hopf
 fibration, and the induced state order is a dual-cone test on Bloch
 vectors.
 
-The geometry needs only numpy and cross products.  A hull region checks
-that its vertices lie in an open half-sphere with Gordan's alternative,
-then projects them gnomonically onto the plane through the axis found
-there and takes their 2-D convex hull with Andrew's monotone chain: the
-hull's corners are the extreme vertices and its edges the facets that
-decide membership.  `contains` is a batch of one over `contains_many`.
+The geometry needs only numpy and cross products.  A hull region is set
+up from the pairwise cross products of its vertices: they decide the
+open half-sphere condition (Gordan's alternative), and the pairs whose
+plane leaves every vertex on one side give the extreme vertices and the
+facets that decide membership.  `contains` is a batch of one over
+`contains_many`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,9 @@ def hopf(xi) -> np.ndarray:
     if xi.shape != (2,):
         raise DimensionMismatch(f"state vector must have 2 entries, got {xi.shape}")
     nrm = float(np.linalg.norm(xi))
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # NaN or inf whenever an entry is non-finite
+        if not np.isfinite(xi).all():
+            raise InvalidInput("state vector entries must be finite")
         raise NotNormalized(f"state vector has norm {nrm!r}")
     xi = xi / nrm
     cross = np.conj(xi[0]) * xi[1]
@@ -159,16 +162,10 @@ class SphericalRegion:
     hull of unit vertices lying strictly inside an open half-sphere.
     The induced cone of nonnegative multiples is full dimensional.
 
-    Hulls are set up with cross products alone.  Gordan's alternative
-    decides the half-sphere condition: the vertices lie in an open
-    half-sphere iff some axis w has v.w > 0 for every vertex v, and the
-    sum of the vertices and signed pairwise cross products that are
-    nonnegative on all vertices is such an axis whenever one exists.
-    Projected gnomonically onto the plane w.x = 1, the hull becomes a
-    convex polygon; Andrew's monotone chain with strict turns finds its
-    corners, which are the extreme vertices (kept in input order, with
-    duplicates and vertices on an arc between others dropped), and its
-    edges give the inward facet normals that decide membership.
+    Hulls are set up with cross products alone (see _hull_cone): the
+    extreme vertices are kept in input order, with duplicates and
+    vertices on an arc between others dropped, and the inward facet
+    normals through pairs of them decide membership.
     """
 
     kind: str
@@ -203,11 +200,8 @@ class SphericalRegion:
             verts = verts / norms[:, None]
             if np.linalg.matrix_rank(verts, tol=1e-9) < 3:
                 raise InvalidInput("hull cone must be full dimensional")
-            axis = _half_sphere_axis(verts)
-            if axis is None:
-                raise InvalidInput("hull vertices must lie strictly inside an open half-sphere")
+            self._extreme, self._facets = _hull_cone(verts)
             self.vertices = verts
-            self._extreme, self._facets = _hull_cone(verts, axis)
             self.vertices.setflags(write=False)
             self._extreme.setflags(write=False)
             self._facets.setflags(write=False)
@@ -328,90 +322,52 @@ class SphericalRegion:
         return zero | (slack >= -tol * norms)
 
 
-def _half_sphere_axis(verts: np.ndarray) -> np.ndarray | None:
-    """A unit axis w with verts @ w > 0, or None if no open half-sphere holds them.
-
-    Gordan's alternative: w exists iff 0 is not in the convex hull of the
-    vertices.  The facet normals of a full-dimensional cone are signed
-    cross products of vertex pairs, and they generate its dual cone; so
-    summing every candidate among +-(vi x vj) and the vi that is
-    nonnegative on all vertices lands inside the dual cone whenever the
-    dual cone has an interior.  The sum must clear every vertex by
-    GEOM_TOL, the same scale as the rank check, so vertices within about
-    1e-9 of a great circle count as outside any open half-sphere.
-    """
-    i, j = np.triu_indices(len(verts), k=1)
-    crosses = np.cross(verts[i], verts[j])
-    cands = np.concatenate([crosses, -crosses, verts])
-    w = cands[(cands @ verts.T >= -1e-12).all(axis=1)].sum(axis=0)
-    nrm = float(np.linalg.norm(w))
-    if not (verts @ w).min() > GEOM_TOL * nrm:
-        return None
-    return w / nrm
-
-
-def _hull_cone(verts: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extreme rays, in input order, and inward unit facet normals of a hull cone.
 
-    Vertices within 1e-9 of an earlier one are duplicates.  The facets are
-    the edges of the gnomonic hull polygon, listed by their ray pair in
+    Everything comes from the pairwise cross products of the unit vertices.
+    Gordan's alternative decides the half-sphere condition: the vertices
+    lie in an open half-sphere iff 0 is not in their convex hull.  The
+    cone's facet normals are among the signed cross products and generate
+    its dual cone, so the sum of the vertices and the signed cross products
+    that are nonnegative on all vertices is then an axis w with v.w > 0
+    for every vertex v; it must clear every vertex by GEOM_TOL, the scale
+    of the rank check.
+    Vertices within 1e-9 of an earlier kept one are duplicates.  A pair of
+    rays supports the cone when no ray lies more than 1e-9 outside its
+    plane; the ends of supporting pairs are extreme unless they lie within
+    1e-9 of another supporting plane, strictly between its two rays.  The
+    facets are the supporting pairs of extreme rays, listed by pair in
     input order and turned towards the sum of the extreme rays.
     """
-    uniq: list[np.ndarray] = []
-    for v in verts:
-        if not any(np.linalg.norm(v - u) <= 1e-9 for u in uniq):
-            uniq.append(v)
-    rays = np.array(uniq)
-    ring = list(range(len(rays))) if len(rays) <= 3 else _monotone_chain(rays, axis)
-    if len(ring) < 3:
+    x, y = verts[:, [1, 2, 0]], verts[:, [2, 0, 1]]
+    cross = x[:, None] * y[None] - y[:, None] * x[None]  # np.cross of every pair, bit for bit
+    i, j = np.array(list(itertools.combinations(range(len(verts)), 2))).T
+    cands = np.concatenate([cross[i, j], -cross[i, j], verts])
+    w = cands[(cands @ verts.T >= -1e-12).all(axis=1)].sum(axis=0)
+    if not (verts @ w).min() > GEOM_TOL * float(np.linalg.norm(w)):
+        raise InvalidInput("hull vertices must lie strictly inside an open half-sphere")
+    keep: list[int] = []
+    for k, v in enumerate(verts):
+        if not any(np.linalg.norm(v - verts[m]) <= 1e-9 for m in keep):
+            keep.append(k)
+    rays, keep = verts[keep], np.array(keep)
+    a, b = np.array(list(itertools.combinations(range(len(keep)), 2))).T
+    normals = cross[keep[a], keep[b]]
+    norms = np.array([np.linalg.norm(nvec) for nvec in normals])  # row by row, as a batched norm rounds differently
+    side = rays @ normals.T
+    side = np.where(side.sum(axis=0) < 0, -side, side)
+    support = (side >= -1e-9 * norms).all(axis=0)
+    gram = rays @ rays.T
+    # ray c lies on the arc strictly between a and b when c.a > a.b and c.b > a.b
+    between = (np.abs(side) <= 1e-9 * norms) & (gram[:, a] > gram[a, b]) & (gram[:, b] > gram[a, b])
+    ends = np.bincount(np.concatenate([a[support], b[support]]), minlength=len(keep)) > 0
+    extreme = ends & ~between[:, support].any(axis=1)
+    if extreme.sum() < 3:
         raise InvalidInput("hull cone must be full dimensional")
-    extreme = rays[sorted(ring)]
-    inside = extreme.sum(axis=0)
-    normals = []
-    for a, b in sorted(tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])):
-        nvec = np.cross(rays[a], rays[b])
-        nvec = nvec / np.linalg.norm(nvec)
-        normals.append(nvec if nvec @ inside > 0 else -nvec)
-    return extreme, np.array(normals)
-
-
-def _monotone_chain(rays: np.ndarray, axis: np.ndarray) -> list[int]:
-    """Indices of the corners of the rays' gnomonic image, counter-clockwise.
-
-    The rays are projected onto the plane axis.x = 1 and swept in
-    lexicographic order of their plane coordinates (Andrew, 1979).  A ray
-    stays on the chain only on a strict left turn: it must lie more than
-    1e-9 outside the plane through its two neighbours, so rays inside the
-    hull or on an arc between two others drop out.
-    """
-    e1 = _orthogonal_to(axis)
-    e2 = np.cross(axis, e1)
-    proj = rays / (rays @ axis)[:, None]
-    order = np.lexsort((proj @ e2, proj @ e1)).tolist()
-
-    def left_turn(o: int, a: int, b: int) -> bool:
-        normal = np.cross(rays[b], rays[o])
-        return float(rays[a] @ normal) > 1e-9 * float(np.linalg.norm(normal))
-
-    def half(seq: list[int]) -> list[int]:
-        out: list[int] = []
-        for k in seq:
-            while len(out) >= 2 and not left_turn(out[-2], out[-1], k):
-                out.pop()
-            out.append(k)
-        return out
-
-    ring = half(order)[:-1] + half(order[::-1])[:-1]
-    # The sweep never tests its two ends as middle points; test every
-    # corner against its neighbours on the closed ring.
-    k = 0
-    while k < len(ring):
-        if len(ring) > 3 and not left_turn(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]):
-            del ring[k]
-            k = 0
-        else:
-            k += 1
-    return ring
+    facet = support & extreme[a] & extreme[b]
+    units = normals[facet] / norms[facet, None]
+    return rays[extreme], np.where((units @ rays[extreme].sum(axis=0) > 0)[:, None], units, -units)
 
 
 def iso_membership(region: SphericalRegion, a, tol: float = GEOM_TOL) -> bool:
@@ -735,6 +691,8 @@ def rotation_preserves(region: SphericalRegion, rot, tol: float = GEOM_TOL) -> b
     rot = float_array(rot, "rotation")
     if rot.shape != (3, 3):
         raise DimensionMismatch(f"rotation must be 3x3, got {rot.shape}")
+    if not np.isfinite(rot).all():
+        raise InvalidInput("rotation entries must be finite")
     if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(rot) - 1.0) > 1e-9:
         raise NotARotation("matrix is not orthogonal with determinant one")
     if region.kind == "full":

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -333,6 +334,39 @@ def test_missing_file_is_domain_error(capsys):
     assert code == 1 and data["error"]["kind"] == "InvalidInput"
 
 
+_NESTED = "[" * 5000 + "]" * 5000
+_NESTED_SUMS = '{"op": "sum", "args": [' * 495 + '{"gen": 0}' + "]}" * 495
+
+
+@pytest.mark.parametrize(
+    "verb, content, source",
+    [
+        (["poset", "check", "--in"], "{bad", "stdin"),
+        (["poset", "check", "--in"], b"\xff{}", "stdin"),
+        (["poset", "check", "--in"], _NESTED, "stdin"),
+        (["poset", "check", "--in"], b"\xff{}", "file"),
+        (["poset", "check", "--in"], _NESTED, "file"),
+        (["poset", "check", "--in"], _NESTED, "inline"),
+        (["cone", "eval", "--functions", "[[0, 1]]", "--expr"], _NESTED_SUMS, "inline"),
+    ],
+    ids=["stdin-malformed", "stdin-not-utf8", "stdin-nested", "file-not-utf8", "file-nested", "inline-nested", "inline-nested-sums"],
+)
+def test_undecodable_input_is_invalid_input(tmp_path, monkeypatch, capsys, verb, content, source):
+    raw = content if isinstance(content, bytes) else content.encode()
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        arg, named = "-", "standard input"
+    elif source == "file":
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        arg = named = str(path)
+    else:
+        arg, named = content, "inline JSON"
+    code, data = run_json(capsys, [*verb, arg])
+    assert code == 1 and data["error"]["kind"] == "InvalidInput"
+    assert named in data["error"]["detail"]
+
+
 def test_cone_decompose_and_contains(capsys):
     code, data = run_json(capsys, ["cone", "decompose", "--poset", CHAIN3, "--f", "[0,1,2]"])
     assert code == 0
@@ -522,8 +556,13 @@ def test_cone_bad_families_keep_their_error_kinds(capsys, family, express_kind, 
         (["m2", "join-coeffs", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], "DomainError"),
         (["cone", "eval", "--expr", '{"const": Infinity}', "--size", "2"], "InvalidInput"),
         (["cone", "eval", "--expr", '{"op": "scale", "factor": NaN, "args": [{"gen": 0}]}', "--functions", "[[0,1]]"], "InvalidInput"),
+        (["m2", "rotation", "--region", '{"kind": "full"}', "--matrix", "[[NaN,0,0],[0,1,0],[0,0,1]]"], "InvalidInput"),
+        (["m2", "hopf", "--xi", "[[NaN,0],[0,0]]"], "InvalidInput"),
     ],
-    ids=["nan-matrix", "nan-density-state", "overflowing-join-coeffs", "infinite-const", "nan-scale-factor"],
+    ids=[
+        "nan-matrix", "nan-density-state", "overflowing-join-coeffs", "infinite-const", "nan-scale-factor",
+        "nan-rotation", "nan-spinor",
+    ],
 )
 def test_non_finite_values_are_errors_in_strict_json(capsys, argv, kind):
     with np.errstate(all="ignore"):

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
 from ordercones.hermitian import HermitianMatrix, func_calc, spectral
@@ -117,7 +120,7 @@ def _triple_inverses(rays: np.ndarray) -> np.ndarray:
         for idx in itertools.combinations(range(len(rays)), 3)
         if abs(np.linalg.det(rays[list(idx)])) > 1e-9
     ]
-    return np.array(inv)
+    return np.array(inv).reshape(-1, 3, 3)
 
 
 def oracle_margin(rays: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -125,10 +128,11 @@ def oracle_margin(rays: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
     In three dimensions u lies in the cone exactly when u = R_T c with
     c >= 0 for some triple T of rays; the margin is the best triple's
-    smallest coefficient.
+    smallest coefficient.  Rays with no nonsingular triple span a flat
+    cone, which no unit vector off their plane is in.
     """
     coeffs = np.einsum("tij,nj->nti", _triple_inverses(rays), pts)
-    return coeffs.min(axis=2).max(axis=1)
+    return coeffs.min(axis=2).max(axis=1, initial=-np.inf)
 
 
 def brute_force_extreme(verts) -> np.ndarray:
@@ -204,6 +208,63 @@ def test_hull_drops_duplicate_and_arc_vertices():
     assert np.allclose(region.extreme_vertices, [a, b, c], rtol=0.0, atol=1e-15)
     assert np.array_equal(region.extreme_vertices, brute_force_extreme(verts))
     assert region.contains(arc) and region.contains(inner)
+
+
+@st.composite
+def _hull_with_insert(draw):
+    """A seeded random hull with a duplicate, arc midpoint or interior point inserted."""
+    verts = random_hulls(draw(st.integers(0, 2**32 - 1)), 1)[0]
+    region = SphericalRegion.hull(verts)
+    extreme = region.extreme_vertices
+    kind = draw(st.sampled_from(["duplicate", "arc", "interior"]))
+    if kind == "duplicate":
+        extra = verts[draw(st.integers(0, len(verts) - 1))]
+    elif kind == "arc":
+        # the midpoint of the two ends of one facet
+        facet = region._facets[draw(st.integers(0, len(extreme) - 1))]
+        extra = extreme[np.abs(extreme @ facet) <= 1e-9].sum(axis=0)
+    else:
+        extra = extreme.sum(axis=0) + extreme[draw(st.integers(0, len(extreme) - 1))]
+    at = draw(st.integers(0, len(verts)))
+    return np.insert(verts, at, extra / np.linalg.norm(extra), axis=0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_hull_with_insert())
+def test_hull_cone_matches_brute_force_with_inserted_vertex(verts):
+    region = SphericalRegion.hull(verts)
+    extreme, facets = region.extreme_vertices, region._facets
+    assert np.array_equal(extreme, brute_force_extreme(verts))
+    assert len(facets) == len(extreme)
+    assert np.allclose(np.linalg.norm(facets, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert (region.vertices @ facets.T).min() >= -1e-9
+    assert ((np.abs(extreme @ facets.T) <= 1e-9).sum(axis=0) == 2).all()
+
+
+def test_hull_cone_bytes_are_pinned():
+    hulls = [r.vertices for _, r in region_fixtures() if r.kind == "hull"] + random_hulls(23, 200)
+    digest = hashlib.sha256()
+    for verts in hulls:
+        region = SphericalRegion.hull(verts)
+        for arr in (region.extreme_vertices, region._facets):
+            digest.update(np.array(arr.shape).tobytes() + arr.tobytes())
+    assert digest.hexdigest() == "a23a63da6bb8322af520da976db815a85cf161890048563e0219d1d833627f8d"
+
+
+@pytest.mark.parametrize("delta, kept", [(5e-10, False), (1e-7, True)])
+def test_hull_vertex_just_outside_an_arc(delta, kept):
+    # a vertex more than 1e-9 outside the plane of two extreme vertices is
+    # extreme; one closer than that counts as lying on their arc
+    a = np.array([0.6, 0.0, 0.8])
+    b = np.array([-0.3, np.sqrt(0.27), 0.8])
+    c = np.array([-0.3, -np.sqrt(0.27), 0.8])
+    normal = np.cross(a, b)
+    normal /= np.linalg.norm(normal) * np.sign(normal @ c)
+    mid = (a + b) / np.linalg.norm(a + b) - delta * normal
+    mid /= np.linalg.norm(mid)
+    region = SphericalRegion.hull([a, mid, b, c])
+    expected = [a, mid, b, c] if kept else [a, b, c]
+    assert np.array_equal(region.extreme_vertices, np.array(expected))
 
 
 @pytest.mark.parametrize(
