@@ -147,11 +147,23 @@ def _pauli_parts(m: np.ndarray) -> tuple:
     return c, t[0, 1].real, t[0, 1].imag, (t[0, 0].real - t[1, 1].real) / 2.0
 
 
+def _finite_length(length: Callable, v) -> float:
+    """length(v) for a Euclidean length, finite wherever it fits a float.
+
+    The squares overflow once an entry of v passes about 1e154; then the
+    length of v * 2**-600 is taken and scaled back.  A power of two scales
+    exactly, so every length that was finite keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        r = float(length(v))
+    return r if r < np.inf else float(length(v * 2.0**-600)) * 2.0**600
+
+
 def _spectral2(m: np.ndarray) -> SpectralDecomp:
     # Closed form on the Pauli coordinates: eigenvalues c +- r, eigenvectors
     # from the polar angles of the traceless part.
     c, v1, v2, v3 = _pauli_parts(m)
-    r = float(np.sqrt(v1 * v1 + v2 * v2 + v3 * v3))
+    r = _finite_length(lambda v: np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]), np.array([v1, v2, v3]))
     if r == 0.0:
         return SpectralDecomp(np.array([c, c]), np.eye(2, dtype=complex))
     theta = float(np.arccos(np.clip(v3 / r, -1.0, 1.0)))

@@ -17,6 +17,7 @@ facets that decide membership.  `contains` is a batch of one over
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, _pauli_parts, spectral
+from .hermitian import HermitianMatrix, _finite_length, _pauli_parts
 
 __all__ = [
     "GEOM_TOL",
@@ -275,7 +276,7 @@ class SphericalRegion:
         v = np.asarray(v, dtype=float).reshape(-1)
         if v.shape != (3,):
             raise DimensionMismatch(f"vector must have 3 entries, got {v.shape}")
-        nrm = float(np.linalg.norm(v))
+        nrm = _finite_length(np.linalg.norm, v)
         if nrm <= tol:
             return True
         return self.contains(v / nrm, tol=tol)
@@ -535,9 +536,13 @@ class TransversalityResult:
 def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> TransversalityResult:
     """Classify a normal 2x2 matrix against the region's cone.
 
-    Diagonalize n with eigenvector columns ordered by descending
-    eigenvalue (real part first, then imaginary part) and send the first
-    column through the Hopf map to an axis u.  Membership of u alone means
+    One eigendecomposition of m = n / s answers everything, where s is the
+    power of two just above the largest real or imaginary part of n (kept
+    between 2**-1022 and 2**1023).  The scaling is exact, so the commutator
+    of m times s**2 is that of n wherever the latter is finite, and no
+    product of entries of m overflows.  The eigenvalues s*l are ordered
+    descending by real part, then imaginary part, and the top eigenvector
+    goes through the Hopf map to an axis u.  Membership of u alone means
     the second eigenvalue sits below the first, of -u alone the reverse,
     of both an incomparable two-point spectrum, of neither no transverse
     commutative subalgebra.  A one-point spectrum (within 1e-10) is
@@ -546,26 +551,23 @@ def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> Transve
     n = np.asarray(n, dtype=complex)
     if n.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {n.shape}")
-    comm = n @ n.conj().T - n.conj().T @ n
-    if np.max(np.abs(comm)) > 1e-9:
-        raise NotNormal(f"matrix is {np.max(np.abs(comm)):.2e} away from normal")
-    h_re = HermitianMatrix((n + n.conj().T) / 2.0)
-    h_im = HermitianMatrix((n - n.conj().T) / 2.0j)
-    dec_re = spectral(h_re)
-    dec_im = spectral(h_im)
-    if dec_re.eigenvalues[1] - dec_re.eigenvalues[0] > 1e-12:
-        basis = dec_re.eigenvectors
-    else:
-        basis = dec_im.eigenvectors
-    lams = [complex(basis[:, k].conj() @ n @ basis[:, k]) for k in range(2)]
-    if abs(lams[0] - lams[1]) <= 1e-10:
-        return TransversalityResult("scalar", (lams[0], lams[1]), None)
-    order = sorted(range(2), key=lambda k: (-lams[k].real, -lams[k].imag))
-    lam1, lam2 = lams[order[0]], lams[order[1]]
-    xi = basis[:, order[0]]
-    u = hopf(xi / np.linalg.norm(xi))
-    in_plus = region.contains(u, tol=tol)
-    in_minus = region.contains(-u, tol=tol)
+    big = float(np.abs([n.real, n.imag]).max())
+    if not math.isfinite(big):
+        raise InvalidInput("matrix entries must be finite")
+    # in Python floats, a gap past the largest float is inf without a warning
+    s = 2.0 ** min(max(math.frexp(big)[1], -1022), 1023)
+    m = n / s
+    gap = float(np.abs(m @ m.conj().T - m.conj().T @ m).max()) * s * s
+    if gap > 1e-9:
+        raise NotNormal(f"matrix is {gap:.2e} away from normal")
+    vals, vecs = np.linalg.eig(m)
+    lams = [complex(z) * s for z in vals]
+    top = int((lams[1].real, lams[1].imag) > (lams[0].real, lams[0].imag))
+    lam1, lam2 = lams[top], lams[1 - top]
+    if abs(lam1 - lam2) <= 1e-10:
+        return TransversalityResult("scalar", (lam1, lam2), None)
+    u = hopf(vecs[:, top])
+    in_plus, in_minus = region.contains(u, tol=tol), region.contains(-u, tol=tol)
     if in_plus and in_minus:
         tag = "incomparable_spectrum"
     elif in_plus:
@@ -617,7 +619,7 @@ def join_coeffs(a, b) -> tuple[float, float]:
     da = pauli_coords(a)
     db = pauli_coords(b)
     t = da.c - db.c
-    r = float(np.linalg.norm(da.v - db.v))
+    r = _finite_length(np.linalg.norm, da.v - db.v)
     return join_coeffs_from_difference(t, r)
 
 

@@ -294,20 +294,6 @@ def bounds(p: FinitePoset) -> Bounds:
     )
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64_stream(seed: int):
-    """Deterministic 64-bit stream; same seed gives the same bits everywhere."""
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
-
-
 @dataclass(frozen=True)
 class Sprinkling:
     """A sprinkled causal poset with its generating coordinates."""
@@ -336,19 +322,15 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     """
     if n < 0:
         raise InvalidInput("point count must be nonnegative")
-    stream = _splitmix64_stream(int(seed))
-    pts = []
-    for _ in range(n):
-        u = next(stream) / 2.0**64
-        v = next(stream) / 2.0**64
-        pts.append(((u + v) / 2.0, (u - v) / 2.0, u, v))
-    pts.sort()
-    t, _, u, v = np.array(pts, dtype=float).reshape(n, 4).T
+    # SplitMix64, the k-th output mixing state seed + k * golden gamma (mod 2**64)
+    z = np.uint64(int(seed) % 2**64) + np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = (z ^ (z >> np.uint64(31))) / 2.0**64
+    u, v = z[0::2], z[1::2]
+    pts = np.array([(u + v) / 2.0, (u - v) / 2.0, u, v])
+    t, x, u, v = pts[:, np.lexsort(pts[::-1])]  # sorted by t, then x, u and v
     rel = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
     rel |= np.eye(n, dtype=bool)
     poset = FinitePoset([f"p{i}" for i in range(n)], rel)
-    return Sprinkling(
-        poset=poset,
-        t=tuple(p[0] for p in pts),
-        x=tuple(p[1] for p in pts),
-    )
+    return Sprinkling(poset=poset, t=tuple(t.tolist()), x=tuple(x.tolist()))

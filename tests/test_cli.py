@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -82,8 +83,13 @@ def test_sprinkle_deterministic_bytes(capsys):
         (["--n", "200", "--seed", "5"], "998b387a8a137740f58e0beb69b6cc1092070a88ed7b8917567697193b6ba851"),
         (["--n", "200", "--seed", "5", "--format", "csv"],
          "90b7ec3ca6b9645aa05f55d2c054840b996495bbaff06586665f14dbb154113b"),
+        # recorded while the SplitMix64 stream was drawn one Python int at a time
+        (["--n", "0", "--seed", "3"], "b445d671fd3c2427fd539fee62c192af4cfbee636e873849449307f465e6bc79"),
+        (["--n", "1", "--seed", "3"], "7df9c0559e82ad0554ba3081e5b12a963581525700fc139d4b8790162b2be610"),
+        (["--n", "40", "--seed", "-7"], "4e464870763be4d0bc92dd5902b5a127f8d41eebc5cb19e47125fd3575c04935"),
+        (["--n", "40", "--seed", str(2**70)], "fa033fbd65696811f52f2c9d81e2d39cd8c945f44f27146f326a19e033c1f14e"),
     ],
-    ids=["json", "csv"],
+    ids=["json", "csv", "n0", "n1", "seed-7", "seed-2**70"],
 )
 def test_sprinkle_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, ["poset", "sprinkle", *argv])
@@ -419,6 +425,31 @@ def test_herm_spectral_and_fn(capsys):
     assert code == 0 and np.allclose(data["eigenvalues"], [-1, 1])
     code, data = run_json(capsys, ["herm", "fn", "--in", m, "--fn", "abs"])
     assert code == 0 and np.allclose(data["re"], [[1, 0], [0, 1]])
+
+
+_HUGE = "[[1e200,0],[0,-1e200]]"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["herm", "spectral", "--in", _HUGE],
+         {"eigenvalues": [-1e200, 1e200], "eigenvectors_re": [[-0.0, 1.0], [1.0, 0.0]], "eigenvectors_im": [[0.0, 0.0], [0.0, 0.0]]}),
+        (["herm", "classify", "--in", _HUGE], {"norm": 1e200, "positive": False, "positive_invertible": False}),
+        (["herm", "lattice", "--a", _HUGE, "--b", "[[0,0],[0,0]]"],
+         {"join": {"n": 2, "re": [[1e200, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+          "meet": {"n": 2, "re": [[0.0, 0.0], [0.0, -1e200]], "im": [[0.0, 0.0], [0.0, 0.0]]}}),
+        (["m2", "join-coeffs", "--a", _HUGE, "--b", "[[0,0],[0,0]]"], {"alpha": 0.5, "beta": 5e199}),
+        (["m2", "member", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}', "--matrix", _HUGE], {"member": True}),
+    ],
+    ids=["spectral", "classify", "lattice", "join-coeffs", "member"],
+)
+def test_entries_whose_squares_overflow_are_answered(capsys, argv, want):
+    # lengths are taken on the vector over 2**600 where the plain squares overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run_json(capsys, argv)
+    assert code == 0 and data == want
 
 
 def test_m2_state_order_fs_and_join_coeffs(capsys):

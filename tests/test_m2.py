@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
-from ordercones.hermitian import HermitianMatrix, func_calc, spectral
+from ordercones.hermitian import HermitianMatrix, complex_matrix_from_json, func_calc, spectral
 from ordercones.m2 import (
     SIGMA,
     DensityState,
@@ -598,6 +598,60 @@ def test_transversality_unitary_input():
         np.round([np.cos(0.5), np.cos(0.5)], 9)
     )
     assert np.allclose(np.abs(res.axis), E3, atol=1e-9)
+
+
+@st.composite
+def _normal_matrix(draw):
+    """(n, c, z, u) with n = c*I + z*(u.sigma): |c| in [1e-3, 1e3], z real, imaginary or complex."""
+    c = 10.0 ** draw(st.floats(-3, 3)) * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    theta, phi = draw(st.floats(0, np.pi)), draw(st.floats(0, 2 * np.pi))
+    u = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    size = 10.0 ** draw(st.floats(-12, 3))
+    kind = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    phase = draw({"real": st.sampled_from([0.0, np.pi]), "imaginary": st.sampled_from([0.5 * np.pi, -0.5 * np.pi]),
+                  "complex": st.floats(0, 2 * np.pi)}[kind])
+    z = size * np.exp(1j * phase)
+    return c * SIGMA[0] + z * np.einsum("i,ijk->jk", u, SIGMA[1:]), c, z, u
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_normal_matrix())
+def test_transversality_recovers_spectrum_and_axis(case):
+    n, c, z, u = case
+    scale = max(1.0, abs(c), abs(z))
+    res = transversality(SphericalRegion.cap(E3, 0.3), n)
+    lam1, lam2 = res.eigenvalues
+    assert (lam1.real, lam1.imag) >= (lam2.real, lam2.imag)
+    sign = 1.0 if abs(lam1 - (c + z)) <= abs(lam1 - (c - z)) else -1.0
+    assert abs(lam1 - (c + sign * z)) <= 1e-12 * scale and abs(lam2 - (c - sign * z)) <= 1e-12 * scale
+    if abs(z) >= 1e-6 * scale:
+        assert np.max(np.abs(res.axis - sign * u)) <= 1e-9
+
+
+def test_transversality_axis_is_not_taken_from_rounding_noise():
+    # The hermitian part of this normal matrix is 1000*I up to rounding; the
+    # axis lives in the anti-hermitian part.
+    n = {"re": [[1000.0000000000016, 1.2e-12], [1.2e-12, 999.9999999999984]], "im": [[0.8, 0.6], [0.6, -0.8]]}
+    res = transversality(SphericalRegion.cap(E3, 0.645), complex_matrix_from_json(n))
+    assert res.classification == "lambda2_below_lambda1"
+    assert np.max(np.abs(np.array(res.eigenvalues) - [1000 + 1j, 1000 - 1j])) <= 1e-9
+    assert np.max(np.abs(res.axis - [0.6, 0.0, 0.8])) <= 1e-9
+
+
+def test_transversality_with_entries_whose_products_overflow():
+    cap = SphericalRegion.cap(E3, 0.3)
+    with pytest.raises(NotNormal):
+        transversality(cap, np.array([[1e200, 1e200], [0, 0]]))
+    res = transversality(cap, np.array([[1e200, 0], [0, -1e200]]))
+    assert res.classification == "lambda2_below_lambda1"
+    assert res.eigenvalues == (1e200 + 0j, -1e200 + 0j)
+    assert np.max(np.abs(res.axis - E3)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_transversality_rejects_non_finite_entries(bad):
+    with pytest.raises(InvalidInput):
+        transversality(SphericalRegion.cap(E3, 0.3), np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 def test_half_sphere_boundary_pair_is_incomparable_spectrum():

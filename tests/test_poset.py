@@ -258,6 +258,25 @@ def test_sprinkle_deterministic_per_seed():
     assert c.t != a.t
 
 
+def _splitmix64_points(n, seed):
+    """Reference: SplitMix64 drawn one Python int at a time, points sorted as tuples."""
+    mask = (1 << 64) - 1
+    state, draws = seed & mask, []
+    for _ in range(2 * n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        draws.append((z ^ (z >> 31)) / 2.0**64)
+    return sorted(((u + v) / 2.0, (u - v) / 2.0, u, v) for u, v in zip(draws[0::2], draws[1::2]))
+
+
+@pytest.mark.parametrize("n, seed", [(0, 3), (1, 3), (200, 42), (300, -7), (64, 2**70), (64, 2**64 - 1)])
+def test_sprinkle_matches_the_scalar_splitmix64_loop(n, seed):
+    s = sprinkle_minkowski(n, seed)
+    pts = _splitmix64_points(n, seed)
+    assert s.t == tuple(p[0] for p in pts) and s.x == tuple(p[1] for p in pts)
+
+
 def test_poset_json_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(20):
