@@ -40,11 +40,13 @@ from .isotone_cone import (
     IsotoneCone,
     cobounded_commutative,
     eval_expr,
+    eval_expr_many,
     generated_cone_contains,
     is_isotone,
     minimal_witness,
     order_from_functions,
     stone_nachbin_express,
+    stone_nachbin_express_many,
     upset_decomposition,
     upset_decomposition_many,
 )

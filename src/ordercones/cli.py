@@ -7,6 +7,7 @@ machine-readable error object), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -593,8 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = getattr(args, "tol", None)
         if tol is not None and not (math.isfinite(tol) and tol >= 0):

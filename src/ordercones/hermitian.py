@@ -159,6 +159,20 @@ def _finite_length(length: Callable, v) -> float:
     return r if r < np.inf else float(length(v * 2.0**-600)) * 2.0**600
 
 
+def _finite_lengths(vs: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of vs by the _finite_length rule.
+
+    Only the rows whose length overflows are rescaled, so every finite
+    length keeps the bits np.linalg.norm gives it.
+    """
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(vs, axis=1)
+    over = r == np.inf
+    if over.any():
+        r[over] = np.linalg.norm(vs[over] * 2.0**-600, axis=1) * 2.0**600
+    return r
+
+
 def _spectral2(m: np.ndarray) -> SpectralDecomp:
     # Closed form on the Pauli coordinates: eigenvalues c +- r, eigenvectors
     # from the polar angles of the traceless part.

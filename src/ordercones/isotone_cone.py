@@ -45,7 +45,9 @@ __all__ = [
     "Meet",
     "expr_from_json",
     "eval_expr",
+    "eval_expr_many",
     "stone_nachbin_express",
+    "stone_nachbin_express_many",
     "upset_decomposition",
     "upset_decomposition_many",
     "generated_cone_contains",
@@ -205,6 +207,7 @@ class _Table(NamedTuple):
     lam[i, j]*g_k[i, j] + mu[i, j].  The join runs over rows, the meet of
     row i over its columns; after a prune only the listed rows and the
     columns keep[i] marks remain, and keep is None when nothing was pruned.
+    eval_expr_many stacks unpruned tables along a leading target axis.
     """
 
     f: np.ndarray  # (n,)
@@ -291,42 +294,72 @@ def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarr
     is empty and the tree is all constants.  A TableJoin is evaluated from
     its tables, to the bytes the walk of its children gives.
     """
+    fns, n = _family_width(functions, size)
+    return _run(expr, fns, n)
+
+
+def eval_expr_many(exprs, functions, size: int | None = None) -> np.ndarray:
+    """eval_expr of each expression against one family, as a (T, n) stack.
+
+    Unpruned TableJoins over one poset size, as stone_nachbin_express_many
+    returns them, are evaluated as one stacked table; any other list goes
+    expression by expression.  Rows and errors are eval_expr's, the first
+    failing expression deciding which.
+    """
+    fns, n = _family_width(functions, size)
+    exprs = list(exprs)
+    tables = [e.table for e in exprs if isinstance(e, TableJoin) and _tabled(e.table, n) and e.table.keep is None]
+    if exprs and len(tables) == len(exprs) and len({t.f.shape for t in tables}) == 1:
+        f, lam, mu, k, tied = (np.array(a) for a in zip(*(t[:5] for t in tables)))
+        return _eval_table(_Table(f, lam, mu, k, tied, tables[0].rows, None), fns, n)
+    return np.array([_run(e, fns, n) for e in exprs]) if exprs else np.empty((0, n))
+
+
+def _family_width(functions, size: int | None) -> tuple[np.ndarray, int]:
+    """The checked family and the length of the functions it evaluates to."""
     fns = as_functions(functions)
     if len(fns):
-        n = fns.shape[1]
-    elif size is not None:
-        n = int(size)
-        if n < 0:
-            raise InvalidInput(f"size must be nonnegative, got {n}")
-    else:
+        return fns, fns.shape[1]
+    if size is None:
         raise InvalidInput("empty generator family needs an explicit size")
+    n = int(size)
+    if n < 0:
+        raise InvalidInput(f"size must be nonnegative, got {n}")
+    return fns, n
 
-    def run(node: LatticeExpr) -> np.ndarray:
-        # numpy reduces a single column as one contiguous run, whose
-        # signed-zero ties the row blocks would not repeat: n = 1 walks the tree.
-        if isinstance(node, TableJoin) and node.table is not None and n > 1:
-            return _eval_table(node.table, fns, n)
-        if isinstance(node, Generator):
-            if not 0 <= node.index < len(fns):
-                raise IndexOutOfRange(
-                    f"generator index {node.index} out of range for {len(fns)} functions"
-                )
-            return fns[node.index]
-        if isinstance(node, Constant):
-            return np.full(n, node.value)
-        if isinstance(node, Scale):
-            return node.factor * run(node.child)
-        if isinstance(node, Sum):
-            vals = [run(c) for c in node.children]
-            return np.sum(vals, axis=0) if vals else np.zeros(n)
-        if isinstance(node, (Join, Meet)):
-            vals = [run(c) for c in node.children]
-            if not vals:
-                raise InvalidInput(f"{node.op} needs at least one child")
-            return (np.max if isinstance(node, Join) else np.min)(vals, axis=0)
-        raise InvalidInput(f"unknown expression node {node!r}")
 
-    return run(expr)
+def _tabled(t: _Table | None, n: int) -> bool:
+    """Whether a TableJoin's table t is evaluated for functions of length n.
+
+    For n = 1 numpy may reduce a meet or the join as one contiguous run,
+    which breaks signed-zero ties in another order than the tree walk: then
+    only a table of one leaf, with no ties to break, is evaluated, and any
+    other walks the tree.
+    """
+    return t is not None and (n > 1 or t.k.shape[-2:] == (1, 1))
+
+
+def _run(node: LatticeExpr, fns: np.ndarray, n: int) -> np.ndarray:
+    """The tree walk of eval_expr."""
+    if isinstance(node, TableJoin) and _tabled(node.table, n):
+        return _eval_table(node.table, fns, n)
+    if isinstance(node, Generator):
+        if not 0 <= node.index < len(fns):
+            raise IndexOutOfRange(f"generator index {node.index} out of range for {len(fns)} functions")
+        return fns[node.index]
+    if isinstance(node, Constant):
+        return np.full(n, node.value)
+    if isinstance(node, Scale):
+        return node.factor * _run(node.child, fns, n)
+    if isinstance(node, Sum):
+        vals = [_run(c, fns, n) for c in node.children]
+        return np.sum(vals, axis=0) if vals else np.zeros(n)
+    if isinstance(node, (Join, Meet)):
+        vals = [_run(c, fns, n) for c in node.children]
+        if not vals:
+            raise InvalidInput(f"{node.op} needs at least one child")
+        return (np.max if isinstance(node, Join) else np.min)(vals, axis=0)
+    raise InvalidInput(f"unknown expression node {node!r}")
 
 
 def _eval_table(t: _Table, fns: np.ndarray, n: int) -> np.ndarray:
@@ -335,29 +368,39 @@ def _eval_table(t: _Table, fns: np.ndarray, n: int) -> np.ndarray:
     Each leaf gets the tree's float operations (one multiply, one add from
     the additive identity, or the tied constant) and min/max are exact, so
     the bytes are the tree walk's.  Only leaves the tree visits must have a
-    generator in range; pruned leaves enter the meet as +inf.
+    generator in range; pruned leaves enter the meet as +inf.  An unpruned
+    t may carry a leading target axis, and the result then carries it too.
     """
     if not len(t.rows):
         raise InvalidInput("join needs at least one child")
-    k = t.k[t.rows]
-    visited = ~t.tied[t.rows] if t.keep is None else t.keep[t.rows] & ~t.tied[t.rows]
+    rows = slice(None) if t.keep is None else t.rows  # an unpruned table keeps every row
+    k = t.k[..., rows, :]
+    visited = ~t.tied[..., rows, :] if t.keep is None else t.keep[rows] & ~t.tied[rows]
     bad = visited & (k >= len(fns))
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise IndexOutOfRange(f"generator index {k[i, j]} out of range for {len(fns)} functions")
+        raise IndexOutOfRange(f"generator index {k[tuple(np.argwhere(bad)[0])]} out of range for {len(fns)} functions")
     if not len(fns):  # every visited leaf is a constant; any row serves the others
         fns = np.zeros((1, n))
-    k = np.minimum(k, len(fns) - 1)
-    meets = np.empty((len(t.rows), n))
-    step = max(1, (1 << 16) // (k.shape[1] * n))  # blocks of at most 2^16 floats
+    # Leaves are laid out column first, (columns, rows, ..., n) in C order:
+    # the meet and then the join reduce the outermost axis one entry after
+    # the other, as the tree's np.min and np.max over a list of rows do.
+    lead = range(k.ndim - 2)  # the target axis, if any
+    k = np.minimum(k.transpose(-1, -2, *lead), len(fns) - 1, order="C")
+    lam, mu, tied = (a[..., rows, :].transpose(-1, -2, *lead)[..., None] for a in (t.lam, t.mu, t.tied))
+    f = t.f[..., rows].transpose(-1, *lead)[..., None]
+    pruned = None if t.keep is None else ~t.keep[rows].T[..., None]
+    meets = np.empty(k.shape[1:] + (n,))
+    step = max(1, (1 << 16) // (k[:, :1].size * n))  # blocks of at most 2^16 floats
     for lo in range(0, len(t.rows), step):
-        r = t.rows[lo : lo + step]
-        vals = t.lam[r, :, None] * fns[k[lo : lo + step]] + t.mu[r, :, None]
-        vals += 0.0  # a Sum node reduces from +0.0, so a -0.0 leaf comes out +0.0
-        vals = np.where(t.tied[r, :, None], t.f[r, None, None], vals)
-        if t.keep is not None:
-            vals = np.where(t.keep[r, :, None], vals, np.inf)
-        meets[lo : lo + step] = vals.min(axis=1)
+        b = slice(lo, lo + step)
+        leaves = fns[k[:, b]]
+        leaves *= lam[:, b]
+        leaves += mu[:, b]
+        leaves += 0.0  # a Sum node reduces from +0.0, so a -0.0 leaf comes out +0.0
+        np.copyto(leaves, f[b], where=tied[:, b])
+        if pruned is not None:
+            np.copyto(leaves, np.inf, where=pruned[:, b])
+        meets[b] = leaves.min(axis=0)
     return meets.max(axis=0)
 
 
@@ -385,41 +428,12 @@ def stone_nachbin_express(
     parent (a single meet or leaf is returned as a plain tree).
     Evaluation is preserved exactly.
     """
-    stack = as_functions(generators, p.n)  # (m, n)
-    if not len(stack):
-        raise OrderNotDetermined("generator family is empty")
-    induced = _induced(stack, tol)
-    if not np.array_equal(induced, p.rel):
-        FinitePreorder(p.elements, induced)  # rejects a relation the tolerance left intransitive
-        raise OrderNotDetermined("generators do not induce the poset's order")
+    stack = _order_family(p, generators, tol)
     big_f = as_function(target, p.n).copy()
-    if not is_isotone(p, big_f, tol=tol):
-        raise NotIsotone("target is not isotone for the poset's order")
+    lam, mu, k, tied = (a[0] for a in _interpolants(p, stack, big_f[None], tol))
 
-    # The interpolant for the pair (x_i, x_j) is lam[i, j]*g_k[i, j] + mu[i, j]:
-    # g_k has the widest gap in the direction of the target's rise (the first
-    # such generator on ties).  Pairs with equal target values are constant
-    # leaves; there lam is 0 and mu is f(x_i).
     n = p.n
-    rise = big_f[None, :] - big_f[:, None]  # rise[i, j] = f(x_j) - f(x_i)
-    sign = np.sign(rise)
-    k = np.empty((n, n), dtype=np.intp)
-    step = max(1, (1 << 20) // (len(stack) * n or 1))  # gap blocks of at most 2^20 floats
-    for lo in range(0, n, step):
-        gaps = stack[:, None, :] - stack[:, lo : lo + step, None]  # g_k(x_j) - g_k(x_i)
-        k[lo : lo + step] = (gaps * sign[lo : lo + step]).argmax(axis=0)
-    idx = np.arange(n)
-    at_i = stack[k, idx[:, None]]
-    gap = stack[k, idx] - at_i
-    tied = sign == 0
-    short = (sign * gap <= tol) & ~tied
-    if short.any():  # only for targets isotone within tol but not exactly
-        i, j = np.argwhere(short)[0]
-        raise OrderNotDetermined(f"no generator separates {p.elements[i]!r} and {p.elements[j]!r}")
-    lam = rise / np.where(tied, 1.0, gap)
-    mu = big_f[:, None] - lam * at_i
-
-    rows, keep = idx, None
+    rows, keep = np.arange(n), None
     if prune:
         # values[j] is leaf (i, j) at each element, rounded as eval_expr
         # rounds lam*g + mu, so the masks see what evaluation sees.
@@ -436,6 +450,72 @@ def stone_nachbin_express(
             a.setflags(write=False)
     expr = TableJoin(table=table)
     return expr.children[0] if prune and len(rows) == 1 else expr
+
+
+def stone_nachbin_express_many(p: FinitePoset, generators, targets, tol: float = DEFAULT_TOL) -> list[TableJoin]:
+    """stone_nachbin_express, unpruned, of each row of a (T, n) target stack.
+
+    The family is checked once and the tables of all targets are built
+    together; each TableJoin equals the scalar's to the byte, in its
+    to_json and its evaluation.  A bad family or target stack raises the
+    scalar's error; otherwise the first target the scalar refuses decides.
+    """
+    stack = _order_family(p, generators, tol)
+    fs = as_functions(targets, p.n).copy()
+    tables = (fs, *_interpolants(p, stack, fs, tol))
+    rows = np.arange(p.n)
+    for a in (*tables, rows):
+        a.setflags(write=False)
+    return [TableJoin(table=_Table(*row, rows, None)) for row in zip(*tables)]
+
+
+def _order_family(p: FinitePoset, generators, tol: float) -> np.ndarray:
+    """The generators as an (m, n) stack, refused unless they induce exactly p's order."""
+    stack = as_functions(generators, p.n)
+    if not len(stack):
+        raise OrderNotDetermined("generator family is empty")
+    induced = _induced(stack, tol)
+    if not np.array_equal(induced, p.rel):
+        FinitePreorder(p.elements, induced)  # rejects a relation the tolerance left intransitive
+        raise OrderNotDetermined("generators do not induce the poset's order")
+    return stack
+
+
+def _interpolants(p: FinitePoset, stack: np.ndarray, fs: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The tables (lam, mu, k, tied), each (T, n, n), of the (T, n) targets fs.
+
+    The interpolant of target t for the pair (x_i, x_j) is
+    lam[t, i, j]*g_k[t, i, j] + mu[t, i, j]: g_k has the widest gap in the
+    direction of the target's rise (the first such generator on ties).
+    Pairs with equal target values are constant leaves; there lam is 0 and
+    mu is f_t(x_i).  The first target that is not isotone, or has a pair
+    whose widest gap does not exceed tol, is refused.
+    """
+    isotone = _isotone(p.rel, fs, tol)
+    refused = not isotone.all()
+    if refused:
+        fs = fs[: np.argmin(isotone)]  # the targets before the first that is not isotone
+    n = p.n
+    rise = fs[:, None, :] - fs[:, :, None]  # rise[t, i, j] = f_t(x_j) - f_t(x_i)
+    sign = np.sign(rise)
+    k = np.empty(rise.shape, dtype=np.intp)
+    step = max(1, (1 << 20) // (fs.size * len(stack) or 1))  # blocks of at most 2^20 floats
+    for lo in range(0, n, step):
+        gaps = stack[:, None, :] - stack[:, lo : lo + step, None]  # g_k(x_j) - g_k(x_i)
+        k[:, lo : lo + step] = (gaps * sign[:, None, lo : lo + step]).argmax(axis=1)
+    idx = np.arange(n)
+    at_i = stack[k, idx[:, None]]
+    gap = stack[k, idx] - at_i
+    tied = sign == 0
+    short = (sign * gap <= tol) & ~tied
+    if short.any():  # only for targets isotone within tol but not exactly
+        _, i, j = np.argwhere(short)[0]
+        raise OrderNotDetermined(f"no generator separates {p.elements[i]!r} and {p.elements[j]!r}")
+    if refused:
+        raise NotIsotone("target is not isotone for the poset's order")
+    lam = rise / np.where(tied, 1.0, gap)
+    mu = fs[:, :, None] - lam * at_i
+    return lam, mu, k, tied
 
 
 def _undominated(rows: np.ndarray, below: bool) -> list[int]:

@@ -30,7 +30,7 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, _finite_length, _pauli_parts
+from .hermitian import HermitianMatrix, _finite_length, _finite_lengths, _pauli_parts
 
 __all__ = [
     "GEOM_TOL",
@@ -283,7 +283,7 @@ class SphericalRegion:
 
     def cone_contains_many(self, vs: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         vs = np.asarray(vs, dtype=float)
-        norms = np.linalg.norm(vs, axis=1)
+        norms = _finite_lengths(vs)
         out = norms <= tol
         big = ~out
         if big.any():
@@ -299,7 +299,7 @@ class SphericalRegion:
         extreme vertices, and the full sphere dualizes to the origin.
         """
         d = np.asarray(d, dtype=float).reshape(-1)
-        nrm = float(np.linalg.norm(d))
+        nrm = _finite_length(np.linalg.norm, d)
         if nrm <= tol:
             return True
         if self.kind == "full":
@@ -310,7 +310,7 @@ class SphericalRegion:
 
     def dual_contains_many(self, ds: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         ds = np.asarray(ds, dtype=float)
-        norms = np.linalg.norm(ds, axis=1)
+        norms = _finite_lengths(ds)
         zero = norms <= tol
         if self.kind == "full":
             return zero

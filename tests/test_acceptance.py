@@ -1,7 +1,9 @@
 """Runs every acceptance criterion at full size and prints its report line."""
+import numpy as np
 import pytest
 
-from ordercones.acceptance import CRITERIA
+from ordercones.acceptance import CRITERIA, _c1_stone_nachbin
+from ordercones.sampling import _running_max, random_isotone, random_poset
 
 
 @pytest.fixture(scope="module")
@@ -30,3 +32,23 @@ def test_seed7_work_counts(results):
     assert c8["min_coeff"] == 1.586153525590106e-05
     assert c8["max_error"] == 7.653923751057514e-14
     assert (results[9].details["pairs"], results[9].details["failures"]) == (10_000, 0)
+
+
+@pytest.mark.parametrize(
+    "seed,max_error", [(1, 4.8405723873656825e-14), (2, 9.769962616701378e-15), (3, 4.4853010194856324e-13)]
+)
+def test_c1_max_error_is_pinned_beyond_seed_7(seed, max_error):
+    ok, details = _c1_stone_nachbin(seed, False)
+    assert ok and details["max_error"] == max_error
+
+
+@pytest.mark.parametrize("seed", [7, 1, 2])
+def test_c1_draws_its_targets_as_random_isotone_calls_do(seed):
+    one, many = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    for n in (1, 3, 7, 0, 5):
+        p = random_poset(one, n)
+        assert p == random_poset(many, n)
+        stacked = _running_max(p.rel, one.uniform(-2.0, 2.0, size=(20, p.n)))
+        looped = np.array([random_isotone(many, p) for _ in range(20)]).reshape(20, p.n)
+        assert stacked.tobytes() == looped.tobytes()
+        assert one.bit_generator.state == many.bit_generator.state

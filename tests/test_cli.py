@@ -412,6 +412,31 @@ def test_cone_minimal_with_separator_pair(capsys):
     assert code == 0 and data == {"totally_ordered": True, "witness": None}
 
 
+def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
+    diamond = json.dumps(
+        {
+            "elements": ["bot", "m1", "m2", "top"],
+            "pairs": [["bot", "m1"], ["bot", "m2"], ["m1", "top"], ["m2", "top"]],
+        }
+    )
+    argvs = [
+        ["cone", "minimal", "--in", diamond, "--pair", "bot", "top"],
+        ["cone", "minimal", "--in", diamond],
+        ["cone", "isotone", "--poset", CHAIN3, "--f", "[0,1,0.5]", "--tol", "1.0"],
+        ["cone", "isotone", "--poset", CHAIN3, "--f", "[0,1,0.5]"],
+        ["poset", "check", "--in", CHAIN3],
+        ["cone", "minimal", "--in", diamond, "--pair", "m1", "top"],
+        ["cone", "minimal", "--in", CHAIN3],
+    ]
+    assert cli._parser() is cli._parser()
+    cached = [run(capsys, argv) for argv in argvs]
+    for argv in argvs:  # each namespace is the one a fresh parser makes
+        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert cached == [run(capsys, argv) for argv in argvs]
+    assert [code for code, _ in cached] == [0] * len(argvs)
+
+
 def test_cone_cobounded_cli(capsys):
     anti = json.dumps({"elements": ["a", "b"], "pairs": []})
     code, data = run_json(capsys, ["cone", "cobounded", "--in", anti])

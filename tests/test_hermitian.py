@@ -311,3 +311,41 @@ def test_projection_decomposition_many_rejects_a_bad_row(rows, data):
 def test_projection_decomposition_many_rejects_a_wrong_shape(shape):
     with pytest.raises(DimensionMismatch):
         projection_decomposition_many(np.zeros(shape))
+
+
+@st.composite
+def _hermitian_rows(draw):
+    """(kind, matrix): c*s0 + r*k.s for a generic, scalar, one-cluster,
+    singular or indefinite 2x2 hermitian matrix."""
+    kind = draw(st.sampled_from(["generic", "identity", "cluster", "singular", "indefinite"]))
+    k = np.array(draw(_direction))
+    k /= np.linalg.norm(k)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "identity":
+        c, r = sign * draw(st.one_of(st.sampled_from([0.0, 1e-13]), _size)), 0.0
+    elif kind == "cluster":  # 0 < 2r <= CLUSTER_TOL: the scalar takes one spectral value
+        c, r = sign * draw(_size), draw(st.floats(1e-15, 0.4 * CLUSTER_TOL))
+    elif kind == "singular":  # an eigenvalue at 0
+        r = draw(_size)
+        c = sign * r
+    elif kind == "indefinite":  # eigenvalues of both signs
+        r = draw(_size)
+        c = sign * r * draw(st.floats(0.0, 0.99))
+    else:
+        c, r = sign * draw(_size), draw(_size)
+    v = r * k
+    return kind, c * S0 + v[0] * S1 + v[1] * S2 + v[2] * S3
+
+
+@_EXAMPLES
+@given(st.lists(_hermitian_rows(), min_size=1, max_size=8))
+def test_matrix_abs_many_matches_the_scalar_row_by_row(rows):
+    mats = np.stack([m for _, m in rows])
+    got = matrix_abs_many(mats)
+    assert got.shape == mats.shape
+    for (kind, m), g in zip(rows, got):
+        scale = max(1.0, float(np.max(np.abs(m))))
+        # Within a cluster the scalar takes |mean| of the two eigenvalues,
+        # which differs from the exact |m| by at most their gap.
+        tol = CLUSTER_TOL if kind == "cluster" else 1e-12 * scale
+        assert np.max(np.abs(matrix_abs(m).mat - g)) <= tol

@@ -1,4 +1,5 @@
-from itertools import permutations
+import json
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -30,17 +31,19 @@ from ordercones.isotone_cone import (
     as_functions,
     cobounded_commutative,
     eval_expr,
+    eval_expr_many,
     expr_from_json,
     generated_cone_contains,
     is_isotone,
     minimal_witness,
     order_from_functions,
     stone_nachbin_express,
+    stone_nachbin_express_many,
     upset_decomposition,
     upset_decomposition_many,
 )
 from ordercones.poset import FinitePoset, build_poset, combine
-from ordercones.sampling import random_isotone, random_poset, random_total_order, separating_family
+from ordercones.sampling import _running_max, random_isotone, random_poset, random_total_order, separating_family
 
 
 def chain(*ids):
@@ -372,6 +375,22 @@ def test_table_join_from_children_is_a_plain_join():
     assert eval_expr(expr, [[0.0, 2.0]]).tolist() == [0.5, 1.0]
 
 
+def test_a_one_leaf_table_evaluates_as_its_tree_on_one_column():
+    # A one-column family walks the tree unless the table has a single leaf.
+    zeros = [0.0, -0.0]
+    for f, lam, mu, tied in product(zeros + [1.5], zeros + [2.0], zeros + [-0.5], [False, True]):
+        table = _Table(
+            np.array([f]), np.array([[lam]]), np.array([[mu]]), np.zeros((1, 1), dtype=np.intp),
+            np.array([[tied]]), np.arange(1), None,
+        )
+        expr = TableJoin(table=table)
+        tree = Join(*expr.children)
+        for family in ([[0.0]], [[-0.0]], [[1.0]], [[-2.0], [0.5]]):
+            want = eval_expr(tree, family).tobytes()
+            assert eval_expr(expr, family).tobytes() == want
+            assert eval_expr_many([expr, expr], family).tobytes() == 2 * want
+
+
 # --------------------------------------------------------------------------
 # checking function families
 
@@ -431,6 +450,112 @@ def test_bad_families_keep_their_error_kinds(name):
     for call, kind in zip(calls, kinds):
         error = _error(call)
         assert (error and error[0]) == kind
+
+
+# --------------------------------------------------------------------------
+# stacked reconstruction: stone_nachbin_express_many and eval_expr_many
+
+
+@st.composite
+def _stack_inputs(draw):
+    """A random poset with n = 0..12, a separating family and 0..6 isotone
+    targets drawn as c1 draws them; some or all are rounded to halves, so
+    tied values and -0.0 occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 12))
+    p = random_poset(rng, n, edge_prob=draw(st.sampled_from([0.1, 0.35, 0.7])))
+    gens = np.array(separating_family(rng, p))
+    targets = _running_max(p.rel, rng.uniform(-2.0, 2.0, size=(draw(st.integers(0, 6)), n)))
+    halves = rng.random(len(targets)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    targets[halves] = np.round(2 * targets[halves]) / 2
+    return rng, p, gens, targets
+
+
+def _result(call):
+    """The bytes of the array call returns, or the kind and message of its error."""
+    try:
+        return call().tobytes()
+    except OrderConesError as exc:
+        return type(exc), str(exc)
+
+
+@_EXAMPLES
+@given(_stack_inputs())
+def test_stacked_build_is_the_scalar_target_by_target(inputs):
+    rng, p, gens, targets = inputs
+    batch = stone_nachbin_express_many(p, gens, targets)
+    scalar = [stone_nachbin_express(p, gens, t) for t in targets]
+    assert len(batch) == len(scalar)
+    for b, s in zip(batch, scalar):
+        assert isinstance(b, TableJoin) and json.dumps(b.to_json()) == json.dumps(s.to_json())
+    # The building family, one rounded so -0.0 and ties occur, one column of
+    # it, a wider one and a shorter one (where only visited leaves need
+    # their generator, else the first failing target's IndexOutOfRange).
+    families = (
+        gens,
+        np.round(2 * rng.uniform(-2.0, 2.0, size=gens.shape)) / 2,
+        gens[:, :1],
+        np.round(rng.uniform(-2.0, 2.0, size=(len(gens), p.n + 3))),
+        gens[: int(rng.integers(0, len(gens)))],
+    )
+    for family in families:
+        want = [_result(lambda: eval_expr(s, family, size=p.n)) for s in scalar]
+        error = next((w for w in want if isinstance(w, tuple)), None)
+        assert _result(lambda: eval_expr_many(batch, family, size=p.n)) == (error or b"".join(want))
+        assert [_result(lambda: eval_expr(b, family, size=p.n)) for b in batch] == want
+
+
+def test_stacked_build_on_the_empty_poset_and_no_targets():
+    empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
+    batch = stone_nachbin_express_many(empty, [[]], np.empty((2, 0)))
+    assert [b.to_json() for b in batch] == [stone_nachbin_express(empty, [[]], []).to_json()] * 2
+    assert _result(lambda: eval_expr_many(batch, [[]])) == (InvalidInput, "join needs at least one child")
+    p = chain("a", "b", "c")
+    assert stone_nachbin_express_many(p, [[0.0, 1.0, 2.0]], []) == []
+    assert eval_expr_many([], [[0.0, 1.0, 2.0]]).shape == (0, 3)
+
+
+_NEAR = 1.0 - 1e-13  # isotone within the default tol, but no generator falls from b to c
+_TWO = [[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]]
+# name -> (family, targets) on the 3-chain; each is refused
+_BAD_STACKS = {
+    "coarse family": ([[0.0, 0.0, 1.0]], [[0.0, 1.0, 2.0]]),
+    "empty family": ([], [[0.0, 1.0, 2.0]]),
+    "ragged family": ([[0.0, 1.0, 2.0], [0.0, 1.0]], [[0.0, 1.0, 2.0]]),
+    "nan family": ([[0.0, _NAN, 2.0]], [[0.0, 1.0, 2.0]]),
+    "second not isotone": (_TWO, [[0.0, 1.0, 2.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+    "second short": (_TWO, [[0.0, 1.0, 2.0], [0.0, 1.0, _NEAR]]),
+    "short, then not isotone": (_TWO, [[0.0, 1.0, _NEAR], [0.0, 2.0, 1.0]]),
+    "not isotone, then short": (_TWO, [[0.0, 2.0, 1.0], [0.0, 1.0, _NEAR]]),
+    "ragged targets": (_TWO, [[0.0, 1.0, 2.0], [0.0, 1.0]]),
+    "narrow targets": (_TWO, [[0.0, 1.0]]),
+    "nan target": (_TWO, [[0.0, 1.0, 2.0], [0.0, _NAN, 2.0]]),
+    "text target": (_TWO, [[0.0, "x", 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_STACKS))
+def test_stacked_build_refuses_as_the_first_refused_scalar(name):
+    family, targets = _BAD_STACKS[name]
+    p = chain("a", "b", "c")
+    want = next(filter(None, (_error(lambda: stone_nachbin_express(p, family, t)) for t in targets)))
+    assert _error(lambda: stone_nachbin_express_many(p, family, targets)) == want
+
+
+def test_eval_expr_many_takes_any_list_of_expressions():
+    rng = np.random.default_rng(21)
+    p = random_poset(rng, 5)
+    gens = np.array(separating_family(rng, p))
+    targets = _running_max(p.rel, rng.uniform(-2.0, 2.0, size=(3, p.n)))
+    exprs = [
+        stone_nachbin_express(p, gens, targets[0], prune=True),
+        *stone_nachbin_express_many(p, gens, targets[1:]),
+        Join(Generator(0), Constant(0.5)),
+        stone_nachbin_express(chain("a", "b", "c", "d", "e"), [[0.0, 1.0, 2.0, 3.0, 4.0]], [0.0, 0.0, 1.0, 1.0, 3.0]),
+    ]
+    want = b"".join(eval_expr(e, gens).tobytes() for e in exprs)
+    assert eval_expr_many(exprs, gens).tobytes() == want
+    assert eval_expr_many(iter(exprs), gens).tobytes() == want
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,26 @@ def test_cone_contains_zero_vector():
     assert cap.cone_contains([0.0, 0.0, 0.0])
     assert cap.cone_contains(5.0 * E3)
     assert not cap.cone_contains(-5.0 * E3)
+
+
+def test_cone_and_dual_membership_of_huge_vectors_batch_as_scalar():
+    # The squares of these entries overflow; the lengths must not, so the
+    # batch answers as the scalar does, without a warning.
+    rows = np.array([
+        [0.0, 0.0, 1e200], [0.0, 0.0, -1e200], [1e200, 0.0, 0.0], [1e200, 1e200, 1e200],
+        [0.0, 1e-9, 1e200], [3e307, 0.0, 1e308], [0.0, 0.0, 1.0], [1e-300, 0.0, 0.0], [0.0, 0.0, 0.0],
+    ])
+    regions = [SphericalRegion.cap(E3, 0.3), SphericalRegion.cap(np.ones(3) / np.sqrt(3.0), np.pi / 2), SphericalRegion.full()]
+    regions += [region for _, region in region_fixtures() if region.kind == "hull"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for region in regions:
+            assert region.cone_contains_many(rows).tolist() == [region.cone_contains(v) for v in rows]
+            assert region.dual_contains_many(rows).tolist() == [region.dual_contains(d) for d in rows]
+    cap = regions[0]
+    assert cap.cone_contains_many(rows[[0, 6]]).tolist() == [True, True]
+    assert cap.dual_contains([0.0, 0.0, 1e200]) and not cap.dual_contains([0.0, 0.0, -1e200])
+    assert regions[3].dual_contains_many(rows[:2]).tolist() == [True, False]
 
 
 def test_iso_membership_examples():
@@ -723,6 +744,32 @@ def test_matrix_from_pauli_many_is_bit_identical_to_scalar():
     c, v = rng.normal(size=300), rng.normal(size=(300, 3))
     got = matrix_from_pauli_many(c, v)
     want = np.stack([matrix_from_pauli(ci, vi).mat for ci, vi in zip(c, v)])
+    assert got.tobytes() == want.tobytes()
+
+
+# Values at and around the 1e-12 edges of the join-coefficient rules.
+_coord = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 5e-13, 1.0, -1.0]), st.floats(-1e6, 1e6))
+_length = st.one_of(st.sampled_from([0.0, 1e-12, 1.5e-12, 5e-13]), st.floats(0.0, 1e6))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_coord, _length), min_size=1, max_size=20))
+def test_join_coeffs_many_is_the_scalar_bit_for_bit(pairs):
+    t, r = np.array(pairs).T
+    alpha, beta = join_coeffs_many(t, r)
+    want = np.array([join_coeffs_from_difference(a, b) for a, b in pairs])
+    assert alpha.tobytes() == want[:, 0].tobytes()
+    assert beta.tobytes() == want[:, 1].tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_matrix_from_pauli_many_is_the_scalar_bit_for_bit(rows, cols, data):
+    c = np.array(data.draw(st.lists(_coord, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    v = np.array(data.draw(st.lists(_coord, min_size=3 * rows * cols, max_size=3 * rows * cols))).reshape(rows, cols, 3)
+    got = matrix_from_pauli_many(c, v)
+    assert got.shape == (rows, cols, 2, 2)
+    want = np.array([[matrix_from_pauli(c[i, j], v[i, j]).mat for j in range(cols)] for i in range(rows)])
     assert got.tobytes() == want.tobytes()
 
 
