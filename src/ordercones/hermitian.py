@@ -336,7 +336,7 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
     c, v1, v2, v3 = _pauli_parts(_symmetrized(m))
-    r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    r = _finite_lengths(np.stack([v1, v2, v3], axis=1))
     low, high = c - r, c + r
     if not (low >= -PSD_TOL).all():
         raise InvalidInput("matrices must be positive semidefinite")

@@ -11,8 +11,9 @@ The geometry needs only numpy and cross products.  A hull region is set
 up from the pairwise cross products of its vertices: they decide the
 open half-sphere condition (Gordan's alternative), and the pairs whose
 plane leaves every vertex on one side give the extreme vertices and the
-facets that decide membership.  `contains` is a batch of one over
-`contains_many`.
+facets that decide membership.  The kernels `_inside` and `_dual` state
+each region kind's membership and dual-cone rule once, over leading axes;
+the scalar and batch entry points read their input and call one of them.
 """
 from __future__ import annotations
 
@@ -148,8 +149,20 @@ def _unit(v, what: str, tol: float = 1e-6) -> np.ndarray:
     return v / nrm
 
 
-def _angle(u, w) -> float:
-    return float(np.arccos(np.clip(float(np.dot(u, w)), -1.0, 1.0)))
+def _vector(v, what: str) -> tuple[np.ndarray, float]:
+    """A 3-vector and its finite Euclidean length; a NaN or infinite entry is InvalidInput."""
+    v = float_array(v, what).reshape(-1)
+    if v.shape != (3,):
+        raise DimensionMismatch(f"{what} must have 3 entries, got {v.shape}")
+    nrm = _finite_length(np.linalg.norm, v)
+    if not nrm < np.inf:
+        raise InvalidInput(f"{what} entries must be finite")
+    return v, nrm
+
+
+def _angle(u, w):
+    """Angles between unit vectors u (..., 3) and w (3,)."""
+    return np.arccos(np.clip(u @ w, -1.0, 1.0))
 
 
 _REGION_FIELDS = {"full": (), "cap": ("center", "radius"), "hull": ("vertices",)}
@@ -257,70 +270,56 @@ class SphericalRegion:
 
     # Membership -----------------------------------------------------------
 
-    def contains(self, u, tol: float = GEOM_TOL) -> bool:
-        """Membership of a unit vector in the sphere region."""
-        u = _unit(u, "query point")
-        return bool(self.contains_many(u[None], tol=tol)[0])
-
-    def contains_many(self, pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        """Vectorized membership for unit rows; hulls use facet normals."""
-        pts = np.asarray(pts, dtype=float)
+    def _inside(self, units: np.ndarray, tol: float) -> np.ndarray:
+        """Membership of unit vectors (..., 3): cap angle, hull facets, full sphere."""
         if self.kind == "full":
-            return np.ones(pts.shape[0], dtype=bool)
+            return np.ones(units.shape[:-1], dtype=bool)
         if self.kind == "cap":
-            ang = np.arccos(np.clip(pts @ self.center, -1.0, 1.0))
-            return ang <= self.radius + tol
-        return (pts @ self._facets.T).min(axis=1) >= -tol
+            return _angle(units, self.center) <= self.radius + tol
+        return (units @ self._facets.T).min(axis=-1) >= -tol
 
-    def cone_contains(self, v, tol: float = GEOM_TOL) -> bool:
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape != (3,):
-            raise DimensionMismatch(f"vector must have 3 entries, got {v.shape}")
-        nrm = _finite_length(np.linalg.norm, v)
-        if nrm <= tol:
-            return True
-        return self.contains(v / nrm, tol=tol)
+    def _dual(self, ds: np.ndarray, norms, tol: float) -> np.ndarray:
+        """Dual-cone membership of vectors (..., 3) of lengths norms; a length up to tol is zero.
 
-    def cone_contains_many(self, vs: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        vs = np.asarray(vs, dtype=float)
-        norms = _finite_lengths(vs)
-        out = norms <= tol
-        big = ~out
-        if big.any():
-            out[big] = self.contains_many(vs[big] / norms[big, None], tol=tol)
-        return out
-
-    # Dual cone ------------------------------------------------------------
-
-    def dual_contains(self, d, tol: float = GEOM_TOL) -> bool:
-        """Membership of d in the dual cone {d : d.k >= 0 for all k in region}.
-
-        Caps use the complementary-angle closed form, hulls only need the
-        extreme vertices, and the full sphere dualizes to the origin.
+        Caps use the complementary angle, hulls only need the extreme
+        vertices, and the full sphere dualizes to the origin.
         """
-        d = np.asarray(d, dtype=float).reshape(-1)
-        nrm = _finite_length(np.linalg.norm, d)
-        if nrm <= tol:
-            return True
-        if self.kind == "full":
-            return False
-        if self.kind == "cap":
-            return _angle(d / nrm, self.center) <= np.pi / 2.0 - self.radius + tol
-        return bool((self._extreme @ d >= -tol * nrm).all())
-
-    def dual_contains_many(self, ds: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        ds = np.asarray(ds, dtype=float)
-        norms = _finite_lengths(ds)
         zero = norms <= tol
         if self.kind == "full":
             return zero
         if self.kind == "cap":
-            # normalise, then pair with the center, in the order dual_contains does
-            units = ds / np.where(norms > 0, norms, 1.0)[:, None]
-            ang = np.arccos(np.clip(units @ self.center, -1.0, 1.0))
-            return zero | (ang <= np.pi / 2.0 - self.radius + tol)
-        slack = (ds @ self._extreme.T).min(axis=1)
-        return zero | (slack >= -tol * norms)
+            units = ds / np.where(zero, 1.0, norms)[..., None]
+            return zero | (_angle(units, self.center) <= np.pi / 2.0 - self.radius + tol)
+        return zero | ((ds @ self._extreme.T).min(axis=-1) >= -tol * norms)
+
+    def contains(self, u, tol: float = GEOM_TOL) -> bool:
+        """Membership of a unit vector in the sphere region."""
+        return bool(self._inside(_unit(u, "query point"), tol))
+
+    def contains_many(self, pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+        """Vectorized membership for unit rows; hulls use facet normals."""
+        return self._inside(np.asarray(pts, dtype=float), tol)
+
+    def cone_contains(self, v, tol: float = GEOM_TOL) -> bool:
+        v, nrm = _vector(v, "vector")
+        return nrm <= tol or bool(self._inside(v / nrm, tol))
+
+    def cone_contains_many(self, vs: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+        vs = np.asarray(vs, dtype=float)
+        norms = _finite_lengths(vs)
+        zero = norms <= tol
+        return zero | self._inside(vs / np.where(zero, 1.0, norms)[:, None], tol)
+
+    # Dual cone ------------------------------------------------------------
+
+    def dual_contains(self, d, tol: float = GEOM_TOL) -> bool:
+        """Membership of d in the dual cone {d : d.k >= 0 for all k in region}."""
+        d, nrm = _vector(d, "vector")
+        return bool(self._dual(d, nrm, tol))
+
+    def dual_contains_many(self, ds: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+        ds = np.asarray(ds, dtype=float)
+        return self._dual(ds, _finite_lengths(ds), tol)
 
 
 def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,13 +443,12 @@ class DensityState:
 
 def _bloch_relation(region: SphericalRegion, b1, b2, tol: float = GEOM_TOL) -> str:
     d = np.asarray(b2, dtype=float) - np.asarray(b1, dtype=float)
-    if float(np.linalg.norm(d)) <= tol:
+    nrm = float(np.linalg.norm(d))  # Bloch vectors have length at most 1, so no square overflows
+    if nrm <= tol:
         return "equal"
-    if region.dual_contains(d, tol=tol):
+    if region._dual(d, nrm, tol):
         return "less"
-    if region.dual_contains(-d, tol=tol):
-        return "greater"
-    return "incomparable"
+    return "greater" if region._dual(-d, nrm, tol) else "incomparable"
 
 
 def pure_state_order(region: SphericalRegion, p: PureStatePoint, q: PureStatePoint, tol: float = GEOM_TOL) -> str:
@@ -492,10 +490,10 @@ def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) 
     if P.shape != Q.shape:
         raise DimensionMismatch(f"p and q must hold the same number of rows, got {len(P)} and {len(Q)}")
     d = Q - P
+    norms = np.linalg.norm(d, axis=1)  # unit rows, so no square overflows
     codes = np.where(
-        np.linalg.norm(d, axis=1) <= tol, 0,
-        np.where(region.dual_contains_many(d, tol=tol), 1,
-                 np.where(region.dual_contains_many(-d, tol=tol), 2, 3)),
+        norms <= tol, 0,
+        np.where(region._dual(d, norms, tol), 1, np.where(region._dual(-d, norms, tol), 2, 3)),
     )
     return _RELATIONS[codes].tolist()
 
@@ -507,7 +505,7 @@ def state_order(region: SphericalRegion, rho: DensityState, sigma: DensityState,
 
 def fubini_study(p: PureStatePoint, q: PureStatePoint) -> float:
     """Projective distance arccos(b1.b2)/2 in [0, pi/2]; pole to equator is pi/4."""
-    return _angle(p.bloch, q.bloch) / 2.0
+    return float(_angle(p.bloch, q.bloch)) / 2.0
 
 
 def transition_probability(p: PureStatePoint, q: PureStatePoint) -> float:

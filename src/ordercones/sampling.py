@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .isotone_cone import order_from_functions, principal_upset_indicators
+from .isotone_cone import DEFAULT_TOL, _induced, principal_upset_indicators
 from .m2 import SphericalRegion
 from .poset import FinitePoset, _closure
 
@@ -117,8 +117,7 @@ def separating_family(rng: np.random.Generator, p: FinitePoset, extra: int = 2) 
     indicators = list(principal_upset_indicators(p))
     rng.shuffle(indicators)
     for ind in indicators:
-        induced = order_from_functions(p.elements, fns).preorder
-        if np.array_equal(induced.rel, p.rel):
+        if np.array_equal(_induced(np.array(fns), DEFAULT_TOL), p.rel):
             return fns
         fns.append(float(rng.uniform(0.5, 2.0)) * ind + float(rng.uniform(-1.0, 1.0)))
     return fns

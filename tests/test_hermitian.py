@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,19 @@ def test_projection_decomposition_many_rejects_a_bad_row(rows, data):
 def test_projection_decomposition_many_rejects_a_wrong_shape(shape):
     with pytest.raises(DimensionMismatch):
         projection_decomposition_many(np.zeros(shape))
+
+
+@pytest.mark.parametrize("x", [1e154, 1e200, 1e300])
+def test_projection_decomposition_many_of_huge_entries_as_scalar(x):
+    # the squares of the traceless part overflow; its length must not
+    a = np.array([[3 * x, x], [x, 3 * x]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs, projs, kept = projection_decomposition_many(a[None])
+        terms = projection_decomposition(a)
+    assert coeffs[0][kept[0]].tolist() == [coeff for coeff, _ in terms]
+    for t, (_, proj) in zip(np.flatnonzero(kept[0]), terms):
+        assert np.array_equal(projs[0, t], proj.mat)
 
 
 @st.composite

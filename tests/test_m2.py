@@ -295,20 +295,65 @@ def test_cone_contains_zero_vector():
     assert not cap.cone_contains(-5.0 * E3)
 
 
+@pytest.mark.parametrize("kind", ["cap", "hull", "full"])
+@pytest.mark.parametrize(
+    "value, error",
+    [([np.nan, 0.0, 0.0], InvalidInput), ([np.inf, 0.0, 0.0], InvalidInput), ([1.0, 2.0], DimensionMismatch), ("abc", InvalidInput)],
+)
+def test_scalar_cone_and_dual_membership_check_their_input(kind, value, error):
+    region = {name.split("-")[0]: region for name, region in region_fixtures()}[kind]
+    with pytest.raises(error):
+        region.cone_contains(value)
+    with pytest.raises(error):
+        region.dual_contains(value)
+
+
+def _off_boundary_rows(region):
+    """Unit rows 2e-9 either side of the region's boundary (and of a cap's dual boundary)."""
+    if region.kind == "full":
+        return np.empty((0, 3))
+    if region.kind == "cap":
+        perp = np.cross(region.center, np.random.default_rng(21).normal(size=(8, 3)))
+        perp /= np.linalg.norm(perp, axis=1)[:, None]
+        angles = np.repeat([region.radius, np.pi / 2 - region.radius], 4)[:, None] + np.tile([-2e-9, 2e-9], 4)[:, None]
+        return np.cos(angles) * region.center + np.sin(angles) * perp
+    rows = []
+    for normal in region._facets:
+        # the midpoint of the facet's edge, between the two extreme vertices on its plane
+        mid = region.extreme_vertices[np.abs(region.extreme_vertices @ normal) <= 1e-12].sum(axis=0)
+        mid /= np.linalg.norm(mid)
+        rows += [mid - 2e-9 * normal, mid + 2e-9 * normal]
+    return np.array(rows) / np.linalg.norm(rows, axis=1)[:, None]
+
+
 def test_cone_and_dual_membership_of_huge_vectors_batch_as_scalar():
     # The squares of these entries overflow; the lengths must not, so the
-    # batch answers as the scalar does, without a warning.
+    # batch answers as the scalar does, without a warning.  The same holds
+    # for rows 2e-9 off each boundary and rows of length tol*(1 +- 1e-15).
     rows = np.array([
         [0.0, 0.0, 1e200], [0.0, 0.0, -1e200], [1e200, 0.0, 0.0], [1e200, 1e200, 1e200],
         [0.0, 1e-9, 1e200], [3e307, 0.0, 1e308], [0.0, 0.0, 1.0], [1e-300, 0.0, 0.0], [0.0, 0.0, 0.0],
     ])
+    units = np.random.default_rng(22).normal(size=(6, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    short = np.concatenate([units * 1e-9 * (1 - 1e-15), units * 1e-9 * (1 + 1e-15)])
     regions = [SphericalRegion.cap(E3, 0.3), SphericalRegion.cap(np.ones(3) / np.sqrt(3.0), np.pi / 2), SphericalRegion.full()]
-    regions += [region for _, region in region_fixtures() if region.kind == "hull"]
+    regions += [region for _, region in region_fixtures() if region.kind in ("cap", "hull")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for region in regions:
-            assert region.cone_contains_many(rows).tolist() == [region.cone_contains(v) for v in rows]
-            assert region.dual_contains_many(rows).tolist() == [region.dual_contains(d) for d in rows]
+            edge = _off_boundary_rows(region)
+            vs = np.concatenate([rows, short, edge, -edge])
+            assert region.cone_contains_many(vs).tolist() == [region.cone_contains(v) for v in vs]
+            assert region.dual_contains_many(vs).tolist() == [region.dual_contains(d) for d in vs]
+            assert region.contains_many(edge).tolist() == [region.contains(u) for u in edge]
+            if region.kind == "cap":
+                assert region.contains_many(edge[:4]).tolist() == [True, False] * 2
+                if region.radius < 1.5:  # arccos cannot tell angles near 0 apart below about 1.5e-8
+                    assert region.dual_contains_many(edge[4:]).tolist() == [True, False] * 2
+            elif region.kind == "hull":
+                assert region.contains_many(edge).tolist() == [False, True] * len(region._facets)
+            assert region.cone_contains_many(short).tolist() == [True] * 6 + [region.cone_contains(u) for u in units]
     cap = regions[0]
     assert cap.cone_contains_many(rows[[0, 6]]).tolist() == [True, True]
     assert cap.dual_contains([0.0, 0.0, 1e200]) and not cap.dual_contains([0.0, 0.0, -1e200])
