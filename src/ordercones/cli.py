@@ -61,7 +61,30 @@ def _indented(obj, indent: str) -> str:
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if obj is None or isinstance(obj, (str, int, float)):
         return _encode(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.uint8 and obj.ndim == 2 and obj.size and obj.max() <= 1:
+        return _bit_matrix(obj, indent)
     return _indented(_json_default(obj), indent)
+
+
+def _bit_matrix(a: np.ndarray, indent: str) -> str:
+    """A nonempty 2-D 0/1 uint8 array as _indented writes its list of lists.
+
+    Every row takes the same width in the text, so the whole matrix is one
+    byte template with the digits written into it, decoded once.
+    """
+    inner, cell = indent + "  ", indent + "    "
+    opening, closing, row_sep = "[\n" + inner, "\n" + indent + "]", ",\n" + inner
+    head, sep, tail = "[\n" + cell, ",\n" + cell, "\n" + inner + "]" + row_sep
+    n, m = a.shape
+    row = np.frombuffer((head + ("0" + sep) * (m - 1) + "0" + tail).encode(), np.uint8)
+    text = np.empty(len(opening) + n * row.size, np.uint8)
+    text[:len(opening)] = np.frombuffer(opening.encode(), np.uint8)
+    grid = text[len(opening):].reshape(n, row.size)
+    grid[:] = row
+    grid[:, len(head):row.size - len(tail):len(sep) + 1] += a  # "0" + 1 is "1"
+    end = text.size - len(row_sep)  # the last row separator gives way to the closing bracket
+    text[end:end + len(closing)] = np.frombuffer(closing.encode(), np.uint8)
+    return str(memoryview(text[:end + len(closing)]), "ascii")
 
 
 def _dumps(payload: dict | list) -> str:
@@ -99,7 +122,8 @@ def _emit(args, payload: dict | list | str) -> None:
     text = payload if isinstance(payload, str) else _dumps(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -161,7 +185,7 @@ def _relation_csv(pre: poset.FinitePreorder) -> str:
 def _relation_payload(args, obj: poset.FinitePreorder, extra: dict | None = None) -> dict | str:
     if args.format == "csv":
         return _relation_csv(obj)
-    payload = obj.to_json()
+    payload = obj._payload()
     if extra:
         payload.update(extra)
     return payload
@@ -185,7 +209,7 @@ def _cmd_poset_check(args):
 
 def _cmd_poset_reduce(args):
     reduced, projection = poset.reduce_preorder(_preorder_arg(getattr(args, "in")))
-    return {"poset": reduced.to_json(), "projection": projection}
+    return {"poset": reduced._payload(), "projection": projection}
 
 
 def _cmd_poset_combine(args):
@@ -203,11 +227,7 @@ def _cmd_poset_bounds(args):
 
 def _cmd_poset_sprinkle(args):
     sprinkled = poset.sprinkle_minkowski(args.n, args.seed)
-    if args.format == "csv":
-        return _relation_csv(sprinkled.poset)
-    payload = sprinkled.poset.to_json()
-    payload["coords"] = sprinkled.coords_json()
-    return payload
+    return _relation_payload(args, sprinkled.poset, {"coords": sprinkled.coords_json()})
 
 
 # --------------------------------------------------------------------------

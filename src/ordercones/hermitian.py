@@ -148,12 +148,16 @@ def _pauli_parts(m: np.ndarray) -> tuple:
 
 
 def _finite_length(length: Callable, v) -> float:
-    """length(v) for a Euclidean length, finite wherever it fits a float.
+    """length(v) for a Euclidean length of a nonempty real 1-D v, finite wherever it fits a float.
 
     The squares overflow once an entry of v passes about 1e154; then the
     length of v * 2**-600 is taken and scaled back.  A power of two scales
-    exactly, so every length that was finite keeps its bits.
+    exactly, so every length that was finite keeps its bits.  Entries below
+    1e150 square to below 1e300, so no sum of fewer than 1e8 squares can
+    overflow: such a v skips the errstate, which costs more than the check.
     """
+    if max(map(abs, v.tolist())) < 1e150:
+        return float(length(v))
     with np.errstate(over="ignore"):
         r = float(length(v))
     return r if r < np.inf else float(length(v * 2.0**-600)) * 2.0**600

@@ -143,7 +143,7 @@ def _unit(v, what: str, tol: float = 1e-6) -> np.ndarray:
     v = float_array(v, what).reshape(-1)
     if v.shape != (3,):
         raise DimensionMismatch(f"{what} must have 3 entries, got {v.shape}")
-    nrm = float(np.linalg.norm(v))
+    nrm = _finite_length(np.linalg.norm, v)
     if not abs(nrm - 1.0) <= tol:  # a NaN or infinite entry fails too
         raise InvalidInput(f"{what} must be finite and unit length, got norm {nrm!r}")
     return v / nrm
@@ -468,7 +468,7 @@ def _unit_rows(vs, what: str) -> np.ndarray:
     vs = float_array(vs, what)
     if vs.ndim != 2 or vs.shape[1] != 3:
         raise DimensionMismatch(f"{what} must be an (N, 3) array, got shape {vs.shape}")
-    norms = np.linalg.norm(vs, axis=1)
+    norms = _finite_lengths(vs)
     bad = ~(np.abs(norms - 1.0) <= 1e-9)  # a NaN or infinite entry fails too
     if bad.any():
         row = int(np.argmax(bad))

@@ -134,10 +134,20 @@ class FinitePreorder:
         return f"{type(self).__name__}({list(self.elements)!r}, {self.rel.sum()} pairs)"
 
     def to_json(self) -> dict:
+        payload = self._payload()
+        payload["relation"] = payload["relation"].tolist()
+        return payload
+
+    def _payload(self) -> dict:
+        """to_json's fields with the relation as rel's zero-copy 0/1 uint8 view.
+
+        The CLI writes that view straight to JSON text; to_json turns it
+        into the lists library callers get.
+        """
         return {
             "elements": list(self.elements),
             "pairs": [[x, y] for x, y in self._emitted_pairs()],
-            "relation": self.rel.astype(int).tolist(),
+            "relation": self.rel.view(np.uint8),
         }
 
     def _emitted_pairs(self) -> list[tuple[str, str]]:
@@ -332,5 +342,7 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     t, x, u, v = pts[:, np.lexsort(pts[::-1])]  # sorted by t, then x, u and v
     rel = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
     rel |= np.eye(n, dtype=bool)
-    poset = FinitePoset([f"p{i}" for i in range(n)], rel)
+    # u >=, v >= and t > are each transitive, so their conjunction is too,
+    # and the strict t makes it antisymmetric: nothing for __init__ to check.
+    poset = FinitePoset._closed([f"p{i}" for i in range(n)], rel)
     return Sprinkling(poset=poset, t=tuple(t.tolist()), x=tuple(x.tolist()))

@@ -520,7 +520,8 @@ def test_dual_cobounded_duality_cli(capsys):
     assert data == {"agree": True, "bounded": True, "cobounded": True}
 
 
-def test_installed_script_entry_point():
+def _run_module(*args):
+    """python <args> in a child that imports the package from the same tree as this process."""
     import os
     import subprocess
     import sys as _sys
@@ -528,16 +529,23 @@ def test_installed_script_entry_point():
 
     import ordercones
 
-    # The child imports the package from the same tree as this process.
     env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [_sys.executable, "-m", "ordercones.cli", "m2", "hopf", "--xi", "[[1,0],[0,0]]"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([_sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_installed_script_entry_point():
+    proc = _run_module("-m", "ordercones.cli", "m2", "hopf", "--xi", "[[1,0],[0,0]]")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bloch": [0.0, 0.0, 1.0]}
+
+
+def test_overflowing_bloch_entry_is_invalid_input_with_nothing_on_stderr():
+    proc = _run_module(
+        "-W", "error", "-m", "ordercones.cli", "m2", "order", "--region", '{"kind":"full"}',
+        "--p", '{"bloch":[1e200,0,0]}', "--q", '{"bloch":[0,0,1]}',
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["kind"] == "InvalidInput"
 
 
 def test_accept_fast_single_criterion(capsys):

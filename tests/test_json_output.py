@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ordercones import cli
+from ordercones import cli, poset
 from ordercones.errors import DomainError
+from ordercones.sampling import random_poset
 
 
 def _reference(payload) -> str:
@@ -116,3 +117,72 @@ _EXPRESS = [
 )
 def test_stdout_bytes_are_pinned(argv, digest):
     assert _stdout_sha256(argv) == digest
+
+
+def _lists(payload) -> str:
+    """json.dumps of the payload with every array in its list form."""
+    return json.dumps(json.loads(_reference(payload)), sort_keys=True, indent=2)
+
+
+_NESTINGS = [
+    lambda r: r,
+    lambda r: {"relation": r, "elements": ["a"]},
+    lambda r: {"poset": {"relation": r}, "projection": {}},
+    lambda r: [[r, 1], {"x": [r]}],
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+@pytest.mark.parametrize("nest", range(len(_NESTINGS)))
+def test_relation_arrays_are_written_as_their_lists(n, nest):
+    p = random_poset(np.random.default_rng(n), n) if n else poset.FinitePoset([], np.zeros((0, 0), bool))
+    payload = p._payload()
+    assert payload["relation"].dtype == np.uint8 and not payload["relation"].flags.owndata  # the view of rel
+    text = cli._dumps(_NESTINGS[nest](payload))
+    assert text == json.dumps(_NESTINGS[nest](p.to_json()), sort_keys=True, indent=2)
+
+
+@_EXAMPLES
+@given(st.recursive(
+    hnp.arrays(np.uint8, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5), elements=st.integers(0, 2)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+))
+def test_uint8_arrays_of_any_shape_and_values_are_written_as_their_lists(payload):
+    # Only nonempty 2-D 0/1 arrays take the byte template; the others keep the list path.
+    assert cli._dumps(payload) == _lists(payload)
+
+
+def _handler_payload(argv):
+    args = cli._parser().parse_args(argv)
+    return args.handler(args)
+
+
+_CHAIN = json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"]]})
+_V = json.dumps({"elements": ["bot", "l", "r"], "pairs": [["bot", "l"], ["bot", "r"]]})
+_SPACE = json.dumps({"points": ["o", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "landmarks": ["o"]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "combine", "--mode", "product", "--a", _CHAIN, "--b", _V],
+        ["gps", "order", "--in", _SPACE],
+        ["dual", "characters", "--in", _V],
+        ["poset", "reduce", "--in", json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "a"], ["b", "c"]]})],
+        ["dual", "from-poset", "--in", _V],
+        ["cone", "order-from", "--elements", '["a","b","c"]', "--functions", "[[0,0,1],[1,0,2]]"],
+        ["poset", "sprinkle", "--n", "0", "--seed", "1"],
+        ["poset", "sprinkle", "--n", "1", "--seed", "1"],
+        ["poset", "sprinkle", "--n", "60", "--seed", "2"],
+    ],
+    ids=["combine", "gps-order", "dual-characters", "reduce", "dual-algebra", "order-from",
+         "sprinkle-0", "sprinkle-1", "sprinkle-60"],
+)
+def test_verb_payloads_are_written_as_their_lists(argv):
+    payload = _handler_payload(argv)
+    assert cli._dumps(payload) == _lists(payload)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    assert buf.getvalue() == _lists(payload) + "\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
-from ordercones.hermitian import HermitianMatrix, complex_matrix_from_json, func_calc, spectral
+from ordercones.hermitian import HermitianMatrix, _finite_length, complex_matrix_from_json, func_calc, spectral
 from ordercones.m2 import (
     SIGMA,
     DensityState,
@@ -358,6 +358,32 @@ def test_cone_and_dual_membership_of_huge_vectors_batch_as_scalar():
     assert cap.cone_contains_many(rows[[0, 6]]).tolist() == [True, True]
     assert cap.dual_contains([0.0, 0.0, 1e200]) and not cap.dual_contains([0.0, 0.0, -1e200])
     assert regions[3].dual_contains_many(rows[:2]).tolist() == [True, False]
+
+
+def test_unit_vectors_with_overflowing_entries_are_invalid_input_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for huge in ([1e200, 0.0, 0.0], [0.0, 3e307, 1e308]):
+            with pytest.raises(InvalidInput, match="unit length"):
+                PureStatePoint(huge)
+            with pytest.raises(InvalidInput, match="unit length"):
+                SphericalRegion.cap(huge, 0.3)
+            with pytest.raises(InvalidInput, match="unit length"):
+                SphericalRegion.full().contains(huge)
+            with pytest.raises(InvalidInput, match="row 1"):
+                pure_state_order_many(SphericalRegion.full(), [E3, huge], [E3, E1])
+
+
+def test_finite_lengths_keep_the_bits_of_the_plain_norm():
+    rng = np.random.default_rng(16)
+    for scale in (1e-300, 1e-5, 1.0, 1e100, 1e149, 1e150, 1e153):
+        vs = rng.normal(size=(2000, 3)) * scale
+        assert [_finite_length(np.linalg.norm, v) for v in vs] == [float(np.linalg.norm(v)) for v in vs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _finite_length(np.linalg.norm, np.array([3.0, 4.0, 0.0]) * 2.0**700) == 5.0 * 2.0**700
+        assert _finite_length(np.linalg.norm, np.array([np.inf, 0.0, 0.0])) == np.inf
+        assert np.isnan(_finite_length(np.linalg.norm, np.array([1.0, np.nan, 0.0])))
 
 
 def test_iso_membership_examples():

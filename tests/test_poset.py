@@ -250,6 +250,15 @@ def test_sprinkle_is_causal_poset():
                     assert p.rel[i, k]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 300])
+@pytest.mark.parametrize("seed", range(5))
+def test_sprinkled_relation_passes_the_checks_its_constructor_skips(n, seed):
+    # sprinkle_minkowski builds its poset unchecked; __init__ re-runs the
+    # reflexivity, transitivity and antisymmetry checks on the same relation.
+    p = sprinkle_minkowski(n, seed).poset
+    assert FinitePoset(p.elements, p.rel) == p
+
+
 def test_sprinkle_deterministic_per_seed():
     a = sprinkle_minkowski(40, 7)
     b = sprinkle_minkowski(40, 7)
