@@ -6,82 +6,23 @@ matrix algebras with sphere-region membership cones on the other, and the
 round trips between the two.
 """
 
-from .errors import (
-    AntisymmetryViolation,
-    DimensionMismatch,
-    DomainError,
-    IndexOutOfRange,
-    InvalidInput,
-    NegativeValues,
-    NotARotation,
-    NotHermitian,
-    NotIsotone,
-    NotNormal,
-    NotNormalized,
-    OrderConesError,
-    OrderNotDetermined,
-    PointsNotSeparated,
-    UnknownId,
-)
-from .poset import (
-    Bounds,
-    FinitePoset,
-    FinitePreorder,
-    Sprinkling,
-    bounds,
-    build_poset,
-    build_preorder,
-    combine,
-    interval,
-    reduce_preorder,
-    sprinkle_minkowski,
-)
-from .isotone_cone import (
-    IsotoneCone,
-    cobounded_commutative,
-    eval_expr,
-    eval_expr_many,
-    generated_cone_contains,
-    is_isotone,
-    minimal_witness,
-    order_from_functions,
-    stone_nachbin_express,
-    stone_nachbin_express_many,
-    upset_decomposition,
-    upset_decomposition_many,
-)
-from .hermitian import (
-    HermitianMatrix,
-    SpectralDecomp,
-    classify,
-    func_calc,
-    lattice_ops,
-    spectral,
-)
-from .m2 import (
-    DensityState,
-    PureStatePoint,
-    SphericalRegion,
-    cobounded_witness,
-    fubini_study,
-    hopf,
-    iso_membership,
-    join_coeffs,
-    pure_state_order,
-    pure_state_order_many,
-    rotation_preserves,
-    state_order,
-    transversality,
-)
-from .duality import (
-    FiniteCommutativeIStar,
-    algebra_from_poset,
-    character_order,
-    cobounded_duality_check,
-    morphism_check,
-)
-from .gps import FiniteMetricSpace, gps_complete, gps_order
+from . import duality, errors, gps, hermitian, isotone_cone, m2, poset
+from .errors import *
+from .poset import *
+from .isotone_cone import *
+from .hermitian import *
+from .m2 import *
+from .duality import *
+from .gps import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    *errors.__all__,
+    *poset.__all__,
+    *isotone_cone.__all__,
+    *hermitian.__all__,
+    *m2.__all__,
+    *duality.__all__,
+    *gps.__all__,
+]

@@ -20,17 +20,15 @@ from .isotone_cone import (
     all_upset_indicators,
     cobounded_commutative,
 )
-from .poset import FinitePoset, bounds, build_poset
+from .poset import FinitePoset, bounds
 
 __all__ = [
     "FiniteCommutativeIStar",
     "algebra_from_poset",
     "character_order",
     "MorphismReport",
-    "pullback",
     "morphism_check",
     "cobounded_duality_check",
-    "joint_value_order",
 ]
 
 
@@ -102,12 +100,6 @@ def _mapping_indices(mapping: dict, source: FinitePoset, target: FinitePoset) ->
     return idx
 
 
-def pullback(mapping: dict, source: FinitePoset, target: FinitePoset, f) -> np.ndarray:
-    """Compose a function on the target with the map: (g* f)(n) = f(g(n))."""
-    f = np.asarray(f, dtype=float)
-    return f[_mapping_indices(mapping, source, target)]
-
-
 def morphism_check(mapping: dict, source: FinitePoset, target: FinitePoset) -> MorphismReport:
     """Check a map of posets as an algebra morphism on functions.
 
@@ -125,30 +117,3 @@ def morphism_check(mapping: dict, source: FinitePoset, target: FinitePoset) -> M
 def cobounded_duality_check(p: FinitePoset) -> bool:
     """Whether norm additivity and the existence of both bounds agree."""
     return cobounded_commutative(p).cobounded == bounds(p).bounded
-
-
-def joint_value_order(p: FinitePoset, functions) -> tuple[list[tuple[float, ...]], FinitePoset]:
-    """Order induced on the joint values of commuting cone members.
-
-    Elements with equal value tuples collapse to one point; the order is
-    the transitive closure of the pushforward of the poset's relation.
-    For isotone inputs it is always contained in the componentwise order
-    of the value tuples.
-    """
-    fns = [np.asarray(f, dtype=float) for f in functions]
-    tuples = [tuple(float(f[i]) for f in fns) for i in range(p.n)]
-    points: list[tuple[float, ...]] = []
-    where: dict[tuple[float, ...], int] = {}
-    for t in tuples:
-        if t not in where:
-            where[t] = len(points)
-            points.append(t)
-    labels = [f"v{k}" for k in range(len(points))]
-    pairs = []
-    for i in range(p.n):
-        for j in range(p.n):
-            if p.rel[i, j]:
-                a, b = where[tuples[i]], where[tuples[j]]
-                if a != b:
-                    pairs.append((labels[a], labels[b]))
-    return points, build_poset(labels, pairs)

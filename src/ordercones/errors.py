@@ -3,6 +3,26 @@ and the numeric and id readers that turn unreadable input into InvalidInput."""
 
 import numpy as np
 
+__all__ = [
+    "OrderConesError",
+    "UnknownId",
+    "AntisymmetryViolation",
+    "DimensionMismatch",
+    "NotIsotone",
+    "NegativeValues",
+    "OrderNotDetermined",
+    "PointsNotSeparated",
+    "IndexOutOfRange",
+    "NotHermitian",
+    "NotNormal",
+    "NotNormalized",
+    "DomainError",
+    "NotARotation",
+    "InvalidInput",
+    "float_array",
+    "string_ids",
+]
+
 
 class OrderConesError(Exception):
     """Base class for every domain error raised by this package."""

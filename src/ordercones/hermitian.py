@@ -23,7 +23,6 @@ __all__ = [
     "classify",
     "matrix_abs",
     "matrix_abs_many",
-    "matrix_sqrt",
     "nonnegative_sqrt",
     "projection_decomposition",
     "projection_decomposition_many",
@@ -251,10 +250,6 @@ def nonnegative_sqrt(x: float) -> float:
     if x < -CLUSTER_TOL:
         raise ValueError("negative spectral point")
     return float(np.sqrt(max(x, 0.0)))
-
-
-def matrix_sqrt(a) -> HermitianMatrix:
-    return func_calc(a, nonnegative_sqrt)
 
 
 def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:

@@ -754,9 +754,5 @@ class IsotoneCone:
     def contains(self, f, tol: float = DEFAULT_TOL) -> bool:
         return is_isotone(self.poset, f, tol=tol)
 
-    def nonneg_contains(self, f, tol: float = DEFAULT_TOL) -> bool:
-        f = as_function(f, self.poset.n)
-        return self.contains(f, tol=tol) and bool((f >= -tol).all())
-
     def generators(self) -> np.ndarray:
         return principal_upset_indicators(self.poset)

@@ -81,9 +81,6 @@ class PauliCoords:
     c: float
     v: np.ndarray
 
-    def to_matrix(self) -> HermitianMatrix:
-        return matrix_from_pauli(self.c, self.v)
-
 
 def pauli_coords(a) -> PauliCoords:
     m = a.mat if isinstance(a, HermitianMatrix) else HermitianMatrix(a).mat
@@ -118,10 +115,12 @@ def pauli_vparts_many(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hopf(xi) -> np.ndarray:
     """Bloch image (2Re(x1~ x2), 2Im(x1~ x2), |x1|^2 - |x2|^2) of a unit spinor."""
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
+    xi = np.ascontiguousarray(xi, dtype=complex).reshape(-1)
     if xi.shape != (2,):
         raise DimensionMismatch(f"state vector must have 2 entries, got {xi.shape}")
-    nrm = float(np.linalg.norm(xi))
+    # _finite_length's guard reads the real and imaginary parts (a view, hence the
+    # contiguous copy of an eigenvector column), as abs of a complex near 1.7e308 overflows.
+    nrm = _finite_length(lambda parts: np.linalg.norm(parts.view(complex)), xi.view(float))
     if not abs(nrm - 1.0) <= 1e-9:  # NaN or inf whenever an entry is non-finite
         if not np.isfinite(xi).all():
             raise InvalidInput("state vector entries must be finite")
@@ -421,16 +420,6 @@ class DensityState:
         b.setflags(write=False)
         self.bloch = b
 
-    def to_matrix(self) -> HermitianMatrix:
-        return matrix_from_pauli(0.5, self.bloch / 2.0)
-
-    @classmethod
-    def from_matrix(cls, rho) -> "DensityState":
-        coords = pauli_coords(rho)
-        if abs(2.0 * coords.c - 1.0) > 1e-9:
-            raise InvalidInput("density matrix must have unit trace")
-        return cls(2.0 * coords.v)
-
     @classmethod
     def from_json(cls, data: dict) -> "DensityState":
         if isinstance(data, dict) and "bloch" in data:
@@ -472,7 +461,7 @@ def _unit_rows(vs, what: str) -> np.ndarray:
     bad = ~(np.abs(norms - 1.0) <= 1e-9)  # a NaN or infinite entry fails too
     if bad.any():
         row = int(np.argmax(bad))
-        raise InvalidInput(f"{what} row {row} must be finite and unit length, got norm {norms[row]!r}")
+        raise InvalidInput(f"{what} row {row} must be finite and unit length, got norm {float(norms[row])!r}")
     return vs / norms[:, None]
 
 

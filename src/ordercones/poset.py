@@ -104,9 +104,6 @@ class FinitePreorder:
         both = self.rel & self.rel.T
         return not (both & ~np.eye(self.n, dtype=bool)).any()
 
-    def as_poset(self) -> "FinitePoset":
-        return FinitePoset(self.elements, self.rel)
-
     def _pairs(self, mask: np.ndarray) -> list[tuple[str, str]]:
         """The id pairs where mask is set, in row-major order."""
         e = self.elements
@@ -311,9 +308,6 @@ class Sprinkling:
     poset: FinitePoset
     t: tuple[float, ...]
     x: tuple[float, ...]
-
-    def time_function(self) -> np.ndarray:
-        return np.array(self.t, dtype=float)
 
     def coords_json(self) -> dict:
         return {

@@ -10,7 +10,6 @@ from .poset import FinitePoset, _closure
 __all__ = [
     "random_poset",
     "random_total_order",
-    "random_preorder_relation",
     "random_isotone",
     "random_isotone_stack",
     "random_nonneg_isotone",
@@ -56,11 +55,6 @@ def random_total_order(rng: np.random.Generator, n: int) -> FinitePoset:
     rel = np.eye(n, dtype=bool)
     rel[perm[a], perm[b]] = True
     return FinitePoset._closed([f"e{i}" for i in range(n)], rel)
-
-
-def random_preorder_relation(rng: np.random.Generator, n: int, edge_prob: float = 0.3) -> np.ndarray:
-    rel = np.eye(n, dtype=bool) | (rng.random((n, n)) < edge_prob)
-    return _closure(rel)
 
 
 def random_isotone(rng: np.random.Generator, p: FinitePoset, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:

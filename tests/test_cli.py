@@ -548,6 +548,23 @@ def test_overflowing_bloch_entry_is_invalid_input_with_nothing_on_stderr():
     assert json.loads(proc.stdout)["error"]["kind"] == "InvalidInput"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["m2", "hopf", "--xi", "[[1e200,0],[0,0]]"],
+        ["m2", "fs", "--p", '{"xi":[[0,1e200],[0,0]]}', "--q", '{"bloch":[0,0,1]}'],
+    ],
+    ids=["hopf", "fs"],
+)
+def test_overflowing_spinor_entry_is_not_normalized_with_nothing_on_stderr(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": {"detail": "state vector has norm 1e+200", "kind": "NotNormalized"}}
+
+
 def test_accept_fast_single_criterion(capsys):
     code, out = run(capsys, ["accept", "all", "--fast", "--criteria", "6", "--seed", "9"])
     assert code == 0

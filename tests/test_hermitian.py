@@ -14,7 +14,7 @@ from ordercones.hermitian import (
     lattice_ops,
     matrix_abs,
     matrix_abs_many,
-    matrix_sqrt,
+    nonnegative_sqrt,
     projection_decomposition,
     projection_decomposition_many,
     spectral,
@@ -96,7 +96,7 @@ def test_abs_of_sigma3_is_identity():
 
 
 def test_sqrt_of_scaled_identity():
-    assert matrix_sqrt(HermitianMatrix(4 * S0)).allclose(2 * S0, tol=1e-12)
+    assert func_calc(HermitianMatrix(4 * S0), nonnegative_sqrt).allclose(2 * S0, tol=1e-12)
 
 
 def test_abs_of_sigma3_minus_sigma1():
@@ -108,7 +108,7 @@ def test_abs_of_sigma3_minus_sigma1():
 
 def test_sqrt_rejects_negative_spectrum():
     with pytest.raises(DomainError):
-        matrix_sqrt(HermitianMatrix.diag([-1.0, 1.0]))
+        func_calc(HermitianMatrix.diag([-1.0, 1.0]), nonnegative_sqrt)
 
 
 def test_lattice_ops_commuting_componentwise():

@@ -372,6 +372,12 @@ def test_unit_vectors_with_overflowing_entries_are_invalid_input_without_a_warni
                 SphericalRegion.full().contains(huge)
             with pytest.raises(InvalidInput, match="row 1"):
                 pure_state_order_many(SphericalRegion.full(), [E3, huge], [E3, E1])
+    with pytest.raises(InvalidInput) as batch:
+        pure_state_order_many(SphericalRegion.full(), [[1e200, 0.0, 0.0]], [E3])
+    with pytest.raises(InvalidInput) as scalar:
+        PureStatePoint([1e200, 0.0, 0.0])
+    assert str(batch.value) == "Bloch vectors p row 0 must be finite and unit length, got norm 1e+200"
+    assert str(scalar.value).endswith("got norm 1e+200")
 
 
 def test_finite_lengths_keep_the_bits_of_the_plain_norm():
@@ -971,5 +977,6 @@ def test_state_json_round_trips():
     assert PureStatePoint.from_json(p.to_json()).bloch.tolist() == p.bloch.tolist()
     rho = DensityState.from_json({"bloch": [0.1, 0.2, 0.3]})
     assert DensityState.from_json(rho.to_json()).bloch.tolist() == rho.bloch.tolist()
-    back = DensityState.from_matrix(rho.to_matrix())
-    assert np.allclose(back.bloch, rho.bloch, atol=1e-12)
+    coords = pauli_coords(matrix_from_pauli(0.5, rho.bloch / 2.0))
+    assert abs(coords.c - 0.5) <= 1e-12
+    assert np.allclose(2.0 * coords.v, rho.bloch, atol=1e-12)

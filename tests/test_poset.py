@@ -17,7 +17,7 @@ from ordercones.poset import (
     reduce_preorder,
     sprinkle_minkowski,
 )
-from ordercones.sampling import random_poset, random_preorder_relation
+from ordercones.sampling import random_poset
 
 
 def chain(*ids):
@@ -118,6 +118,10 @@ def test_reduce_complete_preorder_to_point():
     assert reduced.n == 1
 
 
+def _random_preorder_relation(rng, n, edge_prob=0.3):
+    return _closure(np.eye(n, dtype=bool) | (rng.random((n, n)) < edge_prob))
+
+
 def _preorder_upset_masks(rel):
     n = rel.shape[0]
     ups = [int("".join("1" if b else "0" for b in reversed(rel[i])), 2) for i in range(n)]
@@ -138,7 +142,7 @@ def test_mutual_relation_equals_function_equivalence():
     rng = np.random.default_rng(3)
     for _ in range(40):
         n = int(rng.integers(1, 6))
-        rel = random_preorder_relation(rng, n)
+        rel = _random_preorder_relation(rng, n)
         masks = _preorder_upset_masks(rel)
         for i in range(n):
             for j in range(n):
@@ -235,7 +239,7 @@ def test_sprinkle_is_causal_poset():
     s = sprinkle_minkowski(50, 42)
     p = s.poset  # construction already validates reflexivity/transitivity
     assert isinstance(p, FinitePoset)
-    t = s.time_function()
+    t = s.t
     for i in range(p.n):
         for j in range(p.n):
             if i != j and p.rel[i, j]:
