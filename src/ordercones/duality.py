@@ -47,10 +47,6 @@ class FiniteCommutativeIStar:
     def poset(self) -> FinitePoset:
         return self.cone.poset
 
-    def characters(self) -> tuple[str, ...]:
-        """Evaluations at elements, named by the element ids."""
-        return self.poset.elements
-
     def generator_functions(self) -> np.ndarray:
         return all_upset_indicators(self.poset)
 

@@ -6,6 +6,7 @@ sizes go through LAPACK.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,33 +147,45 @@ def _pauli_parts(m: np.ndarray) -> tuple:
     return c, t[0, 1].real, t[0, 1].imag, (t[0, 0].real - t[1, 1].real) / 2.0
 
 
-def _finite_length(length: Callable, v) -> float:
-    """length(v) for a Euclidean length of a nonempty real 1-D v, finite wherever it fits a float.
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """conj(x) . y over the last axis, each row rounded as np.linalg.norm's 1-D dot rounds it alone.
 
-    The squares overflow once an entry of v passes about 1e154; then the
-    length of v * 2**-600 is taken and scaled back.  A power of two scales
-    exactly, so every length that was finite keeps its bits.  Entries below
-    1e150 square to below 1e300, so no sum of fewer than 1e8 squares can
-    overflow: such a v skips the errstate, which costs more than the check.
+    The stacked product takes that dot once per row, in any memory layout;
+    a plain matmul of rows, or np.linalg.norm with an axis, sums in another order.
     """
-    if max(map(abs, v.tolist())) < 1e150:
-        return float(length(v))
-    with np.errstate(over="ignore"):
-        r = float(length(v))
-    return r if r < np.inf else float(length(v * 2.0**-600)) * 2.0**600
+    x = x.conj()
+    return x @ y if x.ndim == 1 else (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _finite_lengths(vs: np.ndarray) -> np.ndarray:
-    """The Euclidean length of each row of vs by the _finite_length rule.
+def _finite_length(v: np.ndarray) -> float:
+    """_finite_lengths of one real or complex 1-D v, on Python floats where no square can overflow.
 
-    Only the rows whose length overflows are rescaled, so every finite
-    length keeps the bits np.linalg.norm gives it.
+    Entries below 1e150 square to below 1e300, so no sum of fewer than 1e8
+    squares overflows: such a v skips the errstate, which costs more than this check.
     """
-    with np.errstate(over="ignore"):
-        r = np.linalg.norm(vs, axis=1)
-    over = r == np.inf
-    if over.any():
-        r[over] = np.linalg.norm(vs[over] * 2.0**-600, axis=1) * 2.0**600
+    parts = v.tolist() if v.dtype.kind != "c" else v.real.tolist() + v.imag.tolist()
+    if max(map(abs, parts)) < 1e150:
+        return math.sqrt(_dots(v, v).real)
+    return float(_finite_lengths(v[None])[0])
+
+
+def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
+    """The Euclidean length of each row of vs (..., k), finite wherever it fits a float.
+
+    Each row is rounded as np.linalg.norm rounds it alone (_dots).  With
+    square_sums the squares are summed left to right instead, the rounding
+    of the 2x2 spectrum and of hull vertex lengths, whose emitted bytes
+    depend on it.  A row whose squares overflow (entries from about 1e154;
+    a complex dot then gives NaN) is measured times 2**-600 and scaled
+    back: a power of two scales exactly, so every finite length keeps its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)
+        over = ~(r < np.inf)
+        if over.any():
+            small = vs[over] * 2.0**-600
+            r[over] = np.linalg.norm(small, axis=-1) if square_sums else np.sqrt(_dots(small, small).real)
+            r[over] *= 2.0**600
     return r
 
 
@@ -180,7 +193,11 @@ def _spectral2(m: np.ndarray) -> SpectralDecomp:
     # Closed form on the Pauli coordinates: eigenvalues c +- r, eigenvectors
     # from the polar angles of the traceless part.
     c, v1, v2, v3 = _pauli_parts(m)
-    r = _finite_length(lambda v: np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]), np.array([v1, v2, v3]))
+    # the square_sums rule of _finite_lengths, on Python floats: they overflow to inf without a warning
+    for scale in (1.0, 2.0**-600):
+        x, y, z = float(v1) * scale, float(v2) * scale, float(v3) * scale
+        if (r := math.sqrt(x * x + y * y + z * z) / scale) < math.inf:
+            break
     if r == 0.0:
         return SpectralDecomp(np.array([c, c]), np.eye(2, dtype=complex))
     theta = float(np.arccos(np.clip(v3 / r, -1.0, 1.0)))
@@ -335,7 +352,7 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
     c, v1, v2, v3 = _pauli_parts(_symmetrized(m))
-    r = _finite_lengths(np.stack([v1, v2, v3], axis=1))
+    r = _finite_lengths(np.stack([v1, v2, v3], axis=1), square_sums=True)
     low, high = c - r, c + r
     if not (low >= -PSD_TOL).all():
         raise InvalidInput("matrices must be positive semidefinite")

@@ -753,6 +753,3 @@ class IsotoneCone:
 
     def contains(self, f, tol: float = DEFAULT_TOL) -> bool:
         return is_isotone(self.poset, f, tol=tol)
-
-    def generators(self) -> np.ndarray:
-        return principal_upset_indicators(self.poset)

@@ -31,7 +31,7 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, _finite_length, _finite_lengths, _pauli_parts
+from .hermitian import HermitianMatrix, _dots, _finite_length, _finite_lengths, _pauli_parts
 
 __all__ = [
     "GEOM_TOL",
@@ -115,12 +115,10 @@ def pauli_vparts_many(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hopf(xi) -> np.ndarray:
     """Bloch image (2Re(x1~ x2), 2Im(x1~ x2), |x1|^2 - |x2|^2) of a unit spinor."""
-    xi = np.ascontiguousarray(xi, dtype=complex).reshape(-1)
+    xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape != (2,):
         raise DimensionMismatch(f"state vector must have 2 entries, got {xi.shape}")
-    # _finite_length's guard reads the real and imaginary parts (a view, hence the
-    # contiguous copy of an eigenvector column), as abs of a complex near 1.7e308 overflows.
-    nrm = _finite_length(lambda parts: np.linalg.norm(parts.view(complex)), xi.view(float))
+    nrm = _finite_length(xi)
     if not abs(nrm - 1.0) <= 1e-9:  # NaN or inf whenever an entry is non-finite
         if not np.isfinite(xi).all():
             raise InvalidInput("state vector entries must be finite")
@@ -138,30 +136,41 @@ def spinor(pairs) -> np.ndarray:
     return pairs[:, 0] + 1j * pairs[:, 1]
 
 
-def _unit(v, what: str, tol: float = 1e-6) -> np.ndarray:
+def _read_vector(v, what: str, unit: float | None = None) -> tuple[np.ndarray, float]:
+    """A 3-vector and its _finite_length (a Python float), divided by it when unit is given.
+
+    Another shape is DimensionMismatch; text, a NaN or infinite entry, or a
+    length more than unit off 1 is InvalidInput.
+    """
     v = float_array(v, what).reshape(-1)
     if v.shape != (3,):
         raise DimensionMismatch(f"{what} must have 3 entries, got {v.shape}")
-    nrm = _finite_length(np.linalg.norm, v)
-    if not abs(nrm - 1.0) <= tol:  # a NaN or infinite entry fails too
+    nrm = _finite_length(v)
+    if unit is None:
+        if not nrm < math.inf:
+            raise InvalidInput(f"{what} entries must be finite")
+        return v, nrm
+    if not abs(nrm - 1.0) <= unit:  # a NaN or infinite entry fails too
         raise InvalidInput(f"{what} must be finite and unit length, got norm {nrm!r}")
-    return v / nrm
+    return v / nrm, nrm
 
 
-def _vector(v, what: str) -> tuple[np.ndarray, float]:
-    """A 3-vector and its finite Euclidean length; a NaN or infinite entry is InvalidInput."""
-    v = float_array(v, what).reshape(-1)
-    if v.shape != (3,):
-        raise DimensionMismatch(f"{what} must have 3 entries, got {v.shape}")
-    nrm = _finite_length(np.linalg.norm, v)
-    if not nrm < np.inf:
-        raise InvalidInput(f"{what} entries must be finite")
-    return v, nrm
+def _read_rows(vs, what: str, unit: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) rows and their lengths, each row read, and rounded, as _read_vector reads it alone."""
+    vs = float_array(vs, what)
+    if vs.ndim != 2 or vs.shape[1] != 3:
+        raise DimensionMismatch(f"{what} must be an (N, 3) array, got shape {vs.shape}")
+    norms = _finite_lengths(vs)
+    bad = ~(norms < np.inf) if unit is None else ~(np.abs(norms - 1.0) <= unit)
+    if bad.any():
+        row = int(np.argmax(bad))
+        _read_vector(vs[row], f"{what} row {row}", unit)  # takes the same length, so it raises
+    return (vs, norms) if unit is None else (vs / norms[:, None], norms)
 
 
 def _angle(u, w):
-    """Angles between unit vectors u (..., 3) and w (3,)."""
-    return np.arccos(np.clip(u @ w, -1.0, 1.0))
+    """Angles between unit vectors u (..., 3) and w (3,), each pairing rounded as for u alone."""
+    return np.arccos(np.clip(_dots(u, w), -1.0, 1.0))
 
 
 _REGION_FIELDS = {"full": (), "cap": ("center", "radius"), "hull": ("vertices",)}
@@ -193,7 +202,7 @@ class SphericalRegion:
         if kind == "full":
             return
         if kind == "cap":
-            self.center = _unit(center, "cap center", tol=1e-12)
+            self.center = _read_vector(center, "cap center", unit=1e-12)[0]
             radius = float_array(radius, "cap radius")
             if radius.shape != ():
                 raise InvalidInput("cap radius must be a number")
@@ -207,7 +216,7 @@ class SphericalRegion:
             verts = float_array(vertices, "hull vertices")
             if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 3:
                 raise InvalidInput("hull needs at least 3 unit vertices of dimension 3")
-            norms = np.linalg.norm(verts, axis=1)
+            norms = _finite_lengths(verts, square_sums=True)
             if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN or infinite entry fails too
                 raise InvalidInput("hull vertices must be finite and unit length")
             verts = verts / norms[:, None]
@@ -293,19 +302,18 @@ class SphericalRegion:
 
     def contains(self, u, tol: float = GEOM_TOL) -> bool:
         """Membership of a unit vector in the sphere region."""
-        return bool(self._inside(_unit(u, "query point"), tol))
+        return bool(self._inside(_read_vector(u, "query point", unit=1e-6)[0], tol))
 
-    def contains_many(self, pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        """Vectorized membership for unit rows; hulls use facet normals."""
-        return self._inside(np.asarray(pts, dtype=float), tol)
+    def contains_many(self, pts, tol: float = GEOM_TOL) -> np.ndarray:
+        """contains on each of the (N, 3) unit rows."""
+        return self._inside(_read_rows(pts, "query points", unit=1e-6)[0], tol)
 
     def cone_contains(self, v, tol: float = GEOM_TOL) -> bool:
-        v, nrm = _vector(v, "vector")
+        v, nrm = _read_vector(v, "vector")
         return nrm <= tol or bool(self._inside(v / nrm, tol))
 
-    def cone_contains_many(self, vs: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        vs = np.asarray(vs, dtype=float)
-        norms = _finite_lengths(vs)
+    def cone_contains_many(self, vs, tol: float = GEOM_TOL) -> np.ndarray:
+        vs, norms = _read_rows(vs, "vectors")
         zero = norms <= tol
         return zero | self._inside(vs / np.where(zero, 1.0, norms)[:, None], tol)
 
@@ -313,12 +321,10 @@ class SphericalRegion:
 
     def dual_contains(self, d, tol: float = GEOM_TOL) -> bool:
         """Membership of d in the dual cone {d : d.k >= 0 for all k in region}."""
-        d, nrm = _vector(d, "vector")
-        return bool(self._dual(d, nrm, tol))
+        return bool(self._dual(*_read_vector(d, "vector"), tol))
 
-    def dual_contains_many(self, ds: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        ds = np.asarray(ds, dtype=float)
-        return self._dual(ds, _finite_lengths(ds), tol)
+    def dual_contains_many(self, ds, tol: float = GEOM_TOL) -> np.ndarray:
+        return self._dual(*_read_rows(ds, "vectors"), tol)
 
 
 def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,14 +352,15 @@ def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = cands[(cands @ verts.T >= -1e-12).all(axis=1)].sum(axis=0)
     if not (verts @ w).min() > GEOM_TOL * float(np.linalg.norm(w)):
         raise InvalidInput("hull vertices must lie strictly inside an open half-sphere")
+    near = _finite_lengths(verts[:, None] - verts[None]) <= 1e-9
     keep: list[int] = []
-    for k, v in enumerate(verts):
-        if not any(np.linalg.norm(v - verts[m]) <= 1e-9 for m in keep):
+    for k in range(len(verts)):
+        if not near[k, keep].any():
             keep.append(k)
     rays, keep = verts[keep], np.array(keep)
     a, b = np.array(list(itertools.combinations(range(len(keep)), 2))).T
     normals = cross[keep[a], keep[b]]
-    norms = np.array([np.linalg.norm(nvec) for nvec in normals])  # row by row, as a batched norm rounds differently
+    norms = _finite_lengths(normals)
     side = rays @ normals.T
     side = np.where(side.sum(axis=0) < 0, -side, side)
     support = (side >= -1e-9 * norms).all(axis=0)
@@ -382,15 +389,13 @@ def iso_membership(region: SphericalRegion, a, tol: float = GEOM_TOL) -> bool:
 class PureStatePoint:
     """A projective qubit state, carried as its unit Bloch vector."""
 
-    def __init__(self, bloch, xi=None):
-        self.bloch = _unit(bloch, "Bloch vector", tol=1e-9)
+    def __init__(self, bloch):
+        self.bloch = _read_vector(bloch, "Bloch vector", unit=1e-9)[0]
         self.bloch.setflags(write=False)
-        self.xi = None if xi is None else np.asarray(xi, dtype=complex)
 
     @classmethod
     def from_xi(cls, xi) -> "PureStatePoint":
-        xi = np.asarray(xi, dtype=complex).reshape(-1)
-        return cls(hopf(xi), xi=xi)
+        return cls(hopf(xi))
 
     @classmethod
     def from_bloch(cls, bloch) -> "PureStatePoint":
@@ -412,10 +417,8 @@ class DensityState:
     """A 2x2 density matrix, carried as its Bloch vector of length <= 1."""
 
     def __init__(self, bloch):
-        b = float_array(bloch, "density Bloch vector").reshape(-1)
-        if b.shape != (3,):
-            raise DimensionMismatch(f"Bloch vector must have 3 entries, got {b.shape}")
-        if not np.linalg.norm(b) <= 1.0 + 1e-12:  # a NaN entry fails too
+        b, nrm = _read_vector(bloch, "density Bloch vector")
+        if not nrm <= 1.0 + 1e-12:
             raise InvalidInput("density Bloch vector must be finite with norm <= 1")
         b.setflags(write=False)
         self.bloch = b
@@ -431,8 +434,8 @@ class DensityState:
 
 
 def _bloch_relation(region: SphericalRegion, b1, b2, tol: float = GEOM_TOL) -> str:
-    d = np.asarray(b2, dtype=float) - np.asarray(b1, dtype=float)
-    nrm = float(np.linalg.norm(d))  # Bloch vectors have length at most 1, so no square overflows
+    d = b2 - b1
+    nrm = _finite_length(d)
     if nrm <= tol:
         return "equal"
     if region._dual(d, nrm, tol):
@@ -452,34 +455,20 @@ def pure_state_order(region: SphericalRegion, p: PureStatePoint, q: PureStatePoi
 _RELATIONS = np.array(["equal", "less", "greater", "incomparable"], dtype=object)
 
 
-def _unit_rows(vs, what: str) -> np.ndarray:
-    """(N, 3) rows, each checked as PureStatePoint checks one and divided by its own norm."""
-    vs = float_array(vs, what)
-    if vs.ndim != 2 or vs.shape[1] != 3:
-        raise DimensionMismatch(f"{what} must be an (N, 3) array, got shape {vs.shape}")
-    norms = _finite_lengths(vs)
-    bad = ~(np.abs(norms - 1.0) <= 1e-9)  # a NaN or infinite entry fails too
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise InvalidInput(f"{what} row {row} must be finite and unit length, got norm {float(norms[row])!r}")
-    return vs / norms[:, None]
-
-
 def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) -> list[str]:
     """pure_state_order row by row on (N, 3) arrays of unit Bloch vectors.
 
-    One dual-cone batch test per direction decides every pair. The relation
-    of row i is that of PureStatePoint(P[i]) and PureStatePoint(Q[i]) up to
-    rounding: the batch norms and products may differ from the scalar ones
-    in the last bit, so a pair within rounding of the tol or cap-angle
-    boundary can be decided either way.
+    One dual-cone batch test per direction decides every pair.  On caps and
+    the full sphere row i's relation is exactly that of PureStatePoint(P[i])
+    and PureStatePoint(Q[i]).  A hull pairs all rows with its vertices in one
+    matrix product, so there a pair within rounding of tol may go either way.
     """
-    P = _unit_rows(P, "Bloch vectors p")
-    Q = _unit_rows(Q, "Bloch vectors q")
+    P = _read_rows(P, "Bloch vectors p", unit=1e-9)[0]
+    Q = _read_rows(Q, "Bloch vectors q", unit=1e-9)[0]
     if P.shape != Q.shape:
         raise DimensionMismatch(f"p and q must hold the same number of rows, got {len(P)} and {len(Q)}")
     d = Q - P
-    norms = np.linalg.norm(d, axis=1)  # unit rows, so no square overflows
+    norms = _finite_lengths(d)
     codes = np.where(
         norms <= tol, 0,
         np.where(region._dual(d, norms, tol), 1, np.where(region._dual(-d, norms, tol), 2, 3)),
@@ -606,7 +595,7 @@ def join_coeffs(a, b) -> tuple[float, float]:
     da = pauli_coords(a)
     db = pauli_coords(b)
     t = da.c - db.c
-    r = _finite_length(np.linalg.norm, da.v - db.v)
+    r = _finite_length(da.v - db.v)
     return join_coeffs_from_difference(t, r)
 
 

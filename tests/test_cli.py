@@ -565,6 +565,25 @@ def test_overflowing_spinor_entry_is_not_normalized_with_nothing_on_stderr(capsy
     assert json.loads(captured.out) == {"error": {"detail": "state vector has norm 1e+200", "kind": "NotNormalized"}}
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["m2", "state-order", "--region", '{"kind":"full"}', "--rho", '{"bloch":[1e200,0,0]}', "--sigma", '{"bloch":[0,0,0]}'],
+         "density Bloch vector must be finite with norm <= 1"),
+        (["m2", "order", "--region", '{"kind":"hull","vertices":[[1e200,0,1],[0,1,1],[1,1,1]]}', "--p", "[0,0,1]", "--q", "[0,0,1]"],
+         "hull vertices must be finite and unit length"),
+    ],
+    ids=["density", "hull"],
+)
+def test_overflowing_density_and_hull_entries_are_invalid_input_with_nothing_on_stderr(capsys, argv, detail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": {"detail": detail, "kind": "InvalidInput"}}
+
+
 def test_accept_fast_single_criterion(capsys):
     code, out = run(capsys, ["accept", "all", "--fast", "--criteria", "6", "--seed", "9"])
     assert code == 0

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
-from ordercones.hermitian import HermitianMatrix, _finite_length, complex_matrix_from_json, func_calc, spectral
+from ordercones.hermitian import (
+    HermitianMatrix,
+    _finite_length,
+    _finite_lengths,
+    complex_matrix_from_json,
+    func_calc,
+    spectral,
+)
 from ordercones.m2 import (
     SIGMA,
     DensityState,
@@ -308,6 +315,70 @@ def test_scalar_cone_and_dual_membership_check_their_input(kind, value, error):
         region.dual_contains(value)
 
 
+_FIXTURES = dict(region_fixtures())
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _FIXTURES["full"].contains_many([[0.0, 0.0, 1.0, 0.0]]), DimensionMismatch),
+        (lambda: _FIXTURES["full"].contains_many([[np.nan, 0.0, 1.0]]), InvalidInput),
+        (lambda: _FIXTURES["hull-spread"].dual_contains_many([[np.inf, 0.0, 0.0]]), InvalidInput),
+        (lambda: _FIXTURES["cap-0.3"].contains_many([[np.inf, 0.0, 0.0]]), InvalidInput),
+        (lambda: _FIXTURES["cap-0.3"].cone_contains_many([0.0, 0.0, 1.0]), DimensionMismatch),
+        (lambda: _FIXTURES["hull-square"].cone_contains_many([["x", 0.0, 1.0]]), InvalidInput),
+    ],
+    ids=["wrong-width", "nan", "inf-dual", "inf-cap", "flat", "text"],
+)
+def test_batch_membership_checks_its_input_as_the_scalar_does(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+def _boundary_directions(rng, center, angles, n):
+    """n unit vectors at the given angles from center, each moved by up to 64 ulps of its angle."""
+    e1 = np.cross(center, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    theta = rng.choice(angles, size=n) * (1.0 + rng.integers(-64, 65, size=n) * 2.0**-52)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+
+
+@pytest.mark.parametrize("name", ["cap-0.1", "cap-pi4", "cap-pi2", "cap-tilted", "full", "hull-skew", "hull-square"])
+def test_batch_membership_and_order_equal_the_scalar_forms_row_by_row(name):
+    # 1e5 rows over the regions.  On caps and the full sphere every row
+    # sits within 64 ulps of an angle the cap rules compare against, or has
+    # a length within ulps of tol, so any rounding the batch forms took
+    # differently from the scalar ones would show.  Hulls pair rows with
+    # their facets in one matrix product, so they are checked on random rows.
+    region = SphericalRegion.cap([0.48, -0.6, 0.64], 0.7) if name == "cap-tilted" else _FIXTURES[name]
+    rng = np.random.default_rng(18)
+    n = 3584  # four blocks of n rows on each of the seven regions
+    if region.kind == "cap":
+        r, tol = region.radius, 1e-9
+        units = _boundary_directions(rng, region.center, [r + tol, np.pi / 2.0 - r + tol], 4 * n)
+    else:
+        units = rng.normal(size=(4 * n, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+    lengths = 10.0 ** rng.uniform(-160.0, 160.0, size=n)
+    lengths[: n // 4] = 1e-9 * (1.0 + rng.integers(-64, 65, size=n // 4) * 2.0**-52)
+    lengths[n // 4 : n // 2] = rng.choice([1e-160, 1e160], size=n // 4)
+    vs = units[:n] * lengths[:, None]
+    near_unit = units[n : 2 * n] * (1.0 + rng.uniform(-1e-7, 1e-7, size=n))[:, None]
+    assert region.contains_many(near_unit).tolist() == [region.contains(u) for u in near_unit]
+    assert region.cone_contains_many(vs).tolist() == [region.cone_contains(v) for v in vs]
+    assert region.dual_contains_many(vs).tolist() == [region.dual_contains(d) for d in vs]
+    # Pairs (-u, u) and (u, -u) put the Bloch difference on the dual boundary; the
+    # rest are random pairs, one side up to 1e-10 off unit length.
+    P = np.concatenate([-units[2 * n : 2 * n + n // 4], units[2 * n + n // 4 : 2 * n + n // 2], units[3 * n : 3 * n + n // 2]])
+    Q = np.concatenate([-P[: n // 2], units[3 * n + n // 2 : 4 * n] * (1.0 + rng.uniform(-1e-10, 1e-10, size=n // 2))[:, None]])
+    batch = pure_state_order_many(region, P, Q)
+    assert batch == [pure_state_order(region, PureStatePoint(p), PureStatePoint(q)) for p, q in zip(P, Q)]
+
+
 def _off_boundary_rows(region):
     """Unit rows 2e-9 either side of the region's boundary (and of a cap's dual boundary)."""
     if region.kind == "full":
@@ -381,15 +452,33 @@ def test_unit_vectors_with_overflowing_entries_are_invalid_input_without_a_warni
 
 
 def test_finite_lengths_keep_the_bits_of_the_plain_norm():
+    # Each row's length is np.linalg.norm of that row alone, bit for bit, in
+    # every memory layout the rows may arrive in, for 3-vectors and spinors.
     rng = np.random.default_rng(16)
     for scale in (1e-300, 1e-5, 1.0, 1e100, 1e149, 1e150, 1e153):
         vs = rng.normal(size=(2000, 3)) * scale
-        assert [_finite_length(np.linalg.norm, v) for v in vs] == [float(np.linalg.norm(v)) for v in vs]
+        plain = [float(np.linalg.norm(v)) for v in vs]
+        assert [_finite_length(v) for v in vs] == plain
+        wide = np.zeros((2000, 6))
+        wide[:, ::2] = vs
+        for rows in (vs, np.asfortranarray(vs), wide[:, ::2], vs[::-1][::-1]):
+            assert _finite_lengths(rows).tolist() == plain
+        assert _finite_lengths(vs.reshape(500, 4, 3)).reshape(-1).tolist() == plain
+        xi = (rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))) * scale
+        plain = [float(np.linalg.norm(x)) for x in xi]
+        assert [_finite_length(x) for x in xi] == plain
+        assert _finite_lengths(xi).tolist() == plain
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _finite_length(np.linalg.norm, np.array([3.0, 4.0, 0.0]) * 2.0**700) == 5.0 * 2.0**700
-        assert _finite_length(np.linalg.norm, np.array([np.inf, 0.0, 0.0])) == np.inf
-        assert np.isnan(_finite_length(np.linalg.norm, np.array([1.0, np.nan, 0.0])))
+        for v, want in (([3.0, 4.0, 0.0], 5.0), ([3.0 + 4.0j, 0.0], 5.0)):
+            v = np.array(v) * 2.0**700
+            assert _finite_length(v) == want * 2.0**700
+            assert _finite_lengths(np.array([v, v / 2.0**700])).tolist() == [want * 2.0**700, want]
+        assert _finite_length(np.array([np.inf, 0.0, 0.0])) == np.inf
+        assert _finite_lengths(np.array([[np.inf, 0.0, 0.0]])).tolist() == [np.inf]
+        assert not np.isfinite(_finite_lengths(np.array([[0.0, np.inf + 0j]]))).any()
+        assert np.isnan(_finite_length(np.array([1.0, np.nan, 0.0])))
+        assert np.isnan(_finite_lengths(np.array([[1.0, np.nan, 0.0]]))).all()
 
 
 def test_iso_membership_examples():
