@@ -164,7 +164,8 @@ def _read_rows(vs, what: str, unit: float | None = None) -> tuple[np.ndarray, np
     bad = ~(norms < np.inf) if unit is None else ~(np.abs(norms - 1.0) <= unit)
     if bad.any():
         row = int(np.argmax(bad))
-        _read_vector(vs[row], f"{what} row {row}", unit)  # takes the same length, so it raises
+        _read_vector(vs[row], f"{what} row {row}", unit)  # raises with the scalar message
+        raise InvalidInput(f"{what} row {row} has norm {float(norms[row])!r}")  # should the roundings part
     return (vs, norms) if unit is None else (vs / norms[:, None], norms)
 
 

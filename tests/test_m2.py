@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordercones import m2
 from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
 from ordercones.hermitian import (
     HermitianMatrix,
@@ -335,6 +336,16 @@ def test_batch_membership_checks_its_input_as_the_scalar_does(call, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+def test_batch_readers_refuse_a_bad_row_even_where_the_scalar_reader_passes_it(monkeypatch):
+    # Should a row length ever round unlike the scalar one at the unit edge,
+    # the row is still refused rather than handed back normalised.
+    monkeypatch.setattr(m2, "_read_vector", lambda *args: None)
+    with pytest.raises(InvalidInput, match="row 1"):
+        _FIXTURES["full"].contains_many([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(InvalidInput, match="row 0"):
+        _FIXTURES["hull-spread"].dual_contains_many([[np.inf, 0.0, 0.0]])
 
 
 def _boundary_directions(rng, center, angles, n):
