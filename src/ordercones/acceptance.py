@@ -32,17 +32,6 @@ class CriterionResult:
         nums = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
         return f"{tag}  {self.number:2d} {self.name:<28} {nums}  ({self.elapsed:.2f}s < {self.budget:.0f}s)"
 
-    def to_json(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "elapsed": self.elapsed,
-            "budget": self.budget,
-            "seed": self.seed,
-            "details": self.details,
-        }
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):

@@ -7,6 +7,7 @@ machine-readable error object), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -19,11 +20,16 @@ from .errors import DomainError, InvalidInput, OrderConesError, string_ids
 
 
 def _json_default(obj):
-    """JSON form of the numpy values payloads carry."""
+    """JSON form of the numpy values and dataclass records payloads carry.
+
+    A record is the shallow dict of its fields; _indented writes what they hold.
+    """
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -221,8 +227,7 @@ def _cmd_poset_interval(args):
 
 
 def _cmd_poset_bounds(args):
-    b = poset.bounds(_poset_arg(getattr(args, "in")))
-    return {"top": b.top, "bottom": b.bottom}
+    return poset.bounds(_poset_arg(getattr(args, "in")))
 
 
 def _cmd_poset_sprinkle(args):
@@ -290,12 +295,7 @@ def _cmd_cone_minimal(args):
 
 
 def _cmd_cone_cobounded(args):
-    res = isotone_cone.cobounded_commutative(_poset_arg(getattr(args, "in")))
-    w = res.witness
-    if w is None:
-        return {"cobounded": res.cobounded, "witness": None}
-    witness = {"f": w.f, "g": w.g, "condition": w.condition, "lhs": w.lhs, "rhs": w.rhs}
-    return {"cobounded": res.cobounded, "witness": witness}
+    return isotone_cone.cobounded_commutative(_poset_arg(getattr(args, "in")))
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +318,10 @@ def _cmd_herm_spectral(args):
 def _cmd_herm_fn(args):
     if args.fn not in _NAMED_FUNCTIONS:
         raise InvalidInput(f"unknown function {args.fn!r}; pick one of {sorted(_NAMED_FUNCTIONS)}")
-    return hermitian.func_calc(_hermitian_arg(getattr(args, "in")), _NAMED_FUNCTIONS[args.fn]).to_json()
+    a = _hermitian_arg(getattr(args, "in"))
+    # An overflowing exp is inf, which func_calc refuses as a DomainError.
+    with np.errstate(over="ignore"):
+        return hermitian.func_calc(a, _NAMED_FUNCTIONS[args.fn]).to_json()
 
 
 def _cmd_herm_lattice(args):
@@ -327,7 +330,7 @@ def _cmd_herm_lattice(args):
 
 
 def _cmd_herm_classify(args):
-    return hermitian.classify(_hermitian_arg(getattr(args, "in"))).to_json()
+    return hermitian.classify(_hermitian_arg(getattr(args, "in")))
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +441,7 @@ def _cmd_dual_morphism(args):
         mapping = mapping["map"]
     if not isinstance(mapping, dict):
         raise InvalidInput(f"map must be an object from source ids to target ids, got {type(mapping).__name__}")
-    return duality.morphism_check(mapping, _poset_arg(args.source), _poset_arg(args.target)).to_json()
+    return duality.morphism_check(mapping, _poset_arg(args.source), _poset_arg(args.target))
 
 
 def _cmd_dual_cobounded_duality(args):
@@ -501,16 +504,8 @@ def _accept_all(args) -> int:
     for r in results:
         print(r.line())
     all_passed = all(r.passed for r in results)
-    summary = {
-        "seed": args.seed,
-        "fast": args.fast,
-        "all_passed": all_passed,
-        "criteria": [r.to_json() for r in results],
-    }
     if args.out:
-        text = _dumps(summary)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _emit(args, {"seed": args.seed, "fast": args.fast, "all_passed": all_passed, "criteria": results})
     print("ALL CRITERIA PASSED" if all_passed else "CRITERIA FAILED")
     return 0 if all_passed else 1
 

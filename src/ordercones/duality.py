@@ -78,13 +78,6 @@ class MorphismReport:
     isotone: bool
     pullback_preserves_cone: bool
 
-    def to_json(self) -> dict:
-        return {
-            "star_morphism": self.star_morphism,
-            "isotone": self.isotone,
-            "pullback_preserves_cone": self.pullback_preserves_cone,
-        }
-
 
 def _mapping_indices(mapping: dict, source: FinitePoset, target: FinitePoset) -> np.ndarray:
     string_ids(mapping.values(), "map values")

@@ -217,10 +217,10 @@ def spectral(a) -> SpectralDecomp:
     return SpectralDecomp(np.asarray(vals, dtype=float), vecs)
 
 
-def _clusters(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[int]]:
+def _clusters(values: np.ndarray) -> list[list[int]]:
     groups: list[list[int]] = []
     for i, v in enumerate(values):
-        if groups and v - values[groups[-1][-1]] <= tol:
+        if groups and v - values[groups[-1][-1]] <= CLUSTER_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -288,13 +288,6 @@ class Classification:
     positive: bool
     positive_invertible: bool
 
-    def to_json(self) -> dict:
-        return {
-            "norm": self.norm,
-            "positive": self.positive,
-            "positive_invertible": self.positive_invertible,
-        }
-
 
 def classify(a) -> Classification:
     """Operator norm and spectral positivity flags."""
@@ -307,7 +300,7 @@ def classify(a) -> Classification:
     )
 
 
-def projection_decomposition(a, tol: float = PSD_TOL) -> list[tuple[float, HermitianMatrix]]:
+def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
     """Positive span over spectral projections of a positive matrix.
 
     With ascending spectral levels v_1 < v_2 < ..., the matrix equals
@@ -317,7 +310,7 @@ def projection_decomposition(a, tol: float = PSD_TOL) -> list[tuple[float, Hermi
     """
     a = _as_hermitian(a)
     dec = spectral(a)
-    if dec.eigenvalues[0] < -tol:
+    if dec.eigenvalues[0] < -PSD_TOL:
         raise InvalidInput("matrix must be positive semidefinite")
     groups = _clusters(dec.eigenvalues)
     terms: list[tuple[float, HermitianMatrix]] = []
@@ -328,7 +321,7 @@ def projection_decomposition(a, tol: float = PSD_TOL) -> list[tuple[float, Hermi
         tail = [i for g in groups[k:] for i in g]
         vecs = dec.eigenvectors[:, tail]
         proj = HermitianMatrix(vecs @ vecs.conj().T)
-        if k > 0 or coeff > tol:
+        if k > 0 or coeff > PSD_TOL:
             terms.append((coeff, proj))
         prev = lam
     return terms

@@ -20,7 +20,8 @@ __all__ = [
     "sample_cone_members",
 ]
 
-# Defaults of random_poset and random_nonneg_isotone, which random_isotone_stack repeats.
+# random_poset's default edge probability and random_nonneg_isotone's upper value,
+# which random_isotone_stack repeats.
 _EDGE_PROB = 0.35
 _NONNEG_HI = 3.0
 
@@ -97,17 +98,17 @@ def random_isotone_stack(
     return rels & present[:, :, None] & present[:, None, :], values
 
 
-def random_nonneg_isotone(rng: np.random.Generator, p: FinitePoset, hi: float = _NONNEG_HI) -> np.ndarray:
-    return random_isotone(rng, p, lo=0.0, hi=hi)
+def random_nonneg_isotone(rng: np.random.Generator, p: FinitePoset) -> np.ndarray:
+    return random_isotone(rng, p, lo=0.0, hi=_NONNEG_HI)
 
 
-def separating_family(rng: np.random.Generator, p: FinitePoset, extra: int = 2) -> list[np.ndarray]:
+def separating_family(rng: np.random.Generator, p: FinitePoset) -> list[np.ndarray]:
     """Random isotone functions that induce exactly the poset's order.
 
     Starts from random members and, if the induced order is still coarser,
     mixes in randomly rescaled up-set indicators until it matches.
     """
-    fns = [random_isotone(rng, p) for _ in range(max(1, p.n // 2 + extra))]
+    fns = [random_isotone(rng, p) for _ in range(max(1, p.n // 2 + 2))]
     indicators = list(principal_upset_indicators(p))
     rng.shuffle(indicators)
     for ind in indicators:

@@ -512,6 +512,10 @@ def test_m2_cobounded_and_rotation(capsys):
     flip = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
     code, data = run_json(capsys, ["m2", "rotation", "--region", cap, "--matrix", json.dumps(flip)])
     assert code == 0 and data == {"preserves": False}
+    # a cap too small to hold two distinct points has no witness
+    tiny = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 1e-13})
+    code, out = run(capsys, ["m2", "cobounded", "--region", tiny])
+    assert code == 0 and out == '{\n  "witness": null\n}\n'
 
 
 def test_dual_cobounded_duality_cli(capsys):
@@ -546,6 +550,12 @@ def test_overflowing_bloch_entry_is_invalid_input_with_nothing_on_stderr():
     )
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["error"]["kind"] == "InvalidInput"
+
+
+def test_overflowing_exp_is_domain_error_with_nothing_on_stderr():
+    proc = _run_module("-W", "error", "-m", "ordercones.cli", "herm", "fn", "--fn", "exp", "--in", "[[1000,0],[0,0]]")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {"detail": "function not finite at eigenvalue 1000.0", "kind": "DomainError"}}
 
 
 @pytest.mark.parametrize(
