@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -34,42 +35,81 @@ def _json_default(obj):
 
 
 _encode = json.JSONEncoder(default=_json_default, allow_nan=False).encode
+# What the C encoder writes for a str when ensure_ascii is on.
+_string = json.encoder.encode_basestring_ascii
 
 
 def _key(key) -> str:
     # A key that is not a string is written as the C encoder writes keys.
-    return _encode(key) if isinstance(key, str) else _encode({key: None})[1:-7]
+    return _string(key) if isinstance(key, str) else _encode({key: None})[1:-7]
 
 
 def _indented(obj, indent: str) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it at this indent.
 
     json.dumps with an indent always runs the pure-Python encoder; here
-    every scalar, key and flat list goes through the C encoder instead.
+    every value goes through the cheapest C call that writes the same
+    bytes, and each container's text is assembled in one copy.
     """
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
-        items = [_key(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        sep = ",\n" + inner
+        parts = []  # separators and texts in turn: one join copies each text once
+        for k, v in sorted(obj.items()):
+            parts += (sep, _key(k), ": ", _indented(v, inner))
+        parts[0] = "{\n" + inner
+        parts.append("\n" + indent + "}")
+        return "".join(parts)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
+        sep = ",\n" + inner
         if not isinstance(obj[0], (str, list, tuple, dict)):
             body = _encode(obj)[1:-1]
             # Without quotes or brackets the body holds only bare numbers,
             # true, false and null, so every ", " is an item separator.
             if '"' not in body and "[" not in body and "{" not in body:
-                return "[\n" + inner + body.replace(", ", ",\n" + inner) + "\n" + indent + "]"
-        items = [_indented(x, inner) for x in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if obj is None or isinstance(obj, (str, int, float)):
+                return f"[\n{inner}{body.replace(', ', sep)}\n{indent}]"
+        elif type(obj[0]) in (list, tuple) and (text := _string_rows(obj, indent)) is not None:
+            return text
+        parts = [sep] * (2 * len(obj))  # as for a dict
+        parts[1::2] = [_indented(x, inner) for x in obj]
+        parts[0] = "[\n" + inner
+        parts.append("\n" + indent + "]")
+        return "".join(parts)
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or isinstance(obj, (int, float)):
         return _encode(obj)
     if isinstance(obj, np.ndarray) and obj.dtype == np.uint8 and obj.ndim == 2 and obj.size and obj.max() <= 1:
         return _bit_matrix(obj, indent)
     return _indented(_json_default(obj), indent)
+
+
+def _string_rows(rows, indent: str) -> str | None:
+    """Plain lists or tuples of one nonzero length, holding only strings, as _indented writes them.
+
+    Every cell goes through one map of the string encoder, and the rows
+    through two joins; anything else gives None, for the per-item path.
+    """
+    width = len(rows[0])
+    if not (width and isinstance(rows[0][0], str)):  # a matrix of numbers stops here
+        return None
+    if not set(map(type, rows)) <= {list, tuple} or set(map(len, rows)) != {width}:
+        return None
+    inner, cell = indent + "  ", indent + "    "
+    cells = map(_string, itertools.chain.from_iterable(rows))
+    # zip over width references to one iterator takes the cells a row at a time.
+    try:  # the string encoder refuses anything that is not a str
+        body = f"\n{inner}],\n{inner}[\n{cell}".join(map((",\n" + cell).join, zip(*[cells] * width)))
+    except TypeError:
+        return None
+    return f"[\n{inner}[\n{cell}{body}\n{inner}]\n{indent}]"
 
 
 def _bit_matrix(a: np.ndarray, indent: str) -> str:

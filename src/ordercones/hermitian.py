@@ -143,8 +143,10 @@ def _pauli_parts(m: np.ndarray) -> tuple:
     """Pauli coordinates (c, v1, v2, v3) with m = c*s0 + v.s: scalars for one
     2x2 matrix, (N,) arrays for an (N, 2, 2) stack."""
     t = m.T  # t[j, i] is entry (i, j): a scalar for one matrix, where m[..., i, j] is a 0-d array
-    c = (t[0, 0].real + t[1, 1].real) / 2.0
-    return c, t[0, 1].real, t[0, 1].imag, (t[0, 0].real - t[1, 1].real) / 2.0
+    # Halved before they meet, so diagonals near the largest floats cannot
+    # overflow; outside the subnormals this is (a +- d) / 2 bit for bit.
+    a, d = t[0, 0].real / 2.0, t[1, 1].real / 2.0
+    return a + d, t[0, 1].real, t[0, 1].imag, a - d
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -190,11 +192,12 @@ def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
 def _spectral2(m: np.ndarray) -> SpectralDecomp:
     # Closed form on the Pauli coordinates: eigenvalues c +- r, eigenvectors
     # from the polar angles of the traceless part.
-    c, v1, v2, v3 = _pauli_parts(m)
-    # The square_sums rule of _finite_lengths on Python floats (no overflow warning): 3 us
-    # per scalar spectrum against 15 us for a one-row _finite_lengths (x86-64, numpy 2.4).
+    # Python floats overflow to inf without a warning.
+    c, v1, v2, v3 = map(float, _pauli_parts(m))
+    # The square_sums rule of _finite_lengths on Python floats: 3 us per scalar
+    # spectrum against 15 us for a one-row _finite_lengths (x86-64, numpy 2.4).
     for scale in (1.0, 2.0**-600):
-        x, y, z = float(v1) * scale, float(v2) * scale, float(v3) * scale
+        x, y, z = v1 * scale, v2 * scale, v3 * scale
         if (r := math.sqrt(x * x + y * y + z * z) / scale) < math.inf:
             break
     if r == 0.0:
@@ -217,10 +220,11 @@ def spectral(a) -> SpectralDecomp:
     return SpectralDecomp(np.asarray(vals, dtype=float), vecs)
 
 
-def _clusters(values: np.ndarray) -> list[list[int]]:
+def _clusters(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[int]]:
     groups: list[list[int]] = []
+    values = values.tolist()  # a gap past the largest float is inf, without a warning
     for i, v in enumerate(values):
-        if groups and v - values[groups[-1][-1]] <= CLUSTER_TOL:
+        if groups and v - values[groups[-1][-1]] <= tol:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -234,10 +238,14 @@ def func_calc(a, f: Callable[[float], float]) -> HermitianMatrix:
     depends only on the spectral projectors, so the eigenvector ambiguity
     inside a degenerate cluster is immaterial.
     """
-    a = _as_hermitian(a)
+    return _func_calc(_as_hermitian(a), f, CLUSTER_TOL)
+
+
+def _func_calc(a: HermitianMatrix, f: Callable[[float], float], tol: float) -> HermitianMatrix:
+    """func_calc with eigenvalues within tol taken as one spectral point."""
     dec = spectral(a)
     out = np.zeros((a.n, a.n), dtype=complex)
-    for group in _clusters(dec.eigenvalues):
+    for group in _clusters(dec.eigenvalues, tol):
         lam = float(np.mean(dec.eigenvalues[group]))
         try:
             val = f(lam)
@@ -277,8 +285,12 @@ def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:
     a, b = _as_hermitian(a), _as_hermitian(b)
     if a.n != b.n:
         raise DimensionMismatch(f"sizes differ: {a.n} vs {b.n}")
-    mid = (a.mat + b.mat) / 2.0
-    half_gap = matrix_abs(a - b).mat / 2.0
+    # Halved first, so entries near the largest floats cannot overflow: halving
+    # is exact and |.| is positively homogeneous.  The halved difference is
+    # clustered at half the tolerance, so it makes the decisions |a - b| makes.
+    a, b = a.mat / 2.0, b.mat / 2.0
+    mid = a + b
+    half_gap = _func_calc(HermitianMatrix(a - b), abs, CLUSTER_TOL / 2.0).mat
     return HermitianMatrix(mid + half_gap), HermitianMatrix(mid - half_gap)
 
 

@@ -594,6 +594,31 @@ def test_overflowing_density_and_hull_entries_are_invalid_input_with_nothing_on_
     assert json.loads(captured.out) == {"error": {"detail": detail, "kind": "InvalidInput"}}
 
 
+_HUGE = "[[1e308,1e308],[1e308,1e308]]"
+_NOT_FINITE = {"kind": "DomainError", "detail": "result is not finite: Out of range float values are not JSON compliant"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, want",
+    [
+        (["herm", "classify", "--in", _HUGE], 1, {"error": _NOT_FINITE}),  # eigenvalue 2e308
+        (["m2", "member", "--region", '{"kind":"full"}', "--matrix", _HUGE], 0, {"member": True}),
+        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 1, {"error": _NOT_FINITE}),
+        (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0,
+         {"join": {"n": 2, "re": [[1e308, 0.0], [0.0, 1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+          "meet": {"n": 2, "re": [[-1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}}),
+    ],
+    ids=["classify", "member", "join-coeffs", "lattice"],
+)
+def test_diagonals_near_the_largest_float_leave_stderr_empty(capsys, argv, code, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == want
+
+
 def test_accept_fast_single_criterion(capsys):
     code, out = run(capsys, ["accept", "all", "--fast", "--criteria", "6", "--seed", "9"])
     assert code == 0

@@ -9,6 +9,7 @@ from ordercones.errors import DimensionMismatch, DomainError, InvalidInput, NotH
 from ordercones.hermitian import (
     CLUSTER_TOL,
     HermitianMatrix,
+    _pauli_parts,
     classify,
     func_calc,
     lattice_ops,
@@ -120,6 +121,29 @@ def test_lattice_ops_commuting_componentwise():
 def test_lattice_ops_pauli_closed_form():
     join, _ = lattice_ops(HermitianMatrix(S3), HermitianMatrix(S1))
     assert join.allclose((S3 + S1) / 2 + (np.sqrt(2) / 2) * S0, tol=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.5e-10, 1.5e-10, 3e-10, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_ops_equals_the_unhalved_pair_bit_for_bit(n, gap):
+    # Around the cluster tolerance too: a - b with eigenvalues gap apart.
+    rng = np.random.default_rng(n)
+    for _ in range(30):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        b = random_hermitian(rng, n)
+        a = HermitianMatrix(b.mat + (q * (rng.normal() + gap * np.arange(n))) @ q.conj().T)
+        mid, half_gap = (a.mat + b.mat) / 2.0, matrix_abs(a - b).mat / 2.0
+        join, meet = lattice_ops(a, b)
+        assert np.array_equal(join.mat, HermitianMatrix(mid + half_gap).mat)
+        assert np.array_equal(meet.mat, HermitianMatrix(mid - half_gap).mat)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_pauli_parts_halve_each_diagonal_bit_for_bit(scale):
+    mats = np.array([random_hermitian(np.random.default_rng(k), 2).mat for k in range(200)]) * scale
+    a, d = mats[:, 0, 0].real, mats[:, 1, 1].real
+    for parts in (_pauli_parts(mats), np.array([_pauli_parts(m) for m in mats]).T):
+        assert np.array_equal(parts[0], (a + d) / 2.0) and np.array_equal(parts[3], (a - d) / 2.0)
 
 
 def test_join_with_self_is_self():

@@ -1,4 +1,5 @@
 """The CLI's JSON emitter writes what json.dumps(sort_keys=True, indent=2) writes."""
+import enum
 import hashlib
 import io
 import json
@@ -19,17 +20,29 @@ def _reference(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=cli._json_default, allow_nan=False)
 
 
+class _Id(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
 _EXAMPLES = settings(derandomize=True, max_examples=200, deadline=None)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # Strings that look like the emitter's separators and brackets, or need escaping.
 _text = st.one_of(st.text(max_size=6), st.sampled_from(['", "', ", ", '"', "[", "{", "]}", "\n", "a, b", "é✓", "\x00", ""]))
+_ids = st.one_of(_text, _text.map(_Id))
+_levels = st.sampled_from(list(_Level))
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
     _finite,
     st.sampled_from([0.0, -0.0, 1e300, -1e-300, 5e-324]),
-    _text,
+    _ids,
+    _levels,
     _finite.map(np.float64),
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -40,24 +53,57 @@ _arrays = st.one_of(
     hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
     hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
 )
+
+
+@st.composite
+def _rows(draw):
+    """Rows of ids of one width, as lists or tuples, often with one odd item.
+
+    The odd item is a ragged or empty row, a bare id where a row belongs,
+    or a row whose last cell is not a string.
+    """
+    width = draw(st.integers(0, 3))
+    row = st.lists(_ids, min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=5))
+    i = draw(st.integers(0, len(rows) - 1))
+    odd = draw(st.sampled_from(["none", "none", "ragged", "empty", "bare", "cell"]))
+    if odd == "ragged":
+        rows[i] = draw(st.lists(_ids, max_size=4))
+    elif odd == "empty":
+        rows[i] = []
+    elif odd == "bare":
+        rows[i] = draw(_ids)
+    elif odd == "cell" and width:
+        rows[i] = [*rows[i][:-1], draw(st.one_of(_scalars, _levels, st.lists(_ids, max_size=2)))]
+    return rows
+
+
 _payloads = st.recursive(
-    st.one_of(_scalars, _arrays),
+    st.one_of(_scalars, _arrays, _rows()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(_text, inner, max_size=5),
-        st.dictionaries(st.one_of(st.integers(-5, 5), _finite), inner, max_size=3),
+        st.dictionaries(_ids, inner, max_size=5),
+        st.dictionaries(st.one_of(st.integers(-5, 5), _finite, _levels), inner, max_size=3),
     ),
     max_leaves=30,
 )
 
 
 # Flat lists of scalars, where a string after a number puts a quote in the
-# fast path's body, are drawn on their own as well.
+# fast path's body, and rows of ids are drawn on their own as well.
 @_EXAMPLES
-@given(st.one_of(_payloads, st.lists(_scalars, min_size=2, max_size=6)))
+@given(st.one_of(_payloads, st.lists(_scalars, min_size=2, max_size=6), _rows()))
 @example([1, "a, b"])
 @example([0.5, [1, 2], {}])
+@example([["a", "b"], ("c", "d")])
+@example((('", "', '"'), ["\x00", "é✓"]))
+@example([[_Id("x"), "y"], ["z", _Id("w")]])
+@example([["a"], ["b", "c"]])
+@example([[], []])
+@example([["a", "b"], "cd"])
+@example([["a", "b"], ["c", 1]])
+@example([["a", _Level.HIGH]])
 def test_emitter_matches_json_dumps(payload):
     assert cli._dumps(payload) == _reference(payload)
 
@@ -82,11 +128,15 @@ def test_non_finite_values_are_domain_errors(payload):
         cli._dumps(payload)
 
 
-def _stdout_sha256(argv) -> str:
+def _stdout(argv) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert cli.main(argv) == 0
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def _stdout_sha256(argv) -> str:
+    return hashlib.sha256(_stdout(argv).encode()).hexdigest()
 
 
 _GRID = [(x, y) for x in range(3) for y in range(4)]
@@ -108,12 +158,14 @@ _EXPRESS = [
     [
         (["poset", "sprinkle", "--n", "200", "--seed", "42"],
          "192ffc82ae475cbf374643340e88528b0632533898304ac9901a3144fc8e7ac1"),
+        (["poset", "sprinkle", "--n", "1000", "--seed", "1"],
+         "a742fa58a3beb0584096f0a9429fa2d62fe986595244bef5d26096eb1ff428f2"),
         (_EXPRESS, "f410dd52b8b49f021642797ccfac9ca49e3b03725e00baf37f2ea6c5a8c4c9a9"),
         (["m2", "order", "--region", '{"kind": "cap", "center": [0, 0, 1], "radius": 0.3}',
           "--samples", "200", "--seed", "1"],
          "6492114679db967094611d7a991dbc5394f05a88d6f65d3e1fa68513378efc10"),
     ],
-    ids=["sprinkle", "express-prune", "m2-order-scan"],
+    ids=["sprinkle", "sprinkle-1000", "express-prune", "m2-order-scan"],
 )
 def test_stdout_bytes_are_pinned(argv, digest):
     assert _stdout_sha256(argv) == digest
@@ -182,7 +234,14 @@ _SPACE = json.dumps({"points": ["o", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [
 def test_verb_payloads_are_written_as_their_lists(argv):
     payload = _handler_payload(argv)
     assert cli._dumps(payload) == _lists(payload)
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        assert cli.main(argv) == 0
-    assert buf.getvalue() == _lists(payload) + "\n"
+    assert _stdout(argv) == _lists(payload) + "\n"
+
+
+def test_printed_pairs_come_from_covering_pairs(monkeypatch):
+    # The benchmark's answer check for poset sprinkle drops a covering pair
+    # this way; a printed pair taken from elsewhere would defuse it.
+    argv = ["poset", "sprinkle", "--n", "60", "--seed", "2"]
+    full = json.loads(_stdout(argv))["pairs"]
+    original = poset.FinitePoset.covering_pairs
+    monkeypatch.setattr(poset.FinitePoset, "covering_pairs", lambda self: original(self)[:-1])
+    assert json.loads(_stdout(argv))["pairs"] == full[:-1]
