@@ -347,7 +347,7 @@ _NAMED_FUNCTIONS = {
     "sqrt": hermitian.nonnegative_sqrt,
     "square": lambda x: x * x,
     "identity": lambda x: x,
-    "exp": np.exp,
+    "exp": np.errstate(over="ignore")(np.exp),  # an overflowing exp is inf, which func_calc refuses
 }
 
 
@@ -358,10 +358,7 @@ def _cmd_herm_spectral(args):
 def _cmd_herm_fn(args):
     if args.fn not in _NAMED_FUNCTIONS:
         raise InvalidInput(f"unknown function {args.fn!r}; pick one of {sorted(_NAMED_FUNCTIONS)}")
-    a = _hermitian_arg(getattr(args, "in"))
-    # An overflowing exp is inf, which func_calc refuses as a DomainError.
-    with np.errstate(over="ignore"):
-        return hermitian.func_calc(a, _NAMED_FUNCTIONS[args.fn]).to_json()
+    return hermitian.func_calc(_hermitian_arg(getattr(args, "in")), _NAMED_FUNCTIONS[args.fn]).to_json()
 
 
 def _cmd_herm_lattice(args):

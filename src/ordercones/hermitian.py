@@ -29,52 +29,102 @@ __all__ = [
     "projection_decomposition_many",
 ]
 
+# Each tolerance applies to m = a / s (see _read_matrix), so it is relative to s.
 HERMITICITY_TOL = 1e-12
 CLUSTER_TOL = 1e-10
 # Lowest eigenvalue allowed below 0 in a positive matrix, and the largest
 # lowest-level coefficient a projection decomposition drops.
 PSD_TOL = 1e-12
+# 2**e, kept between 2**-1022 and 2**1023, for each exponent e that math.frexp gives
+_POWERS = [math.ldexp(1.0, min(max(e, -1022), 1023)) for e in range(-1073, 1025)]
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """m, or a stack of them on the last two axes, made exactly self-adjoint.
+def _scale(big: float) -> float:
+    """The power of two just above big >= 0, kept between 2**-1022 and 2**1023; 1 for inf or NaN."""
+    return _POWERS[math.frexp(big)[1] + 1073]
 
-    Input within HERMITICITY_TOL of self-adjoint is symmetrized, anything
-    further off is rejected.
-    """
-    gap = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if not gap <= HERMITICITY_TOL:  # NaN or inf whenever an entry is non-finite
-        if not np.isfinite(m).all():
-            raise InvalidInput("matrix entries must be finite")
-        raise NotHermitian(f"matrix is {gap:.2e} away from self-adjoint")
-    m = m / 2.0  # halved first, so entries near the largest floats cannot overflow
+
+def _scales(big: np.ndarray) -> np.ndarray:
+    """_scale elementwise; 1 where big is not finite."""
+    return np.ldexp(1.0, np.clip(np.frexp(big)[1], -1022, 1023))
+
+
+def _times(m: np.ndarray, k) -> np.ndarray:
+    """m times powers of two k, part by part: exact, signed zeros included, wherever it stays normal."""
+    return (np.ascontiguousarray(m).view(float) * k).view(complex)
+
+
+def _hermitian_part(m: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """s * (m + m*) / 2 on the last two axes, for a power of two s."""
+    m = m / (2.0 / s)
     return m + m.conj().swapaxes(-1, -2)
+
+
+def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, float | np.ndarray]:
+    """(m, s) with a = m * s, for a complex square matrix, or an (N, n, n) stack of them.
+
+    s is _scale of the largest real or imaginary part (of each matrix), so m
+    rounds as a does wherever both stay normal, no product of its entries
+    overflows, and a tolerance applied to m is relative to s.  A NaN or
+    infinite entry is InvalidInput.  With hermitian, a matrix more than
+    HERMITICITY_TOL * s from self-adjoint is NotHermitian, and m is made
+    exactly self-adjoint.
+    """
+    if a.ndim == 2:  # on Python floats
+        parts = np.ascontiguousarray(a).view(float).ravel().tolist()
+        big, total = max(map(abs, parts), default=0.0), sum(parts)
+        finite, s = big < math.inf and total == total, _scale(big)  # a max may pass over a NaN, a sum cannot
+    else:
+        big = np.abs(np.ascontiguousarray(a).view(float)).max(axis=(1, 2))
+        finite, s = (big < np.inf).all(), _scales(big)
+    if not finite:
+        raise InvalidInput("matrix entries must be finite")
+    m = _times(a, 1.0 / (s if a.ndim == 2 else s[:, None, None]))
+    if hermitian:
+        half = m / 2.0
+        adjoint = half.conj().swapaxes(-1, -2)
+        gap = 2.0 * np.abs(half - adjoint).max(initial=0.0)
+        if not gap <= HERMITICITY_TOL:
+            raise NotHermitian(f"matrix is {gap:.2e} of its scale away from self-adjoint")
+        m = half + adjoint
+    return m, s
 
 
 class HermitianMatrix:
     """A square complex matrix equal to its conjugate transpose.
 
-    Input within 1e-12 of self-adjoint is symmetrized, anything further
-    off is rejected.
+    Input within 1e-12 * s of self-adjoint is symmetrized, anything further
+    off is rejected, where s is the power of two just above the largest real
+    or imaginary part of an entry.  It is kept as m * s (see _read_matrix).
     """
 
     def __init__(self, entries):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"matrix must be square, got shape {m.shape}")
-        m = _symmetrized(m)
-        m.setflags(write=False)
-        self.mat = m
+        self.n = len(m)
+        self._mat, self._scaled = None, _read_matrix(m, hermitian=True)
+
+    @classmethod
+    def _exact(cls, mat: np.ndarray) -> "HermitianMatrix":
+        """A finite, exactly self-adjoint result, read when a kernel first needs it."""
+        h = cls.__new__(cls)
+        mat.setflags(write=False)
+        h.n, h._mat, h._scaled = len(mat), mat, None
+        return h
 
     @property
-    def n(self) -> int:
-        return self.mat.shape[0]
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            self._mat = _times(*self._scaled)
+            self._mat.setflags(write=False)
+        return self._mat
 
     def __add__(self, other):
-        return HermitianMatrix(self.mat + _raw(other))
+        return HermitianMatrix(self.mat + _as_hermitian(other).mat)
 
     def __sub__(self, other):
-        return HermitianMatrix(self.mat - _raw(other))
+        return HermitianMatrix(self.mat - _as_hermitian(other).mat)
 
     def __rmul__(self, scalar: float):
         return HermitianMatrix(float(scalar) * self.mat)
@@ -83,14 +133,10 @@ class HermitianMatrix:
         return f"HermitianMatrix({self.mat.tolist()!r})"
 
     def allclose(self, other, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.mat - _raw(other))) <= tol)
+        return bool(np.max(np.abs(self.mat - _as_hermitian(other).mat)) <= tol)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "re": self.mat.real.tolist(),
-            "im": self.mat.imag.tolist(),
-        }
+        return {"n": self.n, "re": self.mat.real.tolist(), "im": self.mat.imag.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "HermitianMatrix":
@@ -112,12 +158,16 @@ def complex_matrix_from_json(data: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def _raw(a) -> np.ndarray:
-    return a.mat if isinstance(a, HermitianMatrix) else np.asarray(a, dtype=complex)
-
-
 def _as_hermitian(a) -> HermitianMatrix:
     return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
+
+
+def _scaled(a) -> tuple[np.ndarray, float]:
+    """(m, s) of a HermitianMatrix, or of entries read as one (see _read_matrix)."""
+    a = _as_hermitian(a)
+    if a._scaled is None:
+        a._scaled = _read_matrix(a.mat)
+    return a._scaled
 
 
 @dataclass(frozen=True)
@@ -142,11 +192,12 @@ class SpectralDecomp:
 def _pauli_parts(m: np.ndarray) -> tuple:
     """Pauli coordinates (c, v1, v2, v3) with m = c*s0 + v.s: scalars for one
     2x2 matrix, (N,) arrays for an (N, 2, 2) stack."""
-    t = m.T  # t[j, i] is entry (i, j): a scalar for one matrix, where m[..., i, j] is a 0-d array
-    # Halved before they meet, so diagonals near the largest floats cannot
-    # overflow; outside the subnormals this is (a +- d) / 2 bit for bit.
-    a, d = t[0, 0].real / 2.0, t[1, 1].real / 2.0
-    return a + d, t[0, 1].real, t[0, 1].imag, a - d
+    if m.ndim == 2:  # Python floats
+        (a, _), (z, d) = m.tolist()
+        a, d = a.real, d.real
+    else:
+        a, d, z = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    return (a + d) / 2.0, z.real, z.imag, (a - d) / 2.0
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -155,76 +206,76 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The stacked product takes that dot once per row, in any memory layout;
     a plain matmul of rows, or np.linalg.norm with an axis, sums in another order.
     """
-    x = x.conj()
+    if x.dtype.kind == "c":
+        x = x.conj()
     return x @ y if x.ndim == 1 else (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _finite_length(v: np.ndarray) -> float:
-    """_finite_lengths of one real or complex 1-D v, on Python floats where no square can overflow.
-
-    Entries below 1e150 square to below 1e300, so no sum of fewer than 1e8
-    squares overflows: such a v skips the errstate, which costs more than this check.
-    """
+    """_finite_lengths of one real or complex 1-D v, as a Python float."""
     parts = v.tolist() if v.dtype.kind != "c" else v.real.tolist() + v.imag.tolist()
-    if max(map(abs, parts)) < 1e150:
-        return math.sqrt(_dots(v, v).real)
-    return float(_finite_lengths(v[None])[0])
+    big = max(map(abs, parts))
+    if not big < math.inf:  # an infinite entry, or a NaN one that came first
+        return big
+    s = _scale(big)
+    if s != 1.0:
+        v = v / s
+    return math.sqrt(_dots(v, v).real) * s
 
 
 def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
     """The Euclidean length of each row of vs (..., k), finite wherever it fits a float.
 
-    Each row is rounded as np.linalg.norm rounds it alone (_dots).  With square_sums
-    the squares are summed left to right instead, the rounding of the 2x2 spectrum
-    and of hull vertex lengths, whose emitted bytes depend on it.  A row whose squares
-    overflow (entries from about 1e154; a complex dot then gives NaN) is measured times
-    2**-600 and scaled back: a power of two scales exactly, so finite lengths keep their bits.
+    Each row is measured over _scale of its largest part and scaled back, so
+    its length has the plain one's bits wherever no square leaves the normal
+    range.  It is rounded as np.linalg.norm rounds the row alone (_dots);
+    with square_sums the squares are summed left to right instead, the
+    rounding of the 2x2 spectrum and of hull vertex lengths, whose emitted
+    bytes depend on it.
     """
-    length = (lambda a: np.linalg.norm(a, axis=-1)) if square_sums else (lambda a: np.sqrt(_dots(a, a).real))
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = length(vs)
-        over = ~(r < np.inf)
-        if over.any():
-            r[over] = length(vs[over] * 2.0**-600) * 2.0**600
-    return r
+    big = np.maximum(np.abs(vs.real), np.abs(vs.imag)).max(axis=-1, initial=0.0)
+    finite = big < np.inf
+    s = _scales(big)
+    vs = np.where(finite[..., None], vs, 0.0) / s[..., None]
+    r = np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)
+    return np.where(finite, r * s, big)
 
 
-def _spectral2(m: np.ndarray) -> SpectralDecomp:
-    # Closed form on the Pauli coordinates: eigenvalues c +- r, eigenvectors
-    # from the polar angles of the traceless part.
-    # Python floats overflow to inf without a warning.
+def _spectrum(a) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascending eigenvalues of m, aligned eigenvector columns, and s, for (m, s) = _scaled(a).
+
+    A 2x2 m takes the closed form on its Pauli coordinates: eigenvalues c +- r,
+    eigenvectors from the polar angles of the traceless part, and r by the
+    square_sums rule of _finite_lengths on Python floats (3 us against 15 us
+    for a one-row _finite_lengths, x86-64, numpy 2.4).
+    """
+    m, s = _scaled(a)
+    if len(m) != 2:
+        vals, vecs = np.linalg.eigh(m)
+        return vals, vecs, s
     c, v1, v2, v3 = map(float, _pauli_parts(m))
-    # The square_sums rule of _finite_lengths on Python floats: 3 us per scalar
-    # spectrum against 15 us for a one-row _finite_lengths (x86-64, numpy 2.4).
-    for scale in (1.0, 2.0**-600):
-        x, y, z = v1 * scale, v2 * scale, v3 * scale
-        if (r := math.sqrt(x * x + y * y + z * z) / scale) < math.inf:
-            break
+    r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     if r == 0.0:
-        return SpectralDecomp(np.array([c, c]), np.eye(2, dtype=complex))
+        return np.array([c, c]), np.eye(2, dtype=complex), s
     theta = float(np.arccos(np.clip(v3 / r, -1.0, 1.0)))
     phi = float(np.arctan2(v2, v1))
     co, si = np.cos(theta / 2.0), np.sin(theta / 2.0)
     plus = np.array([co, np.exp(1j * phi) * si])
     minus = np.array([-np.exp(-1j * phi) * si, co])
-    vecs = np.column_stack([minus, plus])
-    return SpectralDecomp(np.array([c - r, c + r]), vecs)
+    return np.array([c - r, c + r]), np.column_stack([minus, plus]), s
 
 
 def spectral(a) -> SpectralDecomp:
     """Eigendecomposition with eigenvalues ascending."""
-    a = _as_hermitian(a)
-    if a.n == 2:
-        return _spectral2(a.mat)
-    vals, vecs = np.linalg.eigh(a.mat)
-    return SpectralDecomp(np.asarray(vals, dtype=float), vecs)
+    vals, vecs, s = _spectrum(a)
+    return SpectralDecomp(np.array([v * s for v in vals.tolist()]), vecs)  # inf past the largest float, no warning
 
 
-def _clusters(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[int]]:
+def _clusters(values: list[float]) -> list[list[int]]:
+    """Indices of ascending values, grouped where each is within CLUSTER_TOL of the one before."""
     groups: list[list[int]] = []
-    values = values.tolist()  # a gap past the largest float is inf, without a warning
     for i, v in enumerate(values):
-        if groups and v - values[groups[-1][-1]] <= tol:
+        if groups and v - values[groups[-1][-1]] <= CLUSTER_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -234,19 +285,15 @@ def _clusters(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[list[int]]:
 def func_calc(a, f: Callable[[float], float]) -> HermitianMatrix:
     """Apply a real scalar function through the spectrum.
 
-    Eigenvalues within 1e-10 are treated as one spectral point; the result
-    depends only on the spectral projectors, so the eigenvector ambiguity
-    inside a degenerate cluster is immaterial.
+    Eigenvalues within 1e-10 * s (s as in HermitianMatrix) are one spectral
+    point, their mean; the result depends only on the spectral projectors,
+    so the eigenvector ambiguity inside a degenerate cluster is immaterial.
     """
-    return _func_calc(_as_hermitian(a), f, CLUSTER_TOL)
-
-
-def _func_calc(a: HermitianMatrix, f: Callable[[float], float], tol: float) -> HermitianMatrix:
-    """func_calc with eigenvalues within tol taken as one spectral point."""
-    dec = spectral(a)
-    out = np.zeros((a.n, a.n), dtype=complex)
-    for group in _clusters(dec.eigenvalues, tol):
-        lam = float(np.mean(dec.eigenvalues[group]))
+    vals, vecs, s = _spectrum(a)
+    vals = vals.tolist()
+    out = np.zeros((len(vals), len(vals)), dtype=complex)
+    for group in _clusters(vals):
+        lam = sum(vals[i] for i in group) / len(group) * s
         try:
             val = f(lam)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -254,9 +301,9 @@ def _func_calc(a: HermitianMatrix, f: Callable[[float], float], tol: float) -> H
         val = float(val)
         if not np.isfinite(val):
             raise DomainError(f"function not finite at eigenvalue {lam!r}")
-        vecs = dec.eigenvectors[:, group]
-        out += val * (vecs @ vecs.conj().T)
-    return HermitianMatrix(out)
+        vecs_g = vecs[:, group]
+        out += val * (vecs_g @ vecs_g.conj().T)
+    return HermitianMatrix._exact(_hermitian_part(out))
 
 
 def matrix_abs(a) -> HermitianMatrix:
@@ -280,18 +327,20 @@ def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:
     """The pair ((a+b)/2 + |a-b|/2, (a+b)/2 - |a-b|/2), sharing one |a-b|.
 
     Genuine lattice join/meet only when a and b commute; still well defined
-    and order-theoretically meaningful in general.
+    and order-theoretically meaningful in general.  Taken over the larger
+    scale s of the two (see HermitianMatrix), so no sum overflows.
     """
-    a, b = _as_hermitian(a), _as_hermitian(b)
-    if a.n != b.n:
-        raise DimensionMismatch(f"sizes differ: {a.n} vs {b.n}")
-    # Halved first, so entries near the largest floats cannot overflow: halving
-    # is exact and |.| is positively homogeneous.  The halved difference is
-    # clustered at half the tolerance, so it makes the decisions |a - b| makes.
-    a, b = a.mat / 2.0, b.mat / 2.0
-    mid = a + b
-    half_gap = _func_calc(HermitianMatrix(a - b), abs, CLUSTER_TOL / 2.0).mat
-    return HermitianMatrix(mid + half_gap), HermitianMatrix(mid - half_gap)
+    (ma, sa), (mb, sb) = _scaled(a), _scaled(b)
+    if len(ma) != len(mb):
+        raise DimensionMismatch(f"sizes differ: {len(ma)} vs {len(mb)}")
+    s = max(sa, sb)
+    ma, mb = ma / (2.0 * (s / sa)), mb / (2.0 * (s / sb))  # a / 2s and b / 2s
+    mid = ma + mb
+    half_gap = func_calc(HermitianMatrix(ma - mb), abs).mat
+    return (
+        HermitianMatrix._exact(_hermitian_part(mid + half_gap, s)),
+        HermitianMatrix._exact(_hermitian_part(mid - half_gap, s)),
+    )
 
 
 @dataclass(frozen=True)
@@ -302,14 +351,10 @@ class Classification:
 
 
 def classify(a) -> Classification:
-    """Operator norm and spectral positivity flags."""
-    dec = spectral(_as_hermitian(a))
-    low = float(dec.eigenvalues[0])
-    return Classification(
-        norm=float(np.max(np.abs(dec.eigenvalues))),
-        positive=low >= -1e-12,
-        positive_invertible=low > 1e-12,
-    )
+    """Operator norm and spectral positivity flags, the lowest eigenvalue against +-1e-12 * s."""
+    vals, _, s = _spectrum(a)
+    low = float(vals[0])
+    return Classification(float(np.max(np.abs(vals))) * s, positive=low >= -1e-12, positive_invertible=low > 1e-12)
 
 
 def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
@@ -318,23 +363,23 @@ def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
     With ascending spectral levels v_1 < v_2 < ..., the matrix equals
     v_1 * P(>=1) + sum_k (v_k - v_{k-1}) * P(>=k) where P(>=k) projects on
     the eigenspaces at or above level k; P(>=1) is the identity and its
-    term is dropped when v_1 is zero.
+    term is dropped when v_1 is at most PSD_TOL * s.
     """
-    a = _as_hermitian(a)
-    dec = spectral(a)
-    if dec.eigenvalues[0] < -PSD_TOL:
+    vals, vecs, s = _spectrum(a)
+    vals = vals.tolist()
+    if vals[0] < -PSD_TOL:
         raise InvalidInput("matrix must be positive semidefinite")
-    groups = _clusters(dec.eigenvalues)
+    groups = _clusters(vals)
     terms: list[tuple[float, HermitianMatrix]] = []
     prev = 0.0
     for k, group in enumerate(groups):
-        lam = float(np.mean(dec.eigenvalues[group]))
+        lam = sum(vals[i] for i in group) / len(group)
         coeff = lam - prev
         tail = [i for g in groups[k:] for i in g]
-        vecs = dec.eigenvectors[:, tail]
-        proj = HermitianMatrix(vecs @ vecs.conj().T)
+        tail_vecs = vecs[:, tail]
+        proj = HermitianMatrix._exact(_hermitian_part(tail_vecs @ tail_vecs.conj().T))
         if k > 0 or coeff > PSD_TOL:
-            terms.append((coeff, proj))
+            terms.append((coeff * s, proj))
         prev = lam
     return terms
 
@@ -345,17 +390,18 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
     Returns (coeffs, projs, kept) of shapes (N, 2), (N, 2, 2, 2) and (N, 2).
     Row i's terms are (coeffs[i, t], projs[i, t]) for the t with kept[i, t],
     in the scalar's order: t = 0 is the lowest level times the identity
-    projection (dropped when at most PSD_TOL), t = 1 the gap to the top
+    projection (dropped when at most PSD_TOL * s), t = 1 the gap to the top
     eigenvalue times the projection on its eigenvector (present only when
     the spectrum is two clusters).  Dropped terms have coefficient 0, so
-    summing coeffs * projs over t rebuilds each row.  This is the 2x2
-    closed form of `spectral` on the whole stack, so values match the
-    scalar path.
+    summing coeffs * projs over t rebuilds each row.  This is the 2x2 closed
+    form of `spectral` on the whole stack, each row over its own scale s, so
+    values match the scalar path.
     """
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
-    c, v1, v2, v3 = _pauli_parts(_symmetrized(m))
+    m, s = _read_matrix(m, hermitian=True)
+    c, v1, v2, v3 = _pauli_parts(m)
     r = _finite_lengths(np.stack([v1, v2, v3], axis=1), square_sums=True)
     low, high = c - r, c + r
     if not (low >= -PSD_TOL).all():
@@ -371,9 +417,9 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
         [vecs @ vecs.conj().transpose(0, 2, 1), plus[:, :, None] @ plus.conj()[:, None, :]],
         axis=1,
     )
-    projs = _symmetrized(projs)
+    projs = _hermitian_part(projs)
     split = ~(high - low <= CLUSTER_TOL)
     base = np.where(split, low, (low + high) / 2.0)
     kept = np.stack([base > PSD_TOL, split], axis=1)
-    coeffs = np.where(kept, np.stack([base, high - low], axis=1), 0.0)
+    coeffs = np.where(kept, np.stack([base, high - low], axis=1) * s[:, None], 0.0)
     return coeffs, projs, kept

@@ -31,7 +31,8 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, _dots, _finite_length, _finite_lengths, _pauli_parts
+from .hermitian import HermitianMatrix, _dots, _finite_length, _finite_lengths, _pauli_parts, _read_matrix, _scaled
+from .hermitian import _scale, _scales
 
 __all__ = [
     "GEOM_TOL",
@@ -83,11 +84,16 @@ class PauliCoords:
 
 
 def pauli_coords(a) -> PauliCoords:
-    m = a.mat if isinstance(a, HermitianMatrix) else HermitianMatrix(a).mat
+    c, v1, v2, v3, s = _scaled_pauli(a)
+    return PauliCoords(c * s, np.array([v1, v2, v3]) * s)
+
+
+def _scaled_pauli(a) -> tuple[float, float, float, float, float]:
+    """(c, v1, v2, v3, s): the Pauli coordinates of m, for (m, s) = _scaled(a) of a 2x2 a."""
+    m, s = _scaled(a)
     if m.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {m.shape}")
-    c, *v = _pauli_parts(m)
-    return PauliCoords(float(c), np.array(v))
+    return (*_pauli_parts(m), s)
 
 
 def matrix_from_pauli(c: float, v) -> HermitianMatrix:
@@ -378,9 +384,8 @@ def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def iso_membership(region: SphericalRegion, a, tol: float = GEOM_TOL) -> bool:
-    """Cone membership of a hermitian 2x2 matrix; the identity part is free."""
-    coords = pauli_coords(a)
-    return region.cone_contains(coords.v, tol=tol)
+    """Cone membership of a hermitian 2x2 matrix; the identity part is free, a traceless part up to tol * s is 0."""
+    return region.cone_contains(_scaled_pauli(a)[1:4], tol=tol)
 
 
 # --------------------------------------------------------------------------
@@ -513,35 +518,29 @@ class TransversalityResult:
 def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> TransversalityResult:
     """Classify a normal 2x2 matrix against the region's cone.
 
-    One eigendecomposition of m = n / s answers everything, where s is the
-    power of two just above the largest real or imaginary part of n (kept
-    between 2**-1022 and 2**1023).  The scaling is exact, so the commutator
-    of m times s**2 is that of n wherever the latter is finite, and no
-    product of entries of m overflows.  The eigenvalues s*l are ordered
-    descending by real part, then imaginary part, and the top eigenvector
-    goes through the Hopf map to an axis u.  Membership of u alone means
-    the second eigenvalue sits below the first, of -u alone the reverse,
-    of both an incomparable two-point spectrum, of neither no transverse
-    commutative subalgebra.  A one-point spectrum (within 1e-10) is
-    reported as scalar rather than forced into one of the four cases.
+    One eigendecomposition of m = n / s answers everything, with s the power
+    of two just above the largest real or imaginary part of n (see
+    hermitian._read_matrix).  n is normal when no commutator entry of m
+    exceeds 1e-9.  The eigenvalues s*l are ordered descending by real part,
+    then imaginary part, and the top eigenvector goes through the Hopf map
+    to an axis u.  Membership of u alone means the second eigenvalue sits
+    below the first, of -u alone the reverse, of both an incomparable
+    two-point spectrum, of neither no transverse commutative subalgebra.
+    Two eigenvalues l within 1e-10 are reported as scalar rather than
+    forced into one of the four cases.
     """
     n = np.asarray(n, dtype=complex)
     if n.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {n.shape}")
-    big = float(np.abs([n.real, n.imag]).max())
-    if not math.isfinite(big):
-        raise InvalidInput("matrix entries must be finite")
-    # in Python floats, a gap past the largest float is inf without a warning
-    s = 2.0 ** min(max(math.frexp(big)[1], -1022), 1023)
-    m = n / s
-    gap = float(np.abs(m @ m.conj().T - m.conj().T @ m).max()) * s * s
+    m, s = _read_matrix(n)
+    gap = float(np.abs(m @ m.conj().T - m.conj().T @ m).max())
     if gap > 1e-9:
-        raise NotNormal(f"matrix is {gap:.2e} away from normal")
+        raise NotNormal(f"matrix is {gap:.2e} of its scale squared away from normal")
     vals, vecs = np.linalg.eig(m)
-    lams = [complex(z) * s for z in vals]
-    top = int((lams[1].real, lams[1].imag) > (lams[0].real, lams[0].imag))
-    lam1, lam2 = lams[top], lams[1 - top]
-    if abs(lam1 - lam2) <= 1e-10:
+    vals = vals.tolist()
+    top = int((vals[1].real, vals[1].imag) > (vals[0].real, vals[0].imag))
+    lam1, lam2 = vals[top] * s, vals[1 - top] * s
+    if abs(vals[top] - vals[1 - top]) <= 1e-10:
         return TransversalityResult("scalar", (lam1, lam2), None)
     u = hopf(vecs[:, top])
     in_plus, in_minus = region.contains(u, tol=tol), region.contains(-u, tol=tol)
@@ -557,7 +556,10 @@ def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> Transve
 
 
 def join_coeffs_from_difference(t: float, r: float) -> tuple[float, float]:
-    """Join coefficients from the difference's halved trace t and traceless length r."""
+    """Join coefficients from the difference's halved trace t and traceless length r, taken on t / s
+    and r / s for s the power of two just above max(|t|, r), so the 1e-12 cuts are relative to s."""
+    s = _scale(max(abs(t), r))
+    t, r = t / s, r / s
     if r <= 1e-12:
         if abs(t) <= 1e-12:
             return 0.5, 0.0
@@ -565,20 +567,22 @@ def join_coeffs_from_difference(t: float, r: float) -> tuple[float, float]:
     hi, lo = abs(t + r), abs(t - r)
     alpha = 0.5 + (hi - lo) / (4.0 * r)
     beta = (hi + lo) / 4.0 - t * (hi - lo) / (4.0 * r)
-    return float(alpha), float(beta)
+    return float(alpha), float(beta) * s
 
 
 def join_coeffs_many(t, r) -> tuple[np.ndarray, np.ndarray]:
     """join_coeffs_from_difference elementwise, on arrays of t and r."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
+    s = _scales(np.maximum(np.abs(t), r))
+    t, r = t / s, r / s
     hi, lo = np.abs(t + r), np.abs(t - r)
     flat = r <= 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = 0.5 + (hi - lo) / (4.0 * r)
         beta = (hi + lo) / 4.0 - t * (hi - lo) / (4.0 * r)
     alpha = np.where(flat, np.where(np.abs(t) <= 1e-12, 0.5, np.where(t > 0, 1.0, 0.0)), alpha)
-    beta = np.where(flat, 0.0, beta)
+    beta = np.where(flat, 0.0, beta * s)
     return alpha, beta
 
 
@@ -591,13 +595,16 @@ def join_coeffs(a, b) -> tuple[float, float]:
         beta  = (|t+r| + |t-r|) / 4 - t * (|t+r| - |t-r|) / (4r),
     guaranteeing alpha in [0, 1] and beta >= 0.  Comparable pairs (r = 0)
     degenerate to (1, 0) or (0, 0); equal matrices return (1/2, 0) by
-    convention.
+    convention.  t and r are taken over the larger scale s of the two (see
+    HermitianMatrix), so neither overflows, and r, or t, counts as 0 up to
+    1e-12 times the power of two just above max(|t|, r).
     """
-    da = pauli_coords(a)
-    db = pauli_coords(b)
-    t = da.c - db.c
-    r = _finite_length(da.v - db.v)
-    return join_coeffs_from_difference(t, r)
+    *pa, sa = _scaled_pauli(a)
+    *pb, sb = _scaled_pauli(b)
+    s = max(sa, sb)
+    t, *v = (x * (sa / s) - y * (sb / s) for x, y in zip(pa, pb))
+    alpha, beta = join_coeffs_from_difference(t, _finite_length(np.array(v)))
+    return alpha, beta * s
 
 
 @dataclass(frozen=True)

@@ -466,11 +466,17 @@ _HUGE = "[[1e200,0],[0,-1e200]]"
           "meet": {"n": 2, "re": [[0.0, 0.0], [0.0, -1e200]], "im": [[0.0, 0.0], [0.0, 0.0]]}}),
         (["m2", "join-coeffs", "--a", _HUGE, "--b", "[[0,0],[0,0]]"], {"alpha": 0.5, "beta": 5e199}),
         (["m2", "member", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}', "--matrix", _HUGE], {"member": True}),
+        # the pair at scale 1 gives alpha = 0.7236..., beta = 0.8944...
+        (["m2", "join-coeffs", "--a", "[[3e160,1e160],[1e160,0]]", "--b", "[[0,0],[0,1e160]]"],
+         {"alpha": 0.7236067977499789, "beta": 8.944271909999159e+159}),
+        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], {"alpha": 0.5, "beta": 1e308}),
+        (["herm", "fn", "--fn", "abs", "--in", "[[1e308,0],[0,1e308]]"],
+         {"n": 2, "re": [[1e308, 0.0], [0.0, 1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}),
     ],
-    ids=["spectral", "classify", "lattice", "join-coeffs", "member"],
+    ids=["spectral", "classify", "lattice", "join-coeffs", "member", "join-coeffs-1e160", "join-coeffs-1e308", "fn-abs-1e308"],
 )
 def test_entries_whose_squares_overflow_are_answered(capsys, argv, want):
-    # lengths are taken on the vector over 2**600 where the plain squares overflow
+    # matrices and lengths are read over a power of two, so an answer that fits a float is finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, data = run_json(capsys, argv)
@@ -603,7 +609,7 @@ _NOT_FINITE = {"kind": "DomainError", "detail": "result is not finite: Out of ra
     [
         (["herm", "classify", "--in", _HUGE], 1, {"error": _NOT_FINITE}),  # eigenvalue 2e308
         (["m2", "member", "--region", '{"kind":"full"}', "--matrix", _HUGE], 0, {"member": True}),
-        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 1, {"error": _NOT_FINITE}),
+        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0, {"alpha": 1.0, "beta": 0.0}),
         (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0,
          {"join": {"n": 2, "re": [[1e308, 0.0], [0.0, 1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]},
           "meet": {"n": 2, "re": [[-1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}}),
@@ -617,6 +623,34 @@ def test_diagonals_near_the_largest_float_leave_stderr_empty(capsys, argv, code,
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out) == want
+
+
+# The `-W error` steps of .github/workflows/tier1.yml, each command run in
+# process with warnings as errors: its exit code, strict JSON on stdout and
+# nothing on stderr.
+_CI_WARNING_STEPS = {
+    "exp": (["herm", "fn", "--fn", "exp", "--in", "[[1000,0],[0,0]]"], 1),
+    "bloch": (["m2", "order", "--region", '{"kind":"full"}', "--p", '{"bloch":[1e200,0,0]}', "--q", '{"bloch":[0,0,1]}'], 1),
+    "spinor": (["m2", "hopf", "--xi", "[[1e200,0],[0,0]]"], 1),
+    "density": (["m2", "state-order", "--region", '{"kind":"full"}', "--rho", '{"bloch":[1e200,0,0]}', "--sigma",
+                 '{"bloch":[0,0,0]}'], 1),
+    "hull": (["m2", "order", "--region", '{"kind":"hull","vertices":[[1e200,0,1],[0,1,1],[1,1,1]]}', "--p", "[0,0,1]",
+              "--q", "[0,0,1]"], 1),
+    "diagonals-classify": (["herm", "classify", "--in", "[[1e308,1e308],[1e308,1e308]]"], 1),
+    "diagonals-member": (["m2", "member", "--region", '{"kind":"full"}', "--matrix", "[[1e308,1e308],[1e308,1e308]]"], 0),
+    "diagonals-join-coeffs": (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0),
+    "lattice": (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(_CI_WARNING_STEPS.values()), ids=list(_CI_WARNING_STEPS))
+def test_ci_warning_steps_in_process(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    json.loads(captured.out, parse_constant=_reject_constant)
 
 
 def test_accept_fast_single_criterion(capsys):
@@ -688,7 +722,9 @@ def test_cone_bad_families_keep_their_error_kinds(capsys, family, express_kind, 
             ],
             "InvalidInput",
         ),
-        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], "DomainError"),
+        # beta = sqrt(2) * 1.5e308 lies past the largest float
+        (["m2", "join-coeffs", "--a", "[[1.5e308,1.5e308],[1.5e308,-1.5e308]]", "--b", "[[-1.5e308,-1.5e308],[-1.5e308,1.5e308]]"],
+         "DomainError"),
         (["cone", "eval", "--expr", '{"const": Infinity}', "--size", "2"], "InvalidInput"),
         (["cone", "eval", "--expr", '{"op": "scale", "factor": NaN, "args": [{"gen": 0}]}', "--functions", "[[0,1]]"], "InvalidInput"),
         (["m2", "rotation", "--region", '{"kind": "full"}', "--matrix", "[[NaN,0,0],[0,1,0],[0,0,1]]"], "InvalidInput"),

@@ -280,8 +280,9 @@ def _psd_rows(draw):
     k /= np.linalg.norm(k)
     if kind == "identity":  # r = 0; at c <= tol there are no terms at all
         c, r = draw(st.one_of(st.sampled_from([0.0, 1e-13]), _size)), 0.0
-    elif kind == "cluster":  # 0 < 2r <= CLUSTER_TOL: one spectral cluster
-        c, r = draw(_size), draw(st.floats(1e-15, 0.4 * CLUSTER_TOL))
+    elif kind == "cluster":  # 0 < 2r <= CLUSTER_TOL * c < CLUSTER_TOL * s: one spectral cluster
+        c = draw(_size)
+        r = c * draw(st.floats(1e-15, 0.4 * CLUSTER_TOL))
     elif kind == "singular":  # lowest eigenvalue 0: its term is dropped
         r = draw(_size)
         c = r
@@ -308,7 +309,7 @@ def test_projection_decomposition_many_matches_the_scalar(rows):
         assert np.max(np.abs(total - m)) <= 1e-9
         if kind in ("identity", "cluster"):
             assert not kept[i, 1]
-            assert kept[i, 0] == (np.trace(m).real / 2.0 > 1e-12)
+            assert kept[i, 0] == (np.trace(m).real > 0.0)  # any positive multiple of the identity is kept
         if kind == "singular":
             assert not kept[i, 0] and kept[i, 1]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercones import m2
-from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotNormal, NotNormalized
+from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotHermitian, NotNormal, NotNormalized
 from ordercones.hermitian import (
     HermitianMatrix,
     _finite_length,
@@ -39,7 +39,9 @@ from ordercones.m2 import (
     transition_probability,
     transversality,
 )
-from ordercones.hermitian import lattice_ops
+from ordercones.hermitian import classify, lattice_ops, projection_decomposition, projection_decomposition_many
+from ordercones.isotone_cone import DEFAULT_TOL, is_isotone
+from ordercones.poset import build_preorder
 from ordercones.sampling import region_fixtures, sample_cone_members, sample_region_points
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -465,10 +467,14 @@ def test_unit_vectors_with_overflowing_entries_are_invalid_input_without_a_warni
 def test_finite_lengths_keep_the_bits_of_the_plain_norm():
     # Each row's length is np.linalg.norm of that row alone, bit for bit, in
     # every memory layout the rows may arrive in, for 3-vectors and spinors.
+    # At 1e-300 the plain squares underflow, so there the reference is the
+    # plain norm of the row times 2**1000, scaled back: exact, as the length
+    # is taken on the row over a power of two.
     rng = np.random.default_rng(16)
     for scale in (1e-300, 1e-5, 1.0, 1e100, 1e149, 1e150, 1e153):
+        k = 1000 if scale < 1e-200 else 0
         vs = rng.normal(size=(2000, 3)) * scale
-        plain = [float(np.linalg.norm(v)) for v in vs]
+        plain = [float(np.linalg.norm(v * 2.0**k)) * 2.0**-k for v in vs]
         assert [_finite_length(v) for v in vs] == plain
         wide = np.zeros((2000, 6))
         wide[:, ::2] = vs
@@ -476,7 +482,7 @@ def test_finite_lengths_keep_the_bits_of_the_plain_norm():
             assert _finite_lengths(rows).tolist() == plain
         assert _finite_lengths(vs.reshape(500, 4, 3)).reshape(-1).tolist() == plain
         xi = (rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))) * scale
-        plain = [float(np.linalg.norm(x)) for x in xi]
+        plain = [float(np.linalg.norm(x * 2.0**k)) * 2.0**-k for x in xi]
         assert [_finite_length(x) for x in xi] == plain
         assert _finite_lengths(xi).tolist() == plain
     with warnings.catch_warnings():
@@ -913,7 +919,7 @@ def test_join_coeffs_many_is_bit_identical_to_scalar():
     want = np.array([join_coeffs_from_difference(float(a), float(b)) for a, b in zip(t, r)])
     assert alpha.tobytes() == want[:, 0].tobytes()
     assert beta.tobytes() == want[:, 1].tobytes()
-    assert alpha[-7:-3].tolist() == [1.0, 0.0, 0.5, 0.5]
+    assert alpha[-7:-3].tolist() == [1.0, 0.0, 0.5, 1.0]  # (1e-13, 0): r is 0 relative to max(|t|, r), t is not
 
 
 def test_matrix_from_pauli_many_is_bit_identical_to_scalar():
@@ -1080,3 +1086,200 @@ def test_state_json_round_trips():
     coords = pauli_coords(matrix_from_pauli(0.5, rho.bloch / 2.0))
     assert abs(coords.c - 0.5) <= 1e-12
     assert np.allclose(2.0 * coords.v, rho.bloch, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# The power-of-two scale rule: every 2x2 question is invariant under a
+# positive scale or homogeneous of degree 1, and power-of-two scaling is
+# exact, so f(2**k * a) is f(a) or 2**k * f(a) bit for bit wherever no entry
+# of 2**k * a or of the answer leaves the normal range.
+
+_FIXTURE_REGIONS = [region for _, region in region_fixtures()]
+_SHAPES = ["generic", "diagonal", "scalar", "positive", "singular", "close"]
+
+
+def _scale_rule_matrix(rng, shape):
+    """A hermitian 2x2 c*s0 + r*k.s of entries of order 1 and the named spectral shape."""
+    c, r = float(rng.normal()), abs(float(rng.normal()))
+    k = rng.normal(size=3)
+    k = np.array([0.0, 0.0, np.sign(k[2])]) if shape == "diagonal" else k / np.linalg.norm(k)
+    if shape == "scalar":
+        r = 0.0
+    elif shape == "positive":
+        c = r + abs(float(rng.normal()))
+    elif shape == "singular":
+        c = r
+    elif shape == "close":  # a spectral gap of about 1e-12 relative to the entries
+        r = 1e-12 * abs(c)
+    return matrix_from_pauli_many(np.asarray(c), r * k)
+
+
+def _scale_rule_case(question, rng, shape):
+    """(inputs, f): inputs a tuple of arrays, all scaled together, and f giving the answer
+    as (degree-1 arrays, degree-0 parts)."""
+    region = _FIXTURE_REGIONS[rng.integers(len(_FIXTURE_REGIONS))]
+    a, b = _scale_rule_matrix(rng, shape), _scale_rule_matrix(rng, shape)
+    positive = a + (abs(np.linalg.eigvalsh(a)[0]) + (shape != "singular") * abs(rng.normal())) * SIGMA[0]
+    if question == "spectral":
+        return (a,), lambda a: (lambda d: ([d.eigenvalues], [d.eigenvectors]))(spectral(a))
+    if question == "classify":
+        return (a,), lambda a: (lambda c: ([np.array(c.norm)], [c.positive, c.positive_invertible]))(classify(a))
+    if question == "abs":
+        return (a,), lambda a: ([func_calc(a, abs).mat], [])
+    if question == "lattice":
+        return (a, b), lambda a, b: ([m.mat for m in lattice_ops(a, b)], [])
+    if question == "projection":
+        return (positive,), lambda a: (lambda t: ([np.array([c for c, _ in t])], [p.mat for _, p in t]))(
+            projection_decomposition(a))
+    if question == "projection_many":
+        return (np.stack([positive, a @ a, b @ b]),), lambda m: (lambda c, p, k: ([c], [p, k]))(
+            *projection_decomposition_many(m))
+    if question == "pauli":
+        return (a,), lambda a: (lambda p: ([np.array(p.c), p.v], []))(pauli_coords(a))
+    if question == "member":
+        return (a,), lambda a: ([], [iso_membership(region, a)])
+    if question == "join":
+        return (a, b), lambda a, b: (lambda al, be: ([np.array(be)], [al]))(*join_coeffs(a, b))
+    if question == "join_many":
+        t = rng.normal(size=8) * np.array([1, 1, 1, 1, 1, 0, 1e-13, 1])
+        r = np.abs(rng.normal(size=8)) * np.array([1, 1, 1, 0, 1e-13, 0, 1, 1])
+        return (t, r), lambda t, r: (lambda al, be: ([be], [al]))(*join_coeffs_many(t, r))
+    # transversality: a normal matrix u diag(l) u*
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    lam = rng.normal(size=2) + 1j * rng.normal(size=2)
+    if shape in ("scalar", "close"):
+        lam[1] = lam[0] * (1.0 + (shape == "close") * 1e-12)
+    n = (q * lam) @ q.conj().T
+    return (n,), lambda n: (lambda t: ([np.array(t.eigenvalues)], [t.classification, t.axis]))(
+        transversality(region, n))
+
+
+def _normal_after(arrays, k: int) -> bool:
+    """Whether every nonzero real and imaginary part of the arrays stays normal and finite times 2**k."""
+    for x in arrays:
+        parts = np.concatenate([np.ravel(np.real(x)), np.ravel(np.imag(x))]).astype(float)
+        e = np.frexp(parts[parts != 0.0])[1] + k
+        if not ((e >= -1021) & (e <= 1024)).all():
+            return False
+    return True
+
+
+def _scaled(x, k: int):
+    return np.ldexp(np.real(x), k) + 1j * np.ldexp(np.imag(x), k) if np.iscomplexobj(x) else np.ldexp(x, k)
+
+
+_QUESTIONS = [
+    "spectral", "classify", "abs", "lattice", "projection", "projection_many",
+    "pauli", "member", "join", "join_many", "transversality",
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(_QUESTIONS), st.sampled_from(_SHAPES), st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
+def test_every_2x2_question_follows_the_power_of_two_scale(question, shape, seed, k):
+    inputs, f = _scale_rule_case(question, np.random.default_rng(seed), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ones, zeros = f(*inputs)
+        if not _normal_after(list(inputs) + ones, k):
+            return
+        got_ones, got_zeros = f(*(_scaled(x, k) for x in inputs))
+    for want, got in zip(ones, got_ones):
+        assert np.asarray(_scaled(want, k)).tobytes() == np.asarray(got).tobytes()
+    for want, got in zip(zeros, got_zeros):
+        assert (np.asarray(want).tobytes() == np.asarray(got).tobytes()) if isinstance(want, np.ndarray) else want == got
+
+
+# Small matrices, where absolute tolerances used to decide: each answer is the
+# one at scale 1, scaled as the question is.
+_T40, _T60 = 2.0**-40, 2.0**-60
+
+
+@pytest.mark.parametrize(
+    "question, want",
+    [
+        (lambda: [m.mat.tolist() for m in lattice_ops(np.diag([1e-11, 0.0]), np.zeros((2, 2)))],
+         [[[1e-11, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        (lambda: classify(np.diag([-1.0, 1.0]) * _T40).positive, False),
+        (lambda: transversality(SphericalRegion.cap(E3, 0.3), np.diag([1.0, 2.0]) * _T40).classification,
+         "lambda1_below_lambda2"),
+        (lambda: [c / _T40 for c, _ in projection_decomposition(np.diag([1.0, 2.0]) * _T40)], [1.0, 1.0]),
+        (lambda: join_coeffs(np.array([[3.0, 1.0], [1.0, 0.0]]) * _T60, np.diag([0.0, 1.0]) * _T60),
+         (0.7236067977499789, 0.894427190999916 * _T60)),
+    ],
+    ids=["lattice-1e-11", "classify-2^-40", "transversality-2^-40", "projection-2^-40", "join-coeffs-2^-60"],
+)
+def test_small_matrices_get_the_answers_of_scale_one(question, want):
+    assert question() == want
+
+
+@pytest.mark.parametrize("size, refused", [(5e3, NotNormal), (1e5, NotHermitian)], ids=["normal-5e3", "hermitian-1e5"])
+def test_large_spectra_are_not_refused(size, refused):
+    # u diag(d) u* from the QR of a complex Gaussian: d of modulus size at
+    # random phases is normal, d real in +-size is hermitian; each only up to
+    # rounding relative to size, which absolute cuts refused.
+    rng = np.random.default_rng(5)
+    count = 0
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        try:
+            if refused is NotNormal:
+                transversality(SphericalRegion.cap(E3, 0.3), (q * (size * np.exp(2j * np.pi * rng.random(2)))) @ q.conj().T)
+            else:
+                HermitianMatrix((q * rng.uniform(-size, size, 2)) @ q.conj().T)
+        except refused:
+            count += 1
+    assert count == 0
+
+
+# The commutative reduction: the maximal commutative subalgebra diagonal
+# along a unit u has the two-point spectrum {p+, p-}, and the isocone of a
+# region R cut to it is the isotone cone of the preorder pre_R(u), with
+# p- <= p+ iff -u is not in R and p+ <= p- iff u is not in R.  This ties
+# iso_membership to is_isotone, two layers that share no code.
+
+
+def _reduction_preorder(region, u):
+    pairs = [("p-", "p+")] * (not region.contains(-u)) + [("p+", "p-")] * (not region.contains(u))
+    return build_preorder(["p+", "p-"], pairs)
+
+
+@st.composite
+def _reduction_cases(draw):
+    """(region, u, l1, l2) over fixture regions, random caps and hulls, with u a region centre or vertex, its
+    opposite, or random, and eigenvalues equal, near each other or apart, of sizes 1e-3 to 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = rng.normal(size=3)
+    centre /= np.linalg.norm(centre)
+    region = draw(st.sampled_from(
+        _FIXTURE_REGIONS
+        + [SphericalRegion.cap(centre, rng.uniform(0.05, np.pi / 2))]
+        + [SphericalRegion.hull(sample_region_points(rng, SphericalRegion.cap(centre, 1.2), int(rng.integers(3, 6))))]
+    ))
+    axes = [rng.normal(size=3)]
+    axes += [] if region.kind == "full" else [region.center] if region.kind == "cap" else list(region.extreme_vertices)
+    u = np.asarray(draw(st.sampled_from(axes)), dtype=float)
+    u = draw(st.sampled_from([1.0, -1.0])) * u / np.linalg.norm(u)
+    l1 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+    gap = draw(st.sampled_from(["equal", "near", "apart"]))
+    l2 = {"equal": l1, "near": l1 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -1)),
+          "apart": float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))}[gap]
+    return region, u, l1, l2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_reduction_cases())
+def test_isocone_on_a_commutative_subalgebra_is_the_isotone_cone_of_its_spectrum(case):
+    region, u, l1, l2 = case
+    p_plus, p_minus = matrix_from_pauli(0.5, u / 2.0).mat, matrix_from_pauli(0.5, -u / 2.0).mat
+    a = l1 * p_plus + l2 * p_minus
+    s = 2.0 ** np.frexp(np.abs(a.view(float)).max())[1]  # the matrix's power-of-two scale
+    # The excluded band: on the m2 side a traceless part up to GEOM_TOL * s is
+    # zero, and the axis in a's Pauli coordinates carries a rounding of about
+    # 1e-16 * s / |l1 - l2|, so pairs with |l1 - l2| / 2 up to 1e-6 * s are
+    # left out; on the isotone side, pairs with |l1 - l2| up to DEFAULT_TOL.
+    if l1 != l2 and (abs(l1 - l2) / 2.0 <= 1e-6 * s or abs(l1 - l2) <= DEFAULT_TOL):
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert iso_membership(region, a) == is_isotone(_reduction_preorder(region, u), [l1, l2])
