@@ -47,7 +47,7 @@ def _scale(big: float) -> float:
 
 def _scales(big: np.ndarray) -> np.ndarray:
     """_scale elementwise; 1 where big is not finite."""
-    return np.ldexp(1.0, np.clip(np.frexp(big)[1], -1022, 1023))
+    return np.ldexp(1.0, np.minimum(np.maximum(np.frexp(big)[1], -1022), 1023))
 
 
 def _times(m: np.ndarray, k) -> np.ndarray:
@@ -235,14 +235,14 @@ def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
     bytes depend on it.
     """
     parts = np.abs(vs) if vs.dtype.kind != "c" else np.abs(np.concatenate([vs.real, vs.imag], axis=-1))
-    big = functools.reduce(np.maximum, np.moveaxis(parts, -1, 0))  # 5x faster than .max(axis=-1) on short rows
-    finite = big < np.inf
-    if not finite.all():
-        vs = np.where(finite[..., None], vs, 0.0)
+    big = functools.reduce(np.maximum, parts.T).T  # each row's largest part, 5x faster than .max(axis=-1)
+    finite = (big < np.inf).all()
+    if not finite:
+        vs = np.where((big < np.inf)[..., None], vs, 0.0)
     s = _scales(big)
     vs = vs / s[..., None]
-    r = np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)
-    return np.where(finite, r * s, big)
+    r = (np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)) * s
+    return r if finite else np.where(big < np.inf, r, big)
 
 
 def _spectrum(a) -> tuple[np.ndarray, np.ndarray, float]:
