@@ -76,7 +76,7 @@ def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, fl
         big, total = max(map(abs, parts), default=0.0), sum(parts)
         finite, s = big < math.inf and total == total, _scale(big)  # a max may pass over a NaN, a sum cannot
     else:
-        big = np.abs(np.ascontiguousarray(a).view(float)).max(axis=(1, 2))
+        big = functools.reduce(np.maximum, np.abs(np.ascontiguousarray(a).view(float)).reshape(len(a), -1).T)
         finite, s = (big < np.inf).all(), _scales(big)
     if not finite:
         raise InvalidInput("matrix entries must be finite")
