@@ -36,18 +36,18 @@ CLUSTER_TOL = 1e-10
 # Lowest eigenvalue allowed below 0 in a positive matrix, and the largest
 # lowest-level coefficient a projection decomposition drops.
 PSD_TOL = 1e-12
-# 2**e, kept between 2**-1022 and 2**1023, for each exponent e that math.frexp gives
-_POWERS = [math.ldexp(1.0, min(max(e, -1022), 1023)) for e in range(-1073, 1025)]
 
 
-def _scale(big: float) -> float:
-    """The power of two just above big >= 0, kept between 2**-1022 and 2**1023; 1 for inf or NaN."""
-    return _POWERS[math.frexp(big)[1] + 1073]
+# 2**e, kept between 2**-1022 and 2**1022 (so that 2 * s is a float), for each exponent e that frexp gives
+_POWERS = np.ldexp(1.0, np.arange(-1073, 1025).clip(-1022, 1022))
 
 
-def _scales(big: np.ndarray) -> np.ndarray:
-    """_scale elementwise; 1 where big is not finite."""
-    return np.ldexp(1.0, np.minimum(np.maximum(np.frexp(big)[1], -1022), 1023))
+def _scale(big):
+    """The power of two in _POWERS just above a float big >= 0, or elementwise for an array; 1 for inf or NaN.
+
+    math.frexp reads a float in 0.1 us, np.frexp an array; np.frexp of a float takes 2 us (x86-64, numpy 2.4).
+    """
+    return _POWERS[(math.frexp(big) if isinstance(big, float) else np.frexp(big))[1] + 1073]
 
 
 def _times(m: np.ndarray, k) -> np.ndarray:
@@ -55,40 +55,35 @@ def _times(m: np.ndarray, k) -> np.ndarray:
     return (np.ascontiguousarray(m).view(float) * k).view(complex)
 
 
-def _hermitian_part(m: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """s * (m + m*) / 2 on the last two axes, for a power of two s."""
-    m = m / (2.0 / s)
-    return m + m.conj().swapaxes(-1, -2)
+def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(m, s) with a = m * s, for a complex square matrix, or a stack of them on the last two axes.
 
-
-def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, float | np.ndarray]:
-    """(m, s) with a = m * s, for a complex square matrix, or an (N, n, n) stack of them.
-
-    s is _scale of the largest real or imaginary part (of each matrix), so m
-    rounds as a does wherever both stay normal, no product of its entries
-    overflows, and a tolerance applied to m is relative to s.  A NaN or
-    infinite entry is InvalidInput.  With hermitian, a matrix more than
-    HERMITICITY_TOL * s from self-adjoint is NotHermitian, and m is made
-    exactly self-adjoint.
+    s is _scale of the largest real or imaginary part of each matrix (a
+    float for one matrix, shape (..., 1, 1) for a stack), so m rounds as a
+    does wherever both stay normal, no product of its entries overflows, and
+    a tolerance applied to m is relative to s.  A NaN or infinite entry is
+    InvalidInput.  With hermitian, a matrix more than HERMITICITY_TOL * s
+    from self-adjoint is NotHermitian, and m is made exactly self-adjoint.
     """
-    if a.ndim == 2:  # on Python floats
-        parts = np.ascontiguousarray(a).view(float).ravel().tolist()
+    parts = np.ascontiguousarray(a).view(float)
+    if a.ndim == 2:  # one matrix on Python floats: 1.3 us against 4 us for the reduction (x86-64, numpy 2.4)
+        parts = parts.ravel().tolist()
         big, total = max(map(abs, parts), default=0.0), sum(parts)
-        finite, s = big < math.inf and total == total, _scale(big)  # a max may pass over a NaN, a sum cannot
+        finite = big < math.inf and total == total  # a max may pass over a NaN, a sum cannot
     else:
-        big = functools.reduce(np.maximum, np.abs(np.ascontiguousarray(a).view(float)).reshape(len(a), -1).T)
-        finite, s = (big < np.inf).all(), _scales(big)
+        big = np.abs(parts).max(axis=(-2, -1), keepdims=True, initial=0.0)
+        finite = (big < np.inf).all()
     if not finite:
         raise InvalidInput("matrix entries must be finite")
-    m = _times(a, 1.0 / (s if a.ndim == 2 else s[:, None, None]))
-    if hermitian:
-        half = m / 2.0
-        adjoint = half.conj().swapaxes(-1, -2)
-        gap = 2.0 * np.abs(half - adjoint).max(initial=0.0)
-        if not gap <= HERMITICITY_TOL:
-            raise NotHermitian(f"matrix is {gap:.2e} of its scale away from self-adjoint")
-        m = half + adjoint
-    return m, s
+    s = _scale(big)
+    if not hermitian:
+        return _times(a, 1.0 / s), s
+    half = a / (2.0 * s)  # one complex division, whose signed zeros are those of a / 2.0
+    adjoint = half.conj().swapaxes(-1, -2)
+    gap = 2.0 * np.abs(half - adjoint).max(initial=0.0)
+    if not gap <= HERMITICITY_TOL:
+        raise NotHermitian(f"matrix is {gap:.2e} of its scale away from self-adjoint")
+    return half + adjoint, s
 
 
 class HermitianMatrix:
@@ -96,30 +91,22 @@ class HermitianMatrix:
 
     Input within 1e-12 * s of self-adjoint is symmetrized, anything further
     off is rejected, where s is the power of two just above the largest real
-    or imaginary part of an entry.  It is kept as m * s (see _read_matrix).
+    or imaginary part of an entry (see _read_matrix).
     """
 
     def __init__(self, entries):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"matrix must be square, got shape {m.shape}")
-        self.n = len(m)
-        self._mat, self._scaled = None, _read_matrix(m, hermitian=True)
+        m, s = _read_matrix(m, hermitian=True)
+        self._scaled, self.n = (m, float(s)), len(m)
 
-    @classmethod
-    def _exact(cls, mat: np.ndarray) -> "HermitianMatrix":
-        """A finite, exactly self-adjoint result, read when a kernel first needs it."""
-        h = cls.__new__(cls)
-        mat.setflags(write=False)
-        h.n, h._mat, h._scaled = len(mat), mat, None
-        return h
-
-    @property
+    @functools.cached_property
     def mat(self) -> np.ndarray:
-        if self._mat is None:
-            self._mat = _times(*self._scaled)
-            self._mat.setflags(write=False)
-        return self._mat
+        """m * s, made when first asked for."""
+        mat = _times(*self._scaled)
+        mat.setflags(write=False)
+        return mat
 
     def __add__(self, other):
         return HermitianMatrix(self.mat + _as_hermitian(other).mat)
@@ -165,10 +152,7 @@ def _as_hermitian(a) -> HermitianMatrix:
 
 def _scaled(a) -> tuple[np.ndarray, float]:
     """(m, s) of a HermitianMatrix, or of entries read as one (see _read_matrix)."""
-    a = _as_hermitian(a)
-    if a._scaled is None:
-        a._scaled = _read_matrix(a.mat)
-    return a._scaled
+    return _as_hermitian(a)._scaled
 
 
 @dataclass(frozen=True)
@@ -193,12 +177,9 @@ class SpectralDecomp:
 def _pauli_parts(m: np.ndarray) -> tuple:
     """Pauli coordinates (c, v1, v2, v3) with m = c*s0 + v.s: scalars for one
     2x2 matrix, (N,) arrays for an (N, 2, 2) stack."""
-    if m.ndim == 2:  # Python floats
-        (a, _), (z, d) = m.tolist()
-        a, d = a.real, d.real
-    else:
-        a, d, z = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
-    return (a + d) / 2.0, z.real, z.imag, (a - d) / 2.0
+    t = m.T  # t[j, i] is entry (i, j): a scalar for one matrix, where m[..., i, j] is a 0-d array
+    a, d = t[0, 0].real, t[1, 1].real
+    return (a + d) / 2.0, t[0, 1].real, t[0, 1].imag, (a - d) / 2.0
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -218,8 +199,8 @@ def _finite_length(v: np.ndarray) -> float:
     big = max(map(abs, parts))
     if not big < math.inf:  # an infinite entry, or a NaN one that came first
         return big
-    s = _scale(big)
-    if s != 1.0:
+    s = float(_scale(big))
+    if s != 1.0:  # a Bloch or unit vector mostly has s = 1, and the division costs 0.7 us (x86-64, numpy 2.4)
         v = v / s
     return math.sqrt(_dots(v, v).real) * s
 
@@ -239,13 +220,13 @@ def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
     finite = (big < np.inf).all()
     if not finite:
         vs = np.where((big < np.inf)[..., None], vs, 0.0)
-    s = _scales(big)
+    s = _scale(big)
     vs = vs / s[..., None]
     r = (np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)) * s
     return r if finite else np.where(big < np.inf, r, big)
 
 
-def _spectrum(a) -> tuple[np.ndarray, np.ndarray, float]:
+def _spectrum(a) -> tuple[list[float], np.ndarray, float]:
     """Ascending eigenvalues of m, aligned eigenvector columns, and s, for (m, s) = _scaled(a).
 
     A 2x2 m takes the closed form on its Pauli coordinates: eigenvalues c +- r,
@@ -256,23 +237,21 @@ def _spectrum(a) -> tuple[np.ndarray, np.ndarray, float]:
     m, s = _scaled(a)
     if len(m) != 2:
         vals, vecs = np.linalg.eigh(m)
-        return vals, vecs, s
+        return vals.tolist(), vecs, s
     c, v1, v2, v3 = map(float, _pauli_parts(m))
     r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     if r == 0.0:
-        return np.array([c, c]), np.eye(2, dtype=complex), s
-    theta = float(np.arccos(np.clip(v3 / r, -1.0, 1.0)))
+        return [c, c], np.eye(2, dtype=complex), s
+    theta = float(np.arccos(min(max(v3 / r, -1.0), 1.0)))
     phi = float(np.arctan2(v2, v1))
     co, si = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    plus = np.array([co, np.exp(1j * phi) * si])
-    minus = np.array([-np.exp(-1j * phi) * si, co])
-    return np.array([c - r, c + r]), np.column_stack([minus, plus]), s
+    return [c - r, c + r], np.array([[-np.exp(-1j * phi) * si, co], [co, np.exp(1j * phi) * si]]), s
 
 
 def spectral(a) -> SpectralDecomp:
     """Eigendecomposition with eigenvalues ascending."""
     vals, vecs, s = _spectrum(a)
-    return SpectralDecomp(np.array([v * s for v in vals.tolist()]), vecs)  # inf past the largest float, no warning
+    return SpectralDecomp(np.array([v * s for v in vals]), vecs)  # inf past the largest float, no warning
 
 
 def _clusters(values: list[float]) -> list[list[int]]:
@@ -294,7 +273,6 @@ def func_calc(a, f: Callable[[float], float]) -> HermitianMatrix:
     so the eigenvector ambiguity inside a degenerate cluster is immaterial.
     """
     vals, vecs, s = _spectrum(a)
-    vals = vals.tolist()
     out = np.zeros((len(vals), len(vals)), dtype=complex)
     for group in _clusters(vals):
         lam = sum(vals[i] for i in group) / len(group) * s
@@ -307,7 +285,7 @@ def func_calc(a, f: Callable[[float], float]) -> HermitianMatrix:
             raise DomainError(f"function not finite at eigenvalue {lam!r}")
         vecs_g = vecs[:, group]
         out += val * (vecs_g @ vecs_g.conj().T)
-    return HermitianMatrix._exact(_hermitian_part(out))
+    return HermitianMatrix(out)
 
 
 def matrix_abs(a) -> HermitianMatrix:
@@ -332,7 +310,8 @@ def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:
 
     Genuine lattice join/meet only when a and b commute; still well defined
     and order-theoretically meaningful in general.  Taken over the larger
-    scale s of the two (see HermitianMatrix), so no sum overflows.
+    scale s of the two (see HermitianMatrix), so no sum overflows; a join or
+    meet past the largest float is DomainError.
     """
     (ma, sa), (mb, sb) = _scaled(a), _scaled(b)
     if len(ma) != len(mb):
@@ -341,10 +320,11 @@ def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:
     ma, mb = ma / (2.0 * (s / sa)), mb / (2.0 * (s / sb))  # a / 2s and b / 2s
     mid = ma + mb
     half_gap = func_calc(HermitianMatrix(ma - mb), abs).mat
-    return (
-        HermitianMatrix._exact(_hermitian_part(mid + half_gap, s)),
-        HermitianMatrix._exact(_hermitian_part(mid - half_gap, s)),
-    )
+    pair = np.array([mid + half_gap, mid - half_gap])
+    if not float(np.abs(pair.view(float)).max()) * s < math.inf:  # Python floats overflow without a warning
+        raise DomainError("join or meet is past the largest float")
+    join, meet = _times(pair, s)
+    return HermitianMatrix(join), HermitianMatrix(meet)
 
 
 @dataclass(frozen=True)
@@ -357,8 +337,7 @@ class Classification:
 def classify(a) -> Classification:
     """Operator norm and spectral positivity flags, the lowest eigenvalue against +-1e-12 * s."""
     vals, _, s = _spectrum(a)
-    low = float(vals[0])
-    return Classification(float(np.max(np.abs(vals))) * s, positive=low >= -1e-12, positive_invertible=low > 1e-12)
+    return Classification(max(map(abs, vals)) * s, positive=vals[0] >= -1e-12, positive_invertible=vals[0] > 1e-12)
 
 
 def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
@@ -370,7 +349,6 @@ def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
     term is dropped when v_1 is at most PSD_TOL * s.
     """
     vals, vecs, s = _spectrum(a)
-    vals = vals.tolist()
     if vals[0] < -PSD_TOL:
         raise InvalidInput("matrix must be positive semidefinite")
     groups = _clusters(vals)
@@ -381,7 +359,7 @@ def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
         coeff = lam - prev
         tail = [i for g in groups[k:] for i in g]
         tail_vecs = vecs[:, tail]
-        proj = HermitianMatrix._exact(_hermitian_part(tail_vecs @ tail_vecs.conj().T))
+        proj = HermitianMatrix(tail_vecs @ tail_vecs.conj().T)
         if k > 0 or coeff > PSD_TOL:
             terms.append((coeff * s, proj))
         prev = lam
@@ -406,7 +384,7 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
     m, s = _read_matrix(m, hermitian=True)
     c, v1, v2, v3 = _pauli_parts(m)
-    r = _finite_lengths(np.stack([v1, v2, v3], axis=1), square_sums=True)
+    r = np.linalg.norm(np.stack([v1, v2, v3], axis=1), axis=1)
     low, high = c - r, c + r
     if not (low >= -PSD_TOL).all():
         raise InvalidInput("matrices must be positive semidefinite")
@@ -421,9 +399,9 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
         [vecs @ vecs.conj().transpose(0, 2, 1), plus[:, :, None] @ plus.conj()[:, None, :]],
         axis=1,
     )
-    projs = _hermitian_part(projs)
+    projs = _times(*_read_matrix(projs, hermitian=True))
     split = ~(high - low <= CLUSTER_TOL)
     base = np.where(split, low, (low + high) / 2.0)
     kept = np.stack([base > PSD_TOL, split], axis=1)
-    coeffs = np.where(kept, np.stack([base, high - low], axis=1) * s[:, None], 0.0)
+    coeffs = np.where(kept, np.stack([base, high - low], axis=1) * s[:, 0], 0.0)
     return coeffs, projs, kept

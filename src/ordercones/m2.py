@@ -31,8 +31,7 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, _dots, _finite_length, _finite_lengths, _pauli_parts, _read_matrix, _scaled
-from .hermitian import _scale, _scales
+from .hermitian import HermitianMatrix, _dots, _finite_length, _finite_lengths, _pauli_parts, _read_matrix, _scale, _scaled
 
 __all__ = [
     "GEOM_TOL",
@@ -93,7 +92,7 @@ def _scaled_pauli(a) -> tuple[float, float, float, float, float]:
     m, s = _scaled(a)
     if m.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {m.shape}")
-    return (*_pauli_parts(m), s)
+    return (*map(float, _pauli_parts(m)), s)
 
 
 def matrix_from_pauli(c: float, v) -> HermitianMatrix:
@@ -558,7 +557,7 @@ def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> Transve
 def join_coeffs_from_difference(t: float, r: float) -> tuple[float, float]:
     """Join coefficients from the difference's halved trace t and traceless length r, taken on t / s
     and r / s for s the power of two just above max(|t|, r), so the 1e-12 cuts are relative to s."""
-    s = _scale(max(abs(t), r))
+    s = float(_scale(max(abs(t), r)))
     t, r = t / s, r / s
     if r <= 1e-12:
         if abs(t) <= 1e-12:
@@ -574,7 +573,7 @@ def join_coeffs_many(t, r) -> tuple[np.ndarray, np.ndarray]:
     """join_coeffs_from_difference elementwise, on arrays of t and r."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    s = _scales(np.maximum(np.abs(t), r))
+    s = _scale(np.maximum(np.abs(t), r))
     t, r = t / s, r / s
     hi, lo = np.abs(t + r), np.abs(t - r)
     flat = r <= 1e-12

@@ -602,6 +602,7 @@ def test_overflowing_density_and_hull_entries_are_invalid_input_with_nothing_on_
 
 _HUGE = "[[1e308,1e308],[1e308,1e308]]"
 _NOT_FINITE = {"kind": "DomainError", "detail": "result is not finite: Out of range float values are not JSON compliant"}
+_PAST_THE_LARGEST = ("[[1.5e308,1.5e308],[1.5e308,-1.5e308]]", "[[-1.5e308,-1.5e308],[-1.5e308,1.5e308]]")  # a and -a
 
 
 @pytest.mark.parametrize(
@@ -613,8 +614,11 @@ _NOT_FINITE = {"kind": "DomainError", "detail": "result is not finite: Out of ra
         (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0,
          {"join": {"n": 2, "re": [[1e308, 0.0], [0.0, 1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]},
           "meet": {"n": 2, "re": [[-1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}}),
+        # the join is |a| = 2.12e308 times the identity
+        (["herm", "lattice", "--a", _PAST_THE_LARGEST[0], "--b", _PAST_THE_LARGEST[1]], 1,
+         {"error": {"kind": "DomainError", "detail": "join or meet is past the largest float"}}),
     ],
-    ids=["classify", "member", "join-coeffs", "lattice"],
+    ids=["classify", "member", "join-coeffs", "lattice", "lattice-past-the-largest-float"],
 )
 def test_diagonals_near_the_largest_float_leave_stderr_empty(capsys, argv, code, want):
     with warnings.catch_warnings():
@@ -640,6 +644,7 @@ _CI_WARNING_STEPS = {
     "diagonals-member": (["m2", "member", "--region", '{"kind":"full"}', "--matrix", "[[1e308,1e308],[1e308,1e308]]"], 0),
     "diagonals-join-coeffs": (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0),
     "lattice": (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0),
+    "lattice-past-the-largest-float": (["herm", "lattice", "--a", _PAST_THE_LARGEST[0], "--b", _PAST_THE_LARGEST[1]], 1),
 }
 
 

@@ -314,19 +314,28 @@ def test_projection_decomposition_many_matches_the_scalar(rows):
             assert not kept[i, 0] and kept[i, 1]
 
 
+def _power_above(m: np.ndarray) -> float:
+    """The power of two just above the largest real or imaginary part of m."""
+    return 2.0 ** np.frexp(np.abs(m.view(float)).max())[1]
+
+
 @_EXAMPLES
 @given(st.lists(_psd_rows(), min_size=1, max_size=6), st.data())
 def test_projection_decomposition_many_rejects_a_bad_row(rows, data):
     mats = np.stack([m for _, m in rows])
     row = data.draw(st.integers(0, len(rows) - 1))
     fault = data.draw(st.sampled_from(["non-psd", "nan", "non-hermitian"]))
-    if fault == "non-psd":
-        shift = data.draw(st.floats(2e-12, 10.0))  # lowest eigenvalue below -PSD_TOL
-        mats[row] -= (np.linalg.eigvalsh(mats[row])[0] + shift) * S0
+    # A fault of 2 * shift * t, where t is the power of two just above the largest part of the row
+    # before it: the faulty row's own scale s is then at most 2 * t, so the fault is at least
+    # 2e-12 * s, above PSD_TOL * s and HERMITICITY_TOL * s.
+    shift = data.draw(st.floats(2e-12, 0.5))
+    if fault == "non-psd":  # lowest eigenvalue -2 * shift * t
+        n = mats[row] - np.linalg.eigvalsh(mats[row])[0] * S0
+        mats[row] = n - 2.0 * shift * _power_above(n) * S0
     elif fault == "nan":
         mats[row, data.draw(st.integers(0, 1)), 0] = np.nan
-    else:
-        mats[row, 0, 1] += data.draw(st.floats(2e-12, 10.0))  # off-diagonal gap above tol
+    else:  # an off-diagonal gap of 2 * shift * t
+        mats[row, 0, 1] += 2.0 * shift * _power_above(mats[row])
     error = NotHermitian if fault == "non-hermitian" else InvalidInput
     with pytest.raises(error):
         projection_decomposition(mats[row])
@@ -338,6 +347,11 @@ def test_projection_decomposition_many_rejects_a_bad_row(rows, data):
 def test_projection_decomposition_many_rejects_a_wrong_shape(shape):
     with pytest.raises(DimensionMismatch):
         projection_decomposition_many(np.zeros(shape))
+
+
+def test_projection_decomposition_many_of_no_rows_is_empty():
+    coeffs, projs, kept = projection_decomposition_many(np.zeros((0, 2, 2)))
+    assert coeffs.shape == (0, 2) and projs.shape == (0, 2, 2, 2) and kept.shape == (0, 2)
 
 
 @pytest.mark.parametrize("x", [1e154, 1e200, 1e300])
