@@ -89,33 +89,23 @@ def _c3_m2_closure(seed: int, fast: bool) -> tuple[bool, dict]:
     """Sums, scalings, joins, meets of cone members stay members (1e-9)."""
     rng = _rng(seed, 3)
     pairs_per_region = _scaled(10_000, fast)
-    failures = 0
-    checked = 0
-    noncommuting = 0
-    for name, region in sampling.region_fixtures():
-        del name
+    failures = checked = noncommuting = 0
+    for _, region in sampling.region_fixtures():
         c1, v1 = sampling.sample_cone_members(rng, region, pairs_per_region)
         c2, v2 = sampling.sample_cone_members(rng, region, pairs_per_region)
         mats1, mats2 = m2.matrix_from_pauli_many(c1, v1), m2.matrix_from_pauli_many(c2, v2)
         noncommuting += int((np.linalg.norm(np.cross(v1, v2), axis=1) > 1e-9).sum())
         scale = rng.exponential(size=pairs_per_region)
-        half_gap = hermitian.matrix_abs_many(mats1 - mats2) / 2.0
-        mid = (mats1 + mats2) / 2.0
-        for stack in (
-            mats1 + mats2,
-            scale[:, None, None] * mats1,
-            mid + half_gap,
-            mid - half_gap,
-        ):
+        join, meet = hermitian.lattice_ops(mats1, mats2)
+        for stack in (mats1 + mats2, scale[:, None, None] * mats1, join, meet):
             _, v = m2.pauli_vparts_many(stack)
             ok = region.cone_contains_many(v, tol=1e-9)
             failures += int((~ok).sum())
             checked += len(ok)
-        # Tie the vectorized path to the scalar membership operation.
-        join = mid + half_gap
+        # Tie the stack rows to the one-pair join and the scalar membership operation.
         for idx in rng.integers(0, pairs_per_region, size=5):
-            got = m2.iso_membership(region, hermitian.HermitianMatrix(join[idx]), tol=1e-9)
-            if not got:
+            one, _ = hermitian.lattice_ops(mats1[idx], mats2[idx])
+            if not (np.array_equal(one.mat, join[idx]) and m2.iso_membership(region, one, tol=1e-9)):
                 failures += 1
     return failures == 0, {
         "checked": checked,
@@ -133,8 +123,8 @@ def _c4_join_coefficients(seed: int, fast: bool) -> tuple[bool, dict]:
     t = c[:, 0] - c[:, 1]
     r = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
     alpha, beta = m2.join_coeffs_many(t, r)
-    # Reconstruction oracle: the spectral |a-b| route, independent of the
-    # closed form above.
+    # Reconstruction oracle: |a-b| through LAPACK eigh, independent of the
+    # closed forms of join_coeffs and lattice_ops.
     mats1, mats2 = m2.matrix_from_pauli_many(c[:, 0], v[:, 0]), m2.matrix_from_pauli_many(c[:, 1], v[:, 1])
     join = (mats1 + mats2) / 2.0 + hermitian.matrix_abs_many(mats1 - mats2) / 2.0
     recon = (
@@ -146,9 +136,7 @@ def _c4_join_coefficients(seed: int, fast: bool) -> tuple[bool, dict]:
     # Tie the scalar operation to the batch values.
     spot_err = 0.0
     for idx in rng.integers(0, count, size=200):
-        al, be = m2.join_coeffs(
-            hermitian.HermitianMatrix(mats1[idx]), hermitian.HermitianMatrix(mats2[idx])
-        )
+        al, be = m2.join_coeffs(mats1[idx], mats2[idx])
         spot_err = max(spot_err, abs(al - alpha[idx]), abs(be - beta[idx]))
     ok = (
         bool((alpha >= -1e-9).all())
@@ -173,30 +161,25 @@ def _c5_epsilon_disks(seed: int, fast: bool) -> tuple[bool, dict]:
     band = 1e-6
     north = np.array([0.0, 0.0, 1.0])
     south = -north
-    mismatches = 0
-    total = 0
+    mismatches = total = 0
+    p_b = m2.PureStatePoint.from_bloch(south)
     for eps in (0.1, 0.2, 0.3, np.pi / 4):
         region = m2.SphericalRegion.cap(north, 2.0 * eps)
         pts = rng.normal(size=(per_eps, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        fs_b = np.arccos(np.clip(pts @ south, -1.0, 1.0)) / 2.0
-        fs_t = np.arccos(np.clip(pts @ north, -1.0, 1.0)) / 2.0
+        fs_b, fs_t = m2._angle(pts, south) / 2.0, m2._angle(pts, north) / 2.0  # fubini_study's rule
         # Relation of the bottom state below a sample: dual test on h - south.
         below_b = region.dual_contains_many(pts - south)
         above_t = region.dual_contains_many(north - pts)
         for fs, comparable in ((fs_b, below_b), (fs_t, above_t)):
             inside = fs >= 2.0 * eps + band
             outside = fs <= 2.0 * eps - band
-            mismatches += int((inside & ~comparable).sum())
-            mismatches += int((outside & comparable).sum())
+            mismatches += int((inside & ~comparable).sum() + (outside & comparable).sum())
             total += int(inside.sum() + outside.sum())
         # Tie to the scalar pure-state operation.
         for idx in rng.integers(0, per_eps, size=25):
-            p_b = m2.PureStatePoint.from_bloch(south)
-            q = m2.PureStatePoint.from_bloch(pts[idx])
-            rel = m2.pure_state_order(region, p_b, q)
-            if (rel == "less") != bool(below_b[idx]):
-                mismatches += 1
+            rel = m2.pure_state_order(region, p_b, m2.PureStatePoint.from_bloch(pts[idx]))
+            mismatches += int((rel == "less") != bool(below_b[idx]))
     return mismatches == 0, {"samples": total, "mismatches": mismatches}
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "func_calc",
     "lattice_ops",
     "classify",
-    "matrix_abs",
     "matrix_abs_many",
     "nonnegative_sqrt",
     "projection_decomposition",
@@ -108,12 +107,15 @@ class HermitianMatrix:
         mat.setflags(write=False)
         return mat
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf past the largest float, which the constructor refuses
     def __add__(self, other):
         return HermitianMatrix(self.mat + _as_hermitian(other).mat)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __sub__(self, other):
         return HermitianMatrix(self.mat - _as_hermitian(other).mat)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __rmul__(self, scalar: float):
         return HermitianMatrix(float(scalar) * self.mat)
 
@@ -150,9 +152,12 @@ def _as_hermitian(a) -> HermitianMatrix:
     return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
 
 
-def _scaled(a) -> tuple[np.ndarray, float]:
-    """(m, s) of a HermitianMatrix, or of entries read as one (see _read_matrix)."""
-    return _as_hermitian(a)._scaled
+def _read_stack(mats) -> tuple[np.ndarray, np.ndarray]:
+    """_read_matrix of an (N, 2, 2) stack of self-adjoint matrices; another shape is DimensionMismatch."""
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
+    return _read_matrix(m, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -227,14 +232,14 @@ def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
 
 
 def _spectrum(a) -> tuple[list[float], np.ndarray, float]:
-    """Ascending eigenvalues of m, aligned eigenvector columns, and s, for (m, s) = _scaled(a).
+    """Ascending eigenvalues of m, aligned eigenvector columns, and s, for a = m * s read as one matrix.
 
     A 2x2 m takes the closed form on its Pauli coordinates: eigenvalues c +- r,
     eigenvectors from the polar angles of the traceless part, and r by the
     square_sums rule of _finite_lengths on Python floats (3 us against 15 us
     for a one-row _finite_lengths, x86-64, numpy 2.4).
     """
-    m, s = _scaled(a)
+    m, s = _as_hermitian(a)._scaled
     if len(m) != 2:
         vals, vecs = np.linalg.eigh(m)
         return vals.tolist(), vecs, s
@@ -288,10 +293,6 @@ def func_calc(a, f: Callable[[float], float]) -> HermitianMatrix:
     return HermitianMatrix(out)
 
 
-def matrix_abs(a) -> HermitianMatrix:
-    return func_calc(a, abs)
-
-
 def matrix_abs_many(mats: np.ndarray) -> np.ndarray:
     """|m| for a stack of hermitian 2x2 matrices, through LAPACK."""
     vals, vecs = np.linalg.eigh(mats)
@@ -305,26 +306,42 @@ def nonnegative_sqrt(x: float) -> float:
     return float(np.sqrt(max(x, 0.0)))
 
 
-def lattice_ops(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:
-    """The pair ((a+b)/2 + |a-b|/2, (a+b)/2 - |a-b|/2), sharing one |a-b|.
+def _abs2(d: np.ndarray) -> np.ndarray:
+    """|d| of a self-adjoint 2x2 d, or of each matrix of an (N, 2, 2) stack: h*1 + k*(d - t*1), with t the
+    halved trace, r the traceless length, h = max(|t|, r) and k = t / h = clip(t / r, -1, 1), or sign(t) at r = 0."""
+    t, v1, v2, v3 = _pauli_parts(d)
+    h = np.maximum(np.abs(t), np.sqrt(v1 * v1 + v2 * v2 + v3 * v3))
+    k = t / np.where(h > 0.0, h, 1.0)  # t = 0 where h = 0
+    out = _times(d, k[..., None, None])  # the off-diagonal k*v1 -+ i*k*v2
+    out[..., 0, 0], out[..., 1, 1] = h + k * v3, h - k * v3
+    return out
+
+
+def lattice_ops(a, b):
+    """The pair ((a+b)/2 + |a-b|/2, (a+b)/2 - |a-b|/2), sharing one |a-b|: HermitianMatrix for one pair,
+    (N, 2, 2) arrays for two (N, 2, 2) stacks, row by row.
 
     Genuine lattice join/meet only when a and b commute; still well defined
-    and order-theoretically meaningful in general.  Taken over the larger
-    scale s of the two (see HermitianMatrix), so no sum overflows; a join or
-    meet past the largest float is DomainError.
+    and order-theoretically meaningful in general.  Each pair is taken over
+    the larger scale s of the two (see HermitianMatrix), so no sum overflows;
+    a join or meet past the largest float is DomainError.  |a-b| is _abs2 at
+    2x2, with no cluster tolerance, and func_calc(a - b, abs) above.
     """
-    (ma, sa), (mb, sb) = _scaled(a), _scaled(b)
-    if len(ma) != len(mb):
-        raise DimensionMismatch(f"sizes differ: {len(ma)} vs {len(mb)}")
-    s = max(sa, sb)
+    (ma, sa), (mb, sb) = (
+        _read_stack(x) if not isinstance(x, HermitianMatrix) and np.ndim(x) == 3 else _as_hermitian(x)._scaled
+        for x in (a, b)
+    )
+    if ma.shape != mb.shape:
+        raise DimensionMismatch(f"shapes differ: {ma.shape} vs {mb.shape}")
+    s = np.maximum(sa, sb)
     ma, mb = ma / (2.0 * (s / sa)), mb / (2.0 * (s / sb))  # a / 2s and b / 2s
-    mid = ma + mb
-    half_gap = func_calc(HermitianMatrix(ma - mb), abs).mat
-    pair = np.array([mid + half_gap, mid - half_gap])
-    if not float(np.abs(pair.view(float)).max()) * s < math.inf:  # Python floats overflow without a warning
+    mid, d = ma + mb, ma - mb
+    half_gap = _abs2(d) if d.shape[-1] == 2 else func_calc(HermitianMatrix(d), abs).mat
+    with np.errstate(over="ignore"):
+        join, meet = pair = _times(np.array([mid + half_gap, mid - half_gap]), s)
+    if not np.isfinite(pair).all():
         raise DomainError("join or meet is past the largest float")
-    join, meet = _times(pair, s)
-    return HermitianMatrix(join), HermitianMatrix(meet)
+    return (join, meet) if ma.ndim == 3 else (HermitianMatrix(join), HermitianMatrix(meet))
 
 
 @dataclass(frozen=True)
@@ -379,10 +396,7 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
     form of `spectral` on the whole stack, each row over its own scale s, so
     values match the scalar path.
     """
-    m = np.asarray(mats, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (2, 2):
-        raise DimensionMismatch(f"need an (N, 2, 2) stack, got shape {m.shape}")
-    m, s = _read_matrix(m, hermitian=True)
+    m, s = _read_stack(mats)
     c, v1, v2, v3 = _pauli_parts(m)
     r = np.linalg.norm(np.stack([v1, v2, v3], axis=1), axis=1)
     low, high = c - r, c + r

@@ -31,7 +31,9 @@ from .errors import (
     NotNormalized,
     float_array,
 )
-from .hermitian import HermitianMatrix, _dots, _finite_length, _finite_lengths, _pauli_parts, _read_matrix, _scale, _scaled
+from .hermitian import (
+    HermitianMatrix, _as_hermitian, _dots, _finite_length, _finite_lengths, _pauli_parts, _read_matrix, _scale,
+)
 
 __all__ = [
     "GEOM_TOL",
@@ -88,8 +90,8 @@ def pauli_coords(a) -> PauliCoords:
 
 
 def _scaled_pauli(a) -> tuple[float, float, float, float, float]:
-    """(c, v1, v2, v3, s): the Pauli coordinates of m, for (m, s) = _scaled(a) of a 2x2 a."""
-    m, s = _scaled(a)
+    """(c, v1, v2, v3, s): the Pauli coordinates of m, for (m, s) the reading of a 2x2 a (see HermitianMatrix)."""
+    m, s = _as_hermitian(a)._scaled
     if m.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {m.shape}")
     return (*map(float, _pauli_parts(m)), s)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,11 +10,11 @@ from ordercones.errors import DimensionMismatch, DomainError, InvalidInput, NotH
 from ordercones.hermitian import (
     CLUSTER_TOL,
     HermitianMatrix,
+    _abs2,
     _pauli_parts,
     classify,
     func_calc,
     lattice_ops,
-    matrix_abs,
     matrix_abs_many,
     nonnegative_sqrt,
     projection_decomposition,
@@ -46,6 +47,23 @@ def test_construction_keeps_the_largest_finite_entries_finite():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = m + 1e-13 * rng.normal(size=(2, 2)) + m.conj().T
         assert HermitianMatrix(m).mat.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: HermitianMatrix([[1e308, 0], [0, 0]]) - HermitianMatrix([[-1e308, 0], [0, 0]]),
+        lambda: HermitianMatrix([[1e308, 0], [0, 0]]) + [[1e308, 0], [0, 0]],
+        lambda: 10.0 * HermitianMatrix([[0, 1e308], [1e308, 0]]),
+        lambda: math.inf * HermitianMatrix([[1, 0], [0, 0]]),
+    ],
+    ids=["sub", "add", "rmul", "rmul-inf"],
+)
+def test_arithmetic_past_the_largest_float_is_invalid_input_without_a_warning(op):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            op()
 
 
 def test_construction_rejects_far_from_hermitian():
@@ -93,7 +111,7 @@ def test_func_calc_identity_returns_input():
 
 
 def test_abs_of_sigma3_is_identity():
-    assert matrix_abs(HermitianMatrix(S3)).allclose(S0, tol=1e-12)
+    assert func_calc(HermitianMatrix(S3), abs).allclose(S0, tol=1e-12)
 
 
 def test_sqrt_of_scaled_identity():
@@ -104,7 +122,7 @@ def test_abs_of_sigma3_minus_sigma1():
     # oracle: (S3 - S1)^2 = 2 I, so the positive square root is sqrt(2) I
     d = S3 - S1
     assert np.allclose(d @ d, 2 * S0)
-    assert matrix_abs(HermitianMatrix(d)).allclose(np.sqrt(2) * S0, tol=1e-12)
+    assert func_calc(HermitianMatrix(d), abs).allclose(np.sqrt(2) * S0, tol=1e-12)
 
 
 def test_sqrt_rejects_negative_spectrum():
@@ -123,16 +141,29 @@ def test_lattice_ops_pauli_closed_form():
     assert join.allclose((S3 + S1) / 2 + (np.sqrt(2) / 2) * S0, tol=1e-12)
 
 
+def _abs_closed_form(d: np.ndarray) -> np.ndarray:
+    """|d| of a self-adjoint 2x2 d on Python floats: h*1 + k*(d - t*1), with t the halved trace,
+    r the traceless length, h = max(|t|, r) and k = clip(t / r, -1, 1), or sign(t) at r = 0."""
+    t, v3 = (d[0, 0].real + d[1, 1].real) / 2.0, (d[0, 0].real - d[1, 1].real) / 2.0
+    v1, v2 = d[1, 0].real, d[1, 0].imag
+    r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    k = min(max(t / r, -1.0), 1.0) if r else math.copysign(1.0, t) if t else 0.0
+    off = complex(k * d[0, 1].real, k * d[0, 1].imag)
+    return np.array([[max(abs(t), r) + k * v3, off], [off.conjugate(), max(abs(t), r) - k * v3]])
+
+
 @pytest.mark.parametrize("gap", [0.0, 0.5e-10, 1.5e-10, 3e-10, 1.0])
 @pytest.mark.parametrize("n", [2, 3])
 def test_lattice_ops_equals_the_unhalved_pair_bit_for_bit(n, gap):
-    # Around the cluster tolerance too: a - b with eigenvalues gap apart.
+    # Around the cluster tolerance too: a - b with eigenvalues gap apart.  At
+    # 2x2 |a - b| is the closed form, at 3x3 the functional calculus.
     rng = np.random.default_rng(n)
     for _ in range(30):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         b = random_hermitian(rng, n)
         a = HermitianMatrix(b.mat + (q * (rng.normal() + gap * np.arange(n))) @ q.conj().T)
-        mid, half_gap = (a.mat + b.mat) / 2.0, matrix_abs(a - b).mat / 2.0
+        gap_abs = _abs_closed_form(a.mat - b.mat) if n == 2 else func_calc(a - b, abs).mat
+        mid, half_gap = (a.mat + b.mat) / 2.0, gap_abs / 2.0
         join, meet = lattice_ops(a, b)
         assert np.array_equal(join.mat, HermitianMatrix(mid + half_gap).mat)
         assert np.array_equal(meet.mat, HermitianMatrix(mid - half_gap).mat)
@@ -156,6 +187,68 @@ def test_join_with_self_is_self():
 def test_lattice_ops_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         lattice_ops(HermitianMatrix.diag([1, 2]), HermitianMatrix.diag([1, 2, 3]))
+
+
+def _lattice_stacks(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (count, 2, 2) stacks of generic, scalar, equal-pair and commuting rows, each matrix
+    at its own power-of-two scale 2**k, k in [-60, 60]."""
+    rng = np.random.default_rng(seed)
+    a = np.array([random_hermitian(rng, 2).mat for _ in range(count)])
+    b = np.array([random_hermitian(rng, 2).mat for _ in range(count)])
+    a[0::5] = np.diag(rng.normal(size=2))  # a commuting pair
+    b[0::5] = np.diag(rng.normal(size=2))
+    a[1::5] = rng.normal() * S0  # a scalar a
+    b[2::5] = a[2::5]  # an equal pair, then at another scale: comparable
+    scale = np.ldexp(1.0, rng.integers(-60, 61, size=(2, count)))[..., None, None]
+    return a * scale[0], b * scale[1]
+
+
+def test_lattice_ops_of_stacks_are_the_one_pair_results_bit_for_bit():
+    a, b = _lattice_stacks(11, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        join, meet = lattice_ops(a, b)
+        for i in range(len(a)):
+            one_join, one_meet = lattice_ops(a[i], b[i])
+            assert join[i].tobytes() == one_join.mat.tobytes() and meet[i].tobytes() == one_meet.mat.tobytes()
+
+
+def test_lattice_ops_of_empty_stacks_are_empty():
+    join, meet = lattice_ops(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
+    assert join.shape == meet.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "a, b, error",
+    [
+        (np.zeros((3, 2, 3)), np.zeros((3, 2, 3)), DimensionMismatch),
+        (np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), DimensionMismatch),
+        (np.zeros((3, 2, 2)), np.zeros((4, 2, 2)), DimensionMismatch),
+        (np.zeros((3, 2, 2)), np.zeros((2, 2)), DimensionMismatch),
+        (np.array([S0, [[np.nan, 0], [0, 0]], S1]), np.zeros((3, 2, 2)), InvalidInput),
+        (np.zeros((3, 2, 2)), np.array([S0, S1, [[0, 1], [0, 0]]]), NotHermitian),
+        (np.array([S0, 1.5e308 * (S1 + S3)]), np.array([S0, -1.5e308 * (S1 + S3)]), DomainError),
+    ],
+    ids=["non-square", "3x3", "mismatched", "stack-and-one", "nan", "non-hermitian", "past-the-largest-float"],
+)
+def test_lattice_ops_refuse_a_bad_stack(a, b, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            lattice_ops(a, b)
+
+
+def test_closed_form_abs_is_positive_with_the_square_of_its_matrix():
+    a, b = _lattice_stacks(12, 500)
+    d = np.concatenate([a - b, a, np.zeros((1, 2, 2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _abs2(d)
+        for row, one in zip(d, got):
+            assert one.tobytes() == _abs2(row).tobytes()
+    s = np.abs(d.view(float)).max(axis=(1, 2))
+    assert (np.linalg.eigvalsh(got)[:, 0] >= -1e-15 * s).all()
+    assert (np.abs(got @ got - d @ d).max(axis=(1, 2)) <= 1e-14 * s * s).all()
 
 
 def test_join_plus_meet_equals_sum():
@@ -258,7 +351,7 @@ def test_matrix_abs_many_matches_the_scalar():
     mats = np.stack([random_hermitian(rng, 2).mat for _ in range(50)])
     got = matrix_abs_many(mats)
     for m, g in zip(mats, got):
-        assert np.max(np.abs(matrix_abs(m).mat - g)) <= 1e-12
+        assert np.max(np.abs(func_calc(m, abs).mat - g)) <= 1e-12
 
 
 # Scalar against batch for projection_decomposition_many, over the spectral
@@ -402,4 +495,4 @@ def test_matrix_abs_many_matches_the_scalar_row_by_row(rows):
         # Within a cluster the scalar takes |mean| of the two eigenvalues,
         # which differs from the exact |m| by at most their gap.
         tol = CLUSTER_TOL if kind == "cluster" else 1e-12 * scale
-        assert np.max(np.abs(matrix_abs(m).mat - g)) <= tol
+        assert np.max(np.abs(func_calc(m, abs).mat - g)) <= tol

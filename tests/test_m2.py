@@ -1283,3 +1283,32 @@ def test_isocone_on_a_commutative_subalgebra_is_the_isotone_cone_of_its_spectrum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert iso_membership(region, a) == is_isotone(_reduction_preorder(region, u), [l1, l2])
+
+
+# transversality's tag for a normal matrix with axis u names the same
+# two-point preorder of {p+, p-}.
+_TAG_PAIRS = {
+    "lambda2_below_lambda1": [("p-", "p+")],
+    "lambda1_below_lambda2": [("p+", "p-")],
+    "incomparable_spectrum": [],
+    "not_transverse": [("p-", "p+"), ("p+", "p-")],
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_reduction_cases(), st.floats(-1.5, 1.5))
+def test_transversality_tag_names_the_preorder_of_the_commutative_reduction(case, phase):
+    region, u, l1, l2 = case
+    # A normal n = l1 P_u + l2 P_-u with l1 > l2, both turned by a common
+    # phase of positive cosine, so that l1 keeps the larger real part and the
+    # axis is u; scalar and near pairs, whose axis is rounding, are left out.
+    if abs(l1 - l2) <= 1e-6 * max(abs(l1), abs(l2)):
+        return
+    l1, l2 = max(l1, l2), min(l1, l2)
+    rot = np.exp(1j * phase)
+    n = (l1 * rot) * matrix_from_pauli(0.5, u / 2.0).mat + (l2 * rot) * matrix_from_pauli(0.5, -u / 2.0).mat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transversality(region, n)
+    assert np.abs(got.axis - u).max() <= 1e-9
+    assert build_preorder(["p+", "p-"], _TAG_PAIRS[got.classification]) == _reduction_preorder(region, u)
