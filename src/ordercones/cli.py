@@ -13,12 +13,16 @@ import itertools
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import acceptance, duality, gps, hermitian, isotone_cone, m2, poset
 from .errors import DomainError, InvalidInput, OrderConesError, string_ids
 
+# Each library module is imported in the functions that use it, so a call runs
+# only the modules of its verb: `poset check` never imports m2 or acceptance.
+if TYPE_CHECKING:
+    from . import duality, gps, hermitian, m2, poset
 
 def _json_default(obj):
     """JSON form of the numpy values and dataclass records payloads carry.
@@ -175,6 +179,7 @@ def _emit(args, payload: dict | list | str) -> None:
 
 
 def _function_arg(value) -> np.ndarray:
+    from . import isotone_cone
     data = _load(value)
     if isinstance(data, dict):
         data = data.get("values")
@@ -182,6 +187,7 @@ def _function_arg(value) -> np.ndarray:
 
 
 def _functions_arg(value) -> np.ndarray:
+    from . import isotone_cone
     data = _load(value)
     if isinstance(data, dict):
         data = data.get("functions", data.get("values"))
@@ -191,18 +197,22 @@ def _functions_arg(value) -> np.ndarray:
 
 
 def _poset_arg(value) -> poset.FinitePoset:
+    from . import poset
     return poset.FinitePoset.from_json(_load(value))
 
 
 def _preorder_arg(value) -> poset.FinitePreorder:
+    from . import poset
     return poset.FinitePreorder.from_json(_load(value))
 
 
 def _region_arg(value) -> m2.SphericalRegion:
+    from . import m2
     return m2.SphericalRegion.from_json(_load(value))
 
 
 def _hermitian_arg(value) -> hermitian.HermitianMatrix:
+    from . import hermitian
     data = _load(value)
     if isinstance(data, list):
         data = {"re": data}
@@ -210,6 +220,7 @@ def _hermitian_arg(value) -> hermitian.HermitianMatrix:
 
 
 def _pure_state_arg(value) -> m2.PureStatePoint:
+    from . import m2
     data = _load(value)
     if isinstance(data, list):
         data = {"xi": data} if any(isinstance(x, list) for x in data) else {"bloch": data}
@@ -242,6 +253,7 @@ def _relation_payload(args, obj: poset.FinitePreorder, extra: dict | None = None
 
 
 def _cmd_poset_check(args):
+    from . import poset
     data = _load(getattr(args, "in"))
     if isinstance(data, dict) and isinstance(data.get("elements"), list):
         # Ids that are not strings make unreadable input (exit 1), not an invalid order.
@@ -254,23 +266,28 @@ def _cmd_poset_check(args):
 
 
 def _cmd_poset_reduce(args):
+    from . import poset
     reduced, projection = poset.reduce_preorder(_preorder_arg(getattr(args, "in")))
     return {"poset": reduced._payload(), "projection": projection}
 
 
 def _cmd_poset_combine(args):
+    from . import poset
     return _relation_payload(args, poset.combine(_poset_arg(args.a), _poset_arg(args.b), args.mode))
 
 
 def _cmd_poset_interval(args):
+    from . import poset
     return {"elements": poset.interval(_poset_arg(getattr(args, "in")), args.x, args.y)}
 
 
 def _cmd_poset_bounds(args):
+    from . import poset
     return poset.bounds(_poset_arg(getattr(args, "in")))
 
 
 def _cmd_poset_sprinkle(args):
+    from . import poset
     sprinkled = poset.sprinkle_minkowski(args.n, args.seed)
     return _relation_payload(args, sprinkled.poset, {"coords": sprinkled.coords_json()})
 
@@ -280,12 +297,14 @@ def _cmd_poset_sprinkle(args):
 
 
 def _cmd_cone_isotone(args):
+    from . import isotone_cone
     p = _preorder_arg(args.poset)
     f = _function_arg(args.f)
     return {"isotone": isotone_cone.is_isotone(p, f, tol=args.tol)}
 
 
 def _cmd_cone_order_from(args):
+    from . import isotone_cone
     elements = _load(args.elements)
     fns = _functions_arg(args.functions)
     pre, separates = isotone_cone.order_from_functions(elements, fns, tol=args.tol)
@@ -293,6 +312,7 @@ def _cmd_cone_order_from(args):
 
 
 def _cmd_cone_express(args):
+    from . import isotone_cone
     p = _poset_arg(args.poset)
     gens = _functions_arg(args.generators)
     target = _function_arg(args.target)
@@ -302,18 +322,21 @@ def _cmd_cone_express(args):
 
 
 def _cmd_cone_eval(args):
+    from . import isotone_cone
     expr = isotone_cone.expr_from_json(_load(args.expr))
     fns = _functions_arg(args.functions) if args.functions else []
     return {"values": isotone_cone.eval_expr(expr, fns, size=args.size)}
 
 
 def _cmd_cone_decompose(args):
+    from . import isotone_cone
     p = _poset_arg(args.poset)
     terms = isotone_cone.upset_decomposition(p, _function_arg(args.f), tol=args.tol)
     return {"terms": [{"coeff": c, "indicator": ind} for c, ind in terms]}
 
 
 def _cmd_cone_contains(args):
+    from . import isotone_cone
     contained = isotone_cone.generated_cone_contains(
         _load(args.elements), _functions_arg(args.functions), _function_arg(args.f), tol=args.tol
     )
@@ -321,6 +344,7 @@ def _cmd_cone_contains(args):
 
 
 def _cmd_cone_minimal(args):
+    from . import isotone_cone
     witness = isotone_cone.minimal_witness(_poset_arg(getattr(args, "in")))
     if witness is None:
         return {"witness": None, "totally_ordered": True}
@@ -335,6 +359,7 @@ def _cmd_cone_minimal(args):
 
 
 def _cmd_cone_cobounded(args):
+    from . import isotone_cone
     return isotone_cone.cobounded_commutative(_poset_arg(getattr(args, "in")))
 
 
@@ -342,31 +367,33 @@ def _cmd_cone_cobounded(args):
 # herm verbs
 
 
-_NAMED_FUNCTIONS = {
-    "abs": abs,
-    "sqrt": hermitian.nonnegative_sqrt,
-    "square": lambda x: x * x,
-    "identity": lambda x: x,
-    "exp": np.errstate(over="ignore")(np.exp),  # an overflowing exp is inf, which func_calc refuses
-}
-
-
 def _cmd_herm_spectral(args):
+    from . import hermitian
     return hermitian.spectral(_hermitian_arg(getattr(args, "in"))).to_json()
 
 
 def _cmd_herm_fn(args):
-    if args.fn not in _NAMED_FUNCTIONS:
-        raise InvalidInput(f"unknown function {args.fn!r}; pick one of {sorted(_NAMED_FUNCTIONS)}")
-    return hermitian.func_calc(_hermitian_arg(getattr(args, "in")), _NAMED_FUNCTIONS[args.fn]).to_json()
+    from . import hermitian
+    named = {
+        "abs": abs,
+        "sqrt": hermitian.nonnegative_sqrt,
+        "square": lambda x: x * x,
+        "identity": lambda x: x,
+        "exp": np.errstate(over="ignore")(np.exp),  # an overflowing exp is inf, which func_calc refuses
+    }
+    if args.fn not in named:
+        raise InvalidInput(f"unknown function {args.fn!r}; pick one of {sorted(named)}")
+    return hermitian.func_calc(_hermitian_arg(getattr(args, "in")), named[args.fn]).to_json()
 
 
 def _cmd_herm_lattice(args):
+    from . import hermitian
     join, meet = hermitian.lattice_ops(_hermitian_arg(args.a), _hermitian_arg(args.b))
     return {"join": join.to_json(), "meet": meet.to_json()}
 
 
 def _cmd_herm_classify(args):
+    from . import hermitian
     return hermitian.classify(_hermitian_arg(getattr(args, "in")))
 
 
@@ -375,6 +402,7 @@ def _cmd_herm_classify(args):
 
 
 def _cmd_m2_hopf(args):
+    from . import m2
     data = _load(args.xi)
     if isinstance(data, dict):
         if "xi" not in data:
@@ -384,6 +412,7 @@ def _cmd_m2_hopf(args):
 
 
 def _cmd_m2_member(args):
+    from . import m2
     return {"member": m2.iso_membership(_region_arg(args.region), _hermitian_arg(args.matrix), tol=args.tol)}
 
 
@@ -391,6 +420,7 @@ _CSV_BLOCK = 4096  # sample rows formatted per block by m2 order --samples --for
 
 
 def _cmd_m2_order(args):
+    from . import m2
     region = _region_arg(args.region)
     if args.samples is None:
         if not args.p or not args.q:
@@ -419,6 +449,7 @@ def _cmd_m2_order(args):
 
 
 def _cmd_m2_state_order(args):
+    from . import m2
     region = _region_arg(args.region)
     rho = m2.DensityState.from_json(_load(args.rho))
     sigma = m2.DensityState.from_json(_load(args.sigma))
@@ -426,12 +457,14 @@ def _cmd_m2_state_order(args):
 
 
 def _cmd_m2_fs(args):
+    from . import m2
     p = _pure_state_arg(args.p)
     q = _pure_state_arg(args.q)
     return {"distance": m2.fubini_study(p, q), "probability": m2.transition_probability(p, q)}
 
 
 def _cmd_m2_transverse(args):
+    from . import hermitian, m2
     data = _load(args.matrix)
     if isinstance(data, list):
         data = {"re": data}
@@ -440,16 +473,19 @@ def _cmd_m2_transverse(args):
 
 
 def _cmd_m2_join_coeffs(args):
+    from . import m2
     alpha, beta = m2.join_coeffs(_hermitian_arg(args.a), _hermitian_arg(args.b))
     return {"alpha": alpha, "beta": beta}
 
 
 def _cmd_m2_cobounded(args):
+    from . import m2
     witness = m2.cobounded_witness(_region_arg(args.region))
     return {"witness": None if witness is None else witness.to_json()}
 
 
 def _cmd_m2_rotation(args):
+    from . import m2
     return {"preserves": m2.rotation_preserves(_region_arg(args.region), _load(args.matrix), tol=args.tol)}
 
 
@@ -458,10 +494,12 @@ def _cmd_m2_rotation(args):
 
 
 def _cmd_dual_from_poset(args):
+    from . import duality
     return duality.algebra_from_poset(_poset_arg(getattr(args, "in"))).to_json()
 
 
 def _algebra_arg(value) -> duality.FiniteCommutativeIStar:
+    from . import duality, poset
     data = _load(value)
     if isinstance(data, dict) and "poset" in data:
         data = data["poset"]
@@ -469,10 +507,12 @@ def _algebra_arg(value) -> duality.FiniteCommutativeIStar:
 
 
 def _cmd_dual_characters(args):
+    from . import duality
     return _relation_payload(args, duality.character_order(_algebra_arg(getattr(args, "in"))))
 
 
 def _cmd_dual_morphism(args):
+    from . import duality
     mapping = _load(args.map)
     if isinstance(mapping, dict) and "map" in mapping:
         mapping = mapping["map"]
@@ -482,6 +522,7 @@ def _cmd_dual_morphism(args):
 
 
 def _cmd_dual_cobounded_duality(args):
+    from . import duality, isotone_cone, poset
     p = _poset_arg(getattr(args, "in"))
     return {
         "agree": duality.cobounded_duality_check(p),
@@ -495,6 +536,7 @@ def _cmd_dual_cobounded_duality(args):
 
 
 def _space_arg(args) -> tuple[gps.FiniteMetricSpace, list]:
+    from . import gps
     data = _load(getattr(args, "in"))
     space = gps.FiniteMetricSpace.from_json(data)
     landmarks = data.get("landmarks", [])
@@ -508,11 +550,13 @@ def _space_arg(args) -> tuple[gps.FiniteMetricSpace, list]:
 
 
 def _cmd_gps_complete(args):
+    from . import gps
     space, landmarks = _space_arg(args)
     return {"complete": gps.gps_complete(space, landmarks, tol=args.tol)}
 
 
 def _cmd_gps_order(args):
+    from . import gps
     space, landmarks = _space_arg(args)
     result = gps.gps_order(space, landmarks, orientation=args.orientation, tol=args.tol)
     return _relation_payload(args, result.order, {"complete": result.complete, "orientation": args.orientation})
@@ -523,6 +567,7 @@ def _cmd_gps_order(args):
 
 
 def _criteria_arg(text: str) -> list[int]:
+    from . import acceptance
     try:
         only = [int(x) for x in text.split(",")]
     except ValueError as exc:
@@ -535,6 +580,7 @@ def _criteria_arg(text: str) -> list[int]:
 
 
 def _accept_all(args) -> int:
+    from . import acceptance
     only = _criteria_arg(args.criteria) if args.criteria is not None else None
     _check_seed(args.seed)
     results = acceptance.run_all(seed=args.seed, fast=args.fast, only=only)
@@ -552,10 +598,19 @@ def _accept_all(args) -> int:
 
 _REQ = {"required": True}
 _IN = [("--in", _REQ)]
-_TOL = isotone_cone.DEFAULT_TOL
-_GEOM = m2.GEOM_TOL
 
-# group -> (help, verb -> (handler, flags, --tol default or None, has --format)).
+
+def _tol() -> float:
+    from .isotone_cone import DEFAULT_TOL
+    return DEFAULT_TOL
+
+
+def _geom() -> float:
+    from .m2 import GEOM_TOL
+    return GEOM_TOL
+
+
+# group -> (help, verb -> (handler, flags, function giving the --tol default or None, has --format)).
 # Every verb also gets --out; flags come first, then --out, --tol, --format.
 _VERBS = {
     "poset": ("finite poset operations", {
@@ -570,14 +625,14 @@ _VERBS = {
             ("--n", {"type": int, "required": True}), ("--seed", {"type": int, "required": True})], None, True),
     }),
     "cone": ("isotone cone operations", {
-        "isotone": (_cmd_cone_isotone, [("--poset", _REQ), ("--f", _REQ)], _TOL, False),
-        "order-from": (_cmd_cone_order_from, [("--elements", _REQ), ("--functions", _REQ)], _TOL, True),
+        "isotone": (_cmd_cone_isotone, [("--poset", _REQ), ("--f", _REQ)], _tol, False),
+        "order-from": (_cmd_cone_order_from, [("--elements", _REQ), ("--functions", _REQ)], _tol, True),
         "express": (_cmd_cone_express, [
             ("--poset", _REQ), ("--generators", _REQ), ("--target", _REQ),
-            ("--prune", {"action": "store_true"})], _TOL, False),
+            ("--prune", {"action": "store_true"})], _tol, False),
         "eval": (_cmd_cone_eval, [("--expr", _REQ), ("--functions", {}), ("--size", {"type": int})], None, False),
-        "decompose": (_cmd_cone_decompose, [("--poset", _REQ), ("--f", _REQ)], _TOL, False),
-        "contains": (_cmd_cone_contains, [("--elements", _REQ), ("--functions", _REQ), ("--f", _REQ)], _TOL, False),
+        "decompose": (_cmd_cone_decompose, [("--poset", _REQ), ("--f", _REQ)], _tol, False),
+        "contains": (_cmd_cone_contains, [("--elements", _REQ), ("--functions", _REQ), ("--f", _REQ)], _tol, False),
         "minimal": (_cmd_cone_minimal, _IN + [("--pair", {"nargs": 2, "metavar": ("A", "B")})], None, False),
         "cobounded": (_cmd_cone_cobounded, _IN, None, False),
     }),
@@ -589,16 +644,16 @@ _VERBS = {
     }),
     "m2": ("2x2 algebra order operations", {
         "hopf": (_cmd_m2_hopf, [("--xi", _REQ)], None, False),
-        "member": (_cmd_m2_member, [("--region", _REQ), ("--matrix", _REQ)], _GEOM, False),
+        "member": (_cmd_m2_member, [("--region", _REQ), ("--matrix", _REQ)], _geom, False),
         "order": (_cmd_m2_order, [
             ("--region", _REQ), ("--p", {}), ("--q", {}), ("--samples", {"type": int}),
-            ("--seed", {"type": int, "default": 0})], _GEOM, True),
-        "state-order": (_cmd_m2_state_order, [("--region", _REQ), ("--rho", _REQ), ("--sigma", _REQ)], _GEOM, False),
+            ("--seed", {"type": int, "default": 0})], _geom, True),
+        "state-order": (_cmd_m2_state_order, [("--region", _REQ), ("--rho", _REQ), ("--sigma", _REQ)], _geom, False),
         "fs": (_cmd_m2_fs, [("--p", _REQ), ("--q", _REQ)], None, False),
-        "transverse": (_cmd_m2_transverse, [("--region", _REQ), ("--matrix", _REQ)], _GEOM, False),
+        "transverse": (_cmd_m2_transverse, [("--region", _REQ), ("--matrix", _REQ)], _geom, False),
         "join-coeffs": (_cmd_m2_join_coeffs, [("--a", _REQ), ("--b", _REQ)], None, False),
         "cobounded": (_cmd_m2_cobounded, [("--region", _REQ)], None, False),
-        "rotation": (_cmd_m2_rotation, [("--region", _REQ), ("--matrix", _REQ)], _GEOM, False),
+        "rotation": (_cmd_m2_rotation, [("--region", _REQ), ("--matrix", _REQ)], _geom, False),
     }),
     "dual": ("poset/algebra round trips", {
         "from-poset": (_cmd_dual_from_poset, _IN, None, False),
@@ -610,32 +665,47 @@ _VERBS = {
         "cobounded-duality": (_cmd_dual_cobounded_duality, _IN, None, False),
     }),
     "gps": ("landmark orders on metric spaces", {
-        "complete": (_cmd_gps_complete, _IN + [("--landmarks", {})], _TOL, False),
+        "complete": (_cmd_gps_complete, _IN + [("--landmarks", {})], _tol, False),
         "order": (_cmd_gps_order, _IN + [
             ("--landmarks", {}), ("--orientation", {"choices": ["remark", "reversed"], "default": "remark"})],
-            _TOL, True),
+            _tol, True),
     }),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _choices(names) -> str:
+    return "{" + ",".join(names) + "}"  # argparse's own rendering of a subcommand list
+
+
+def build_parser(group: str | None = None, verb: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, or, for a group and verb of _VERBS, one that holds that verb alone.
+
+    The one-verb parser names every group and verb in its usage lines, as the
+    full parser does, so on an argv that starts with that group and verb the
+    two print the same bytes.
+    """
     parser = argparse.ArgumentParser(
         prog="ordercones",
         description="Finite posets, isotone cones, and 2x2 matrix order structures.",
     )
-    groups = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, verbs) in _VERBS.items():
-        g = groups.add_parser(group, help=group_help).add_subparsers(dest="verb", required=True)
-        for verb, (handler, flags, tol, fmt) in verbs.items():
-            sp = g.add_parser(verb)
+    one = group is not None
+    tree = {group: (_VERBS[group][0], {verb: _VERBS[group][1][verb]})} if one else _VERBS
+    groups = parser.add_subparsers(dest="group", required=True, metavar=_choices([*_VERBS, "accept"]) if one else None)
+    for name, (group_help, verbs) in tree.items():
+        g = groups.add_parser(name, help=group_help).add_subparsers(
+            dest="verb", required=True, metavar=_choices(_VERBS[name][1]) if one else None)
+        for v, (handler, flags, tol, fmt) in verbs.items():
+            sp = g.add_parser(v)
             for flag, kwargs in flags:
                 sp.add_argument(flag, **kwargs)
             sp.add_argument("--out", help="write the result to this path instead of stdout")
             if tol is not None:
-                sp.add_argument("--tol", type=float, default=tol, help="comparison tolerance")
+                sp.add_argument("--tol", type=float, default=tol(), help="comparison tolerance")
             if fmt:
                 sp.add_argument("--format", choices=["json", "csv"], default="json")
             sp.set_defaults(handler=handler)
+    if one:
+        return parser
 
     g = groups.add_parser("accept", help="run the acceptance suite").add_subparsers(dest="verb", required=True)
     sp = g.add_parser("all")
@@ -647,13 +717,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process; parse_args keeps no state between calls."""
-    return build_parser()
+def _parser(group: str | None = None, verb: str | None = None) -> argparse.ArgumentParser:
+    """build_parser(group, verb), built once per process; parse_args keeps no state between calls."""
+    return build_parser(group, verb)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known group and verb get their one-verb parser; --help, accept and unknown words the full one.
+    if len(argv) > 1 and argv[1] in _VERBS.get(argv[0], ("", {}))[1]:
+        args = _parser(argv[0], argv[1]).parse_args(argv)
+    else:
+        args = _parser().parse_args(argv)
     try:
         tol = getattr(args, "tol", None)
         if tol is not None and not (math.isfinite(tol) and tol >= 0):

@@ -77,20 +77,23 @@ def random_isotone_stack(
     not even to itself, and value 0.
     """
     sizes = np.empty(count, dtype=np.intp)
-    perms = np.zeros((count, max_n), dtype=np.intp)
-    edges = np.zeros((count, max_n * (max_n - 1) // 2), dtype=bool)
-    raw = np.zeros((count, functions, max_n))
+    # rng.permutation(n) shuffles arange(n): each row shuffles its own prefix of one.
+    perms = np.tile(np.arange(max_n, dtype=np.intp), (count, 1))
+    # One rng.random call a row: its edge flags, then `functions` value rows,
+    # since uniform(0, hi) is 0 + hi * the next double.
+    draws = np.zeros((count, max_n * (max_n - 1) // 2 + functions * max_n))
     for row in range(count):
         n = sizes[row] = rng.integers(1, max_n + 1)
-        perms[row, :n], edges[row, : n * (n - 1) // 2] = _draw_edges(rng, n, _EDGE_PROB)
-        for k in range(functions):
-            raw[row, k, :n] = rng.uniform(0.0, _NONNEG_HI, size=n)
+        rng.shuffle(perms[row, :n])
+        rng.random(out=draws[row, : n * (n - 1) // 2 + functions * n])
     rels = np.zeros((count, max_n, max_n), dtype=bool)
-    for n in range(2, max_n + 1):
+    raw = np.zeros((count, functions, max_n))
+    for n in range(1, max_n + 1):
         rows = np.flatnonzero(sizes == n)
         a, b = _upper_pairs(n)
-        perm = perms[rows, :n]
-        rels[rows[:, None], perm[:, a], perm[:, b]] = edges[rows, : len(a)]
+        k, perm = len(a), perms[rows, :n]
+        rels[rows[:, None], perm[:, a], perm[:, b]] = draws[rows, :k] < _EDGE_PROB
+        raw[rows, :, :n] = draws[rows, k : k + functions * n].reshape(len(rows), functions, n) * _NONNEG_HI
     # Padded elements close to themselves alone, so their running max is their raw 0.
     rels = _closure(rels)
     values = _running_max(rels[:, None], raw)

@@ -428,10 +428,10 @@ def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(capsys, mon
         ["cone", "minimal", "--in", diamond, "--pair", "m1", "top"],
         ["cone", "minimal", "--in", CHAIN3],
     ]
-    assert cli._parser() is cli._parser()
+    assert cli._parser("cone", "minimal") is cli._parser("cone", "minimal")
     cached = [run(capsys, argv) for argv in argvs]
     for argv in argvs:  # each namespace is the one a fresh parser makes
-        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+        assert vars(cli._parser(*argv[:2]).parse_args(argv)) == vars(build_parser().parse_args(argv))
     monkeypatch.setattr(cli, "_parser", build_parser)
     assert cached == [run(capsys, argv) for argv in argvs]
     assert [code for code, _ in cached] == [0] * len(argvs)
@@ -547,6 +547,48 @@ def test_installed_script_entry_point():
     proc = _run_module("-m", "ordercones.cli", "m2", "hopf", "--xi", "[[1,0],[0,0]]")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bloch": [0.0, 0.0, 1.0]}
+
+
+# Runs cli.main(argv) with stdout swallowed, then prints the package modules loaded.
+_LOADED = """
+import contextlib, io, json, sys
+from ordercones import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ordercones."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (["poset", "check", "--in", CHAIN3], ["m2", "hermitian", "isotone_cone", "acceptance", "sampling"], ["poset"]),
+        (["herm", "lattice", "--a", "[[3,0],[0,0]]", "--b", "[[1,0],[0,2]]"], ["poset", "isotone_cone", "m2"], ["hermitian"]),
+        (["accept", "all", "--fast", "--criteria", "6"], [], ["acceptance"]),
+    ],
+    ids=["poset-check", "herm-lattice", "accept-all"],
+)
+def test_a_call_loads_only_its_verbs_modules(argv, absent, present):
+    proc = _run_module("-c", _LOADED, json.dumps(argv))
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and proc.stderr == ""
+    assert [m for m in absent if f"ordercones.{m}" in loaded] == []
+    assert [m for m in present if f"ordercones.{m}" not in loaded] == []
+
+
+def test_a_library_patch_made_after_importing_cli_reaches_its_verb():
+    argv = ["herm", "lattice", "--a", "[[3,0],[0,0]]", "--b", "[[1,0],[0,2]]"]
+    patched = (
+        "import sys\n"
+        "from ordercones import cli, hermitian\n"
+        "original = hermitian.lattice_ops\n"
+        "hermitian.lattice_ops = lambda a, b: original(a, b)[::-1]\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    plain, swapped = _run_module("-m", "ordercones.cli", *argv), _run_module("-c", patched, *argv)
+    assert plain.returncode == swapped.returncode == 0
+    want = json.loads(plain.stdout)
+    assert json.loads(swapped.stdout) == {"join": want["meet"], "meet": want["join"]}
 
 
 def test_overflowing_bloch_entry_is_invalid_input_with_nothing_on_stderr():
@@ -925,6 +967,40 @@ def test_missing_required_flag_is_usage_error(capsys, group, verb):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the following arguments are required" in captured.err and "Traceback" not in captured.err
+
+
+def _usage_argvs(group, verb):
+    """--help, a missing required flag, an unknown flag and a bad value of each flag with choices."""
+    sp = _subparsers(_subparsers(build_parser())[group])[verb]
+    choices = [a.option_strings[-1] for a in sp._actions if a.choices]
+    # Each required flag with a value its type and choices take, so the unknown flag is what the parser refuses.
+    values = {a.option_strings[-1]: a.choices[0] if a.choices else "1" if a.type is int else CHAIN3 for a in sp._actions}
+    required = [arg for a in sp._actions if a.required for arg in (a.option_strings[-1], values[a.option_strings[-1]])]
+    return [[group, verb, "--help"], [group, verb], [group, verb, *required, "--bogus"]] + [
+        [group, verb, *required, flag, "nope"] for flag in choices
+    ]
+
+
+def _parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("group, verb", list(VERB_TOLS), ids=[f"{g}-{v}" for g, v in VERB_TOLS])
+def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, group, verb):
+    one = _subparsers(cli._parser(group, verb))
+    assert list(one) == [group] and list(_subparsers(one[group])) == [verb]
+    for argv in _usage_argvs(group, verb):
+        assert _parse_outcome(capsys, main, argv) == _parse_outcome(capsys, build_parser().parse_args, argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--help"], ["poset", "--help"], ["m2", "-h"], ["accept", "all", "--help"], ["poset", "nope"]]
+)
+def test_help_above_a_verb_is_the_full_parsers(capsys, argv):
+    assert _parse_outcome(capsys, main, argv) == _parse_outcome(capsys, build_parser().parse_args, argv)
 
 
 _CAP = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 0.3})

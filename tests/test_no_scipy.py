@@ -60,8 +60,16 @@ def without_timings(text: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    loaded = python("-c", "import sys, ordercones; print([m for m in sys.modules if m.startswith('scipy')])")
-    assert loaded.strip() == "[]"
+    # import ordercones alone runs no module, so every one is loaded before sys.modules is read.
+    code = (
+        "import json, sys, ordercones; ordercones.__all__; "
+        "import ordercones.acceptance, ordercones.sampling, ordercones.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    loaded = json.loads(python("-c", code))
+    modules = {p.stem for p in Path(SRC, "ordercones").glob("*.py")} - {"__init__"}
+    assert {f"ordercones.{m}" for m in modules} <= set(loaded)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_verbs_run_with_scipy_blocked(capsys, acceptance_seed7):
