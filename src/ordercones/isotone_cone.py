@@ -205,9 +205,11 @@ class _Table(NamedTuple):
 
     Leaf (i, j) is the constant f[i] where tied[i, j], else
     lam[i, j]*g_k[i, j] + mu[i, j].  The join runs over rows, the meet of
-    row i over its columns; after a prune only the listed rows and the
-    columns keep[i] marks remain, and keep is None when nothing was pruned.
-    eval_expr_many stacks unpruned tables along a leading target axis.
+    row i over its columns.  A prune picks the rows from their meets before
+    it takes any leaf mask; then only the listed rows remain, and keep[i]
+    marks the kept columns of a listed row i only (a dropped row's is all
+    False).  keep is None when nothing was pruned.  eval_expr_many stacks
+    unpruned tables along a leading target axis.
     """
 
     f: np.ndarray  # (n,)
@@ -435,15 +437,26 @@ def stone_nachbin_express(
     n = p.n
     rows, keep = np.arange(n), None
     if prune:
-        # values[j] is leaf (i, j) at each element, rounded as eval_expr
-        # rounds lam*g + mu, so the masks see what evaluation sees.
-        keep = np.zeros((n, n), dtype=bool)
-        mins = np.empty((n, n))
-        for i in range(n):
-            values = lam[i, :, None] * stack[k[i]] + mu[i, :, None]
-            keep[i, _undominated(values, below=True)] = True
-            mins[i] = values.min(axis=0)
-        rows = np.array(_undominated(mins, below=False), dtype=np.intp)
+        # values(b)[e, r, j] is leaf (b[r], j) at element e, rounded as
+        # eval_expr rounds lam*g + mu, so the masks see what evaluation sees.
+        # The rows are picked from their meets first; only they get leaf masks.
+        g = np.ascontiguousarray(stack.T)
+
+        def values(b):
+            v = g[:, k[b]]
+            v *= lam[b]
+            v += mu[b]
+            return v
+
+        step = max(1, (1 << 16) // (n * n or 1))  # blocks of at most 2^16 floats
+        mins = np.empty((n, n))  # mins[e, i]: the meet of row i at element e
+        for lo in range(0, n, step):
+            mins[:, lo : lo + step] = values(slice(lo, lo + step)).min(axis=2)
+        rows = np.flatnonzero(_undominated(mins[:, None], below=False)[0])
+        keep = np.zeros((n, n), dtype=bool)  # a dropped row keeps no leaf
+        for lo in range(0, len(rows), step):
+            b = rows[lo : lo + step]
+            keep[b] = _undominated(values(b), below=True)
     table = _Table(big_f, lam, mu, k, tied, rows, keep)
     for a in table:
         if a is not None:
@@ -518,13 +531,19 @@ def _interpolants(p: FinitePoset, stack: np.ndarray, fs: np.ndarray, tol: float)
     return lam, mu, k, tied
 
 
-def _undominated(rows: np.ndarray, below: bool) -> list[int]:
-    """Ascending indices of the rows no other row dominates pointwise from
-    below (<= everywhere) or, with below=False, from above; of equal rows the first."""
-    le = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)  # le[a, b]: rows[a] <= rows[b]
-    dom = le if below else le.T  # dom[a, b]: row a dominates row b
-    earlier = np.triu(np.ones(le.shape, dtype=bool), 1)  # earlier[a, b]: a < b
-    return np.flatnonzero(~(dom & (~dom.T | earlier)).any(axis=0)).tolist()
+def _undominated(values: np.ndarray, below: bool) -> np.ndarray:
+    """The (R, n) mask of the candidates no other candidate of their row
+    dominates pointwise from below (<= everywhere) or, with below=False,
+    from above; of equal candidates the first.  values[e, r, j] is
+    candidate j of row r at point e, for m points, shape (m, R, n)."""
+    _, r, n = values.shape
+    le = np.ones((r, n, n), dtype=bool)  # le[r, a, b]: candidate a <= candidate b
+    buf = np.empty_like(le)
+    for v in values:  # one point at a time, so the reduction is elementwise
+        le &= np.less_equal(v[:, :, None], v[:, None, :], out=buf)
+    dom = le if below else le.transpose(0, 2, 1)  # dom[r, a, b]: a dominates b
+    earlier = np.triu(np.ones((n, n), dtype=bool), 1)  # earlier[a, b]: a < b
+    return ~(dom & (~dom.transpose(0, 2, 1) | earlier)).any(axis=1)
 
 
 def upset_decomposition(

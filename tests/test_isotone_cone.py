@@ -274,10 +274,11 @@ def test_prune_keeps_the_first_of_equal_rows():
             {"const": 1.0},
         ],
     }
-    rows = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 2.0], [0.0, 3.0], [2.0, 3.0]])
-    assert _undominated(rows, below=True) == [0, 1]
-    assert _undominated(rows, below=False) == [4]
-    assert _undominated(rows[:4], below=False) == [0, 1]
+    # Five candidates at two points, as one row of the (m, R, n) layout.
+    values = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 2.0], [0.0, 3.0], [2.0, 3.0]]).T[:, None, :]
+    assert np.flatnonzero(_undominated(values, below=True)[0]).tolist() == [0, 1]
+    assert np.flatnonzero(_undominated(values, below=False)[0]).tolist() == [4]
+    assert np.flatnonzero(_undominated(values[:, :, :4], below=False)[0]).tolist() == [0, 1]
 
 
 def test_prune_on_the_empty_poset():
@@ -327,6 +328,54 @@ def test_table_join_evaluates_as_its_tree(inputs, prune):
     assert _outcome(expr, other) == _outcome(tree, other)
     short = gens[: int(rng.integers(0, len(gens)))]
     assert _outcome(expr, short, size=p.n) == _outcome(tree, short, size=p.n)
+
+
+def _per_row_prune(stack, lam, mu, k):
+    """(rows, keep) of the prune as it was made row by row, one n x n x n
+    comparison per row and every row masked, kept as the batched prune's reference."""
+    def undominated(rows, below):
+        le = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+        dom = le if below else le.T
+        earlier = np.triu(np.ones(le.shape, dtype=bool), 1)
+        return np.flatnonzero(~(dom & (~dom.T | earlier)).any(axis=0)).tolist()
+
+    n = len(lam)
+    keep, mins = np.zeros((n, n), dtype=bool), np.empty((n, n))
+    for i in range(n):
+        values = lam[i, :, None] * stack[k[i]] + mu[i, :, None]
+        keep[i, undominated(values, below=True)] = True
+        mins[i] = values.min(axis=0)
+    return np.array(undominated(mins, below=False), dtype=np.intp), keep
+
+
+def _dominance_inputs(n, seed):
+    """A random 2-D dominance order on n points, its two coordinates and
+    n/2 - 2 running maxima over down-sets as generators, and one more as target."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    rel = (pts[:, None, 0] <= pts[None, :, 0]) & (pts[:, None, 1] <= pts[None, :, 1])
+    iso = np.where(rel, rng.uniform(-2.0, 2.0, size=(n // 2 - 1, n, 1)), -np.inf).max(axis=1)
+    return None, FinitePoset([f"d{i}" for i in range(n)], rel), np.vstack([pts.T, iso[:-1]]), iso[-1]
+
+
+@_EXAMPLES
+@given(_express_inputs())
+@example((None, FinitePoset([], np.zeros((0, 0), dtype=bool)), np.zeros((1, 0)), np.zeros(0)))
+@example((None, FinitePoset(["a"], np.ones((1, 1), dtype=bool)), np.array([[0.0]]), np.array([0.5])))
+@example(_dominance_inputs(72, 3))  # rows in blocks of 12: six for the meets, two or more for the leaf masks
+def test_batched_prune_matches_the_per_row_prune(inputs):
+    _, p, gens, target = inputs
+    table = stone_nachbin_express(p, gens, target).table
+    rows, keep = _per_row_prune(gens, table.lam, table.mu, table.k)
+    want = TableJoin(table=table._replace(rows=rows, keep=keep))
+    pruned = stone_nachbin_express(p, gens, target, prune=True)
+    if isinstance(pruned, TableJoin):
+        assert pruned.table.rows.tolist() == rows.tolist()
+        assert np.array_equal(pruned.table.keep[rows], keep[rows])
+    else:  # a single kept row is returned as its meet or its leaf
+        assert len(rows) == 1
+    assert pruned.to_json() == (want.children[0] if len(rows) == 1 else want).to_json()
+    assert p.n < 70 or len(rows) > 12
 
 
 def test_table_join_keeps_the_trees_signed_zeros():

@@ -151,8 +151,24 @@ _EXPRESS = [
 ]
 
 
+def _dominance_express(n, seed):
+    """cone express --prune on a random 2-D dominance order of n points, with
+    the two coordinates and n/2 - 2 running maxima over down-sets as generators."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    rel = (pts[:, None, 0] <= pts[None, :, 0]) & (pts[:, None, 1] <= pts[None, :, 1])
+    iso = np.where(rel, rng.uniform(-2.0, 2.0, size=(n // 2 - 1, n, 1)), -np.inf).max(axis=1)
+    return [
+        "cone", "express", "--prune",
+        "--poset", json.dumps({"elements": [f"d{i}" for i in range(n)], "relation": rel.astype(int).tolist()}),
+        "--generators", json.dumps(np.vstack([pts.T, iso[:-1]]).tolist()),
+        "--target", json.dumps(iso[-1].tolist()),
+    ]
+
+
 # sha256 of stdout as json.dumps(sort_keys=True, indent=2) wrote it before
-# the emitter replaced that call.
+# the emitter replaced that call; the 60-point prune, as the per-row prune
+# wrote it before the batched one replaced it.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -161,11 +177,12 @@ _EXPRESS = [
         (["poset", "sprinkle", "--n", "1000", "--seed", "1"],
          "a742fa58a3beb0584096f0a9429fa2d62fe986595244bef5d26096eb1ff428f2"),
         (_EXPRESS, "f410dd52b8b49f021642797ccfac9ca49e3b03725e00baf37f2ea6c5a8c4c9a9"),
+        (_dominance_express(60, 24), "2091077a99aa21948ce597fa7e4549d1bb459da6964c2446278696fdcb0e4bb9"),
         (["m2", "order", "--region", '{"kind": "cap", "center": [0, 0, 1], "radius": 0.3}',
           "--samples", "200", "--seed", "1"],
          "6492114679db967094611d7a991dbc5394f05a88d6f65d3e1fa68513378efc10"),
     ],
-    ids=["sprinkle", "sprinkle-1000", "express-prune", "m2-order-scan"],
+    ids=["sprinkle", "sprinkle-1000", "express-prune", "express-prune-60", "m2-order-scan"],
 )
 def test_stdout_bytes_are_pinned(argv, digest):
     assert _stdout_sha256(argv) == digest

@@ -1,13 +1,16 @@
 import hashlib
+import io
 import itertools
+import json
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercones import m2
+from ordercones import cli, m2
 from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotHermitian, NotNormal, NotNormalized
 from ordercones.hermitian import (
     HermitianMatrix,
@@ -1267,22 +1270,56 @@ def _reduction_cases(draw):
     return region, u, l1, l2
 
 
+def _reduction_matrix(u, l1, l2):
+    """l1 p+ + l2 p-, or None for a pair in the excluded band.
+
+    On the m2 side a traceless part up to GEOM_TOL * s is zero, and the axis
+    in a's Pauli coordinates carries a rounding of about 1e-16 * s / |l1 - l2|,
+    so pairs with |l1 - l2| / 2 up to 1e-6 * s are left out; on the isotone
+    side, pairs with |l1 - l2| up to DEFAULT_TOL.
+    """
+    p_plus, p_minus = matrix_from_pauli(0.5, u / 2.0).mat, matrix_from_pauli(0.5, -u / 2.0).mat
+    a = l1 * p_plus + l2 * p_minus
+    s = 2.0 ** np.frexp(np.abs(a.view(float)).max())[1]  # the matrix's power-of-two scale
+    if l1 != l2 and (abs(l1 - l2) / 2.0 <= 1e-6 * s or abs(l1 - l2) <= DEFAULT_TOL):
+        return None
+    return a
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_reduction_cases())
 def test_isocone_on_a_commutative_subalgebra_is_the_isotone_cone_of_its_spectrum(case):
     region, u, l1, l2 = case
-    p_plus, p_minus = matrix_from_pauli(0.5, u / 2.0).mat, matrix_from_pauli(0.5, -u / 2.0).mat
-    a = l1 * p_plus + l2 * p_minus
-    s = 2.0 ** np.frexp(np.abs(a.view(float)).max())[1]  # the matrix's power-of-two scale
-    # The excluded band: on the m2 side a traceless part up to GEOM_TOL * s is
-    # zero, and the axis in a's Pauli coordinates carries a rounding of about
-    # 1e-16 * s / |l1 - l2|, so pairs with |l1 - l2| / 2 up to 1e-6 * s are
-    # left out; on the isotone side, pairs with |l1 - l2| up to DEFAULT_TOL.
-    if l1 != l2 and (abs(l1 - l2) / 2.0 <= 1e-6 * s or abs(l1 - l2) <= DEFAULT_TOL):
+    a = _reduction_matrix(u, l1, l2)
+    if a is None:
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert iso_membership(region, a) == is_isotone(_reduction_preorder(region, u), [l1, l2])
+
+
+def _cli_payload(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return json.loads(buf.getvalue())
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_reduction_cases())
+def test_the_commutative_reduction_answers_alike_through_the_cli(case):
+    # The same pair as m2 member --region R --matrix a and as cone isotone
+    # --poset pre_R(u) --f [l1, l2], with R as the CLI reads it back.
+    region, u, l1, l2 = case
+    a = _reduction_matrix(u, l1, l2)
+    if a is None:
+        return
+    region_json = json.dumps(region.to_json())
+    pre = _reduction_preorder(SphericalRegion.from_json(json.loads(region_json)), u)
+    matrix = json.dumps({"re": a.real.tolist(), "im": a.imag.tolist()})
+    member = _cli_payload(["m2", "member", "--region", region_json, "--matrix", matrix])
+    isotone = _cli_payload(["cone", "isotone", "--poset", json.dumps(pre.to_json()), "--f", json.dumps([l1, l2])])
+    assert member == {"member": isotone["isotone"]}
 
 
 # transversality's tag for a normal matrix with axis u names the same
