@@ -92,6 +92,12 @@ def _indented(obj, indent: str) -> str:
         return _encode(obj)
     if isinstance(obj, np.ndarray) and obj.dtype == np.uint8 and obj.ndim == 2 and obj.size and obj.max() <= 1:
         return _bit_matrix(obj, indent)
+    # Only a loaded isotone_cone can have made an expression tree.
+    cone = sys.modules.get(f"{__package__}.isotone_cone")
+    if cone is not None and isinstance(obj, cone.LatticeExpr):
+        if isinstance(obj, cone.TableJoin) and obj.table is not None:  # built from children alone, it has none
+            return _table_join(obj.table, indent)
+        return _indented(obj.to_json(), indent)
     return _indented(_json_default(obj), indent)
 
 
@@ -135,6 +141,55 @@ def _bit_matrix(a: np.ndarray, indent: str) -> str:
     end = text.size - len(row_sep)  # the last row separator gives way to the closing bracket
     text[end:end + len(closing)] = np.frombuffer(closing.encode(), np.uint8)
     return str(memoryview(text[:end + len(closing)]), "ascii")
+
+
+def _table_join(t, indent: str) -> str:
+    """The TableJoin of the Stone-Nachbin tables t as _indented writes its to_json().
+
+    The tables are read once as lists.  Each leaf fills the text of its
+    indent, its floats written with float.__repr__, and each meet and the
+    join are one join of their argument texts.  A visited leaf value that is
+    not finite raises the encoder's ValueError, as writing the leaf's node does.
+    """
+    rows, visited = t.visited()
+    factor_const = np.stack((t.lam[rows], t.mu[rows]), axis=-1)  # each Sum leaf's floats in the order written
+    bad = visited[..., None] & ~np.isfinite(factor_const)
+    if bad.any():
+        _encode(float(factor_const[tuple(np.argwhere(bad)[0])]))
+    fl, lam, mu, k, tied = (a.tolist() for a in t[:5])
+    branch = indent + "    "
+    in_meet, lone = _leaf_texts(branch + "    "), _leaf_texts(branch)
+    branches = []
+    for i, cols, single in t.meets():
+        (c0, c1), (s0, s1, s2, s3) = lone if single else in_meet
+        tied_i, k_i, lam_i, mu_i, f_i = tied[i], k[i], lam[i], mu[i], f"{c0}{fl[i]!r}{c1}"
+        leaves = [f_i if tied_i[j] else f"{s0}{k_i[j]}{s1}{lam_i[j]!r}{s2}{mu_i[j]!r}{s3}" for j in cols]
+        branches.append(leaves[0] if single else _node("meet", leaves, branch))
+    return _node("join", branches, indent)
+
+
+@functools.cache
+def _leaf_texts(indent: str) -> tuple[list[str], list[str]]:
+    """The text of a tied leaf around its constant, and of a Sum leaf around its
+    generator index, factor and constant, as _indented writes their to_json() at this indent."""
+    tied = {"const": "@"}
+    total = {"op": "sum", "args": [{"op": "scale", "factor": "@", "args": [{"gen": "@"}]}, {"const": "@"}]}
+    return _indented(tied, indent).split('"@"'), _indented(total, indent).split('"@"')
+
+
+@functools.cache
+def _frame(op: str, indent: str) -> tuple[str, str, str]:
+    """The text of {"args": [...], "op": op} at this indent before, between and after its arguments."""
+    head, tail = _indented({"args": [None], "op": op}, indent).split("null")
+    return head, ",\n" + indent + "    ", tail
+
+
+def _node(op: str, args: list[str], indent: str) -> str:
+    """{"args": args, "op": op} as _indented writes it, the args already written at indent + 4."""
+    if not args:
+        return _indented({"args": [], "op": op}, indent)
+    head, sep, tail = _frame(op, indent)
+    return head + sep.join(args) + tail
 
 
 def _dumps(payload: dict | list) -> str:
@@ -295,7 +350,16 @@ def _cmd_poset_sprinkle(args):
 # --------------------------------------------------------------------------
 # cone verbs
 
+# The cone verbs that read values run with numpy's overflow and invalid-value
+# warnings off.  A difference, product or sum past the largest float is then
+# inf with its sign (NaN for inf - inf or 0 * inf): a comparison with it
+# decides as the exact value would, and _dumps refuses a result that is not
+# finite.  The library keeps numpy's warnings; guarding its kernels instead
+# would slow is_isotone, which small-poset callers run many times.
+_OVERFLOW_IS_INF = np.errstate(over="ignore", invalid="ignore")
 
+
+@_OVERFLOW_IS_INF
 def _cmd_cone_isotone(args):
     from . import isotone_cone
     p = _preorder_arg(args.poset)
@@ -303,6 +367,7 @@ def _cmd_cone_isotone(args):
     return {"isotone": isotone_cone.is_isotone(p, f, tol=args.tol)}
 
 
+@_OVERFLOW_IS_INF
 def _cmd_cone_order_from(args):
     from . import isotone_cone
     elements = _load(args.elements)
@@ -311,6 +376,7 @@ def _cmd_cone_order_from(args):
     return _relation_payload(args, pre, {"separates_points": separates})
 
 
+@_OVERFLOW_IS_INF
 def _cmd_cone_express(args):
     from . import isotone_cone
     p = _poset_arg(args.poset)
@@ -318,9 +384,10 @@ def _cmd_cone_express(args):
     target = _function_arg(args.target)
     expr = isotone_cone.stone_nachbin_express(p, gens, target, tol=args.tol, prune=args.prune)
     err = float(np.max(np.abs(isotone_cone.eval_expr(expr, gens) - target)))
-    return {"expr": expr.to_json(), "max_error": err}
+    return {"expr": expr, "max_error": err}  # _indented writes a TableJoin from its tables
 
 
+@_OVERFLOW_IS_INF
 def _cmd_cone_eval(args):
     from . import isotone_cone
     expr = isotone_cone.expr_from_json(_load(args.expr))
@@ -328,6 +395,7 @@ def _cmd_cone_eval(args):
     return {"values": isotone_cone.eval_expr(expr, fns, size=args.size)}
 
 
+@_OVERFLOW_IS_INF
 def _cmd_cone_decompose(args):
     from . import isotone_cone
     p = _poset_arg(args.poset)
@@ -335,6 +403,7 @@ def _cmd_cone_decompose(args):
     return {"terms": [{"coeff": c, "indicator": ind} for c, ind in terms]}
 
 
+@_OVERFLOW_IS_INF
 def _cmd_cone_contains(args):
     from . import isotone_cone
     contained = isotone_cone.generated_cone_contains(

@@ -220,18 +220,37 @@ class _Table(NamedTuple):
     rows: np.ndarray  # ascending row indices
     keep: np.ndarray | None  # (n, n) bool
 
+    def meets(self) -> list[tuple[int, list[int], bool]]:
+        """Each listed row i with the columns j its meet keeps, in order, and
+        whether the row stands as its single leaf: after a prune, one that
+        keeps one leaf does."""
+        if self.keep is None:
+            cols = list(range(len(self.f)))
+            return [(i, cols, False) for i in self.rows.tolist()]
+        out = []
+        for i in self.rows.tolist():
+            cols = np.flatnonzero(self.keep[i]).tolist()
+            out.append((i, cols, len(cols) == 1))
+        return out
+
+    def visited(self) -> tuple[slice | np.ndarray, np.ndarray]:
+        """The index of the listed rows and the mask of their Sum leaves, the
+        leaves the tree visits that read a generator; a target axis stays."""
+        if self.keep is None:  # an unpruned table lists every row
+            return slice(None), ~self.tied
+        return self.rows, self.keep[self.rows] & ~self.tied[self.rows]
+
     def branches(self) -> list[LatticeExpr]:
         """The explicit join children: a Meet per row, or its single leaf after a prune."""
         fl, lam, mu, k, tied = (a.tolist() for a in (self.f, self.lam, self.mu, self.k, self.tied))
         out = []
-        for i in self.rows.tolist():
-            cols = range(len(fl)) if self.keep is None else np.flatnonzero(self.keep[i]).tolist()
+        for i, cols, lone in self.meets():
             leaves = [
                 Constant(fl[i]) if tied[i][j]
                 else Sum(Scale(lam[i][j], Generator(k[i][j])), Constant(mu[i][j]))
                 for j in cols
             ]
-            out.append(leaves[0] if self.keep is not None and len(leaves) == 1 else Meet(*leaves))
+            out.append(leaves[0] if lone else Meet(*leaves))
         return out
 
 
@@ -375,9 +394,8 @@ def _eval_table(t: _Table, fns: np.ndarray, n: int) -> np.ndarray:
     """
     if not len(t.rows):
         raise InvalidInput("join needs at least one child")
-    rows = slice(None) if t.keep is None else t.rows  # an unpruned table keeps every row
+    rows, visited = t.visited()
     k = t.k[..., rows, :]
-    visited = ~t.tied[..., rows, :] if t.keep is None else t.keep[rows] & ~t.tied[rows]
     bad = visited & (k >= len(fns))
     if bad.any():
         raise IndexOutOfRange(f"generator index {k[tuple(np.argwhere(bad)[0])]} out of range for {len(fns)} functions")

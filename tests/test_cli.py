@@ -671,6 +671,41 @@ def test_diagonals_near_the_largest_float_leave_stderr_empty(capsys, argv, code,
     assert json.loads(captured.out) == want
 
 
+_AB = json.dumps({"elements": ["a", "b"], "pairs": [["a", "b"]]})
+_HALF_CHAIN = ["--poset", CHAIN3, "--generators", "[[-1e300,0,1e300]]", "--target", "[-1e308,0,1.7e308]"]
+# Cone verbs whose differences, products or sums pass the largest float:
+# name -> (argv, exit code, stdout).  Such a value is inf with its sign, so
+# the answers are those of the finite inputs nearby.
+_CONE_NEAR_THE_LARGEST_FLOAT = {
+    "cone-isotone": (["cone", "isotone", "--poset", _AB, "--f", "[-1.7e308,1.7e308]"], 0, {"isotone": True}),
+    "cone-contains": (["cone", "contains", "--elements", '["a","b"]', "--functions", "[[0,1]]", "--f", "[1e308,-1e308]"],
+                      0, {"contains": False}),
+    "cone-order-from": (["cone", "order-from", "--elements", '["a","b"]', "--functions", "[[1.7e308,0]]", "--tol", "1e308"],
+                        0, {"elements": ["a", "b"], "pairs": [["b", "a"]], "relation": [[1, 0], [1, 1]],
+                            "separates_points": True}),
+    "cone-decompose": (["cone", "decompose", "--poset", _AB, "--f", "[-1.7e308,1.7e308]"], 1,
+                       {"error": {"kind": "NegativeValues", "detail": "function must be nonnegative"}}),
+    "cone-eval-scale": (["cone", "eval", "--expr", '{"op":"scale","factor":1e300,"args":[{"gen":0}]}',
+                         "--functions", "[[1e300,0]]"], 1, {"error": _NOT_FINITE}),
+    "cone-eval-sum": (["cone", "eval", "--expr", '{"op":"sum","args":[{"const":1.7e308},{"const":1.7e308}]}',
+                       "--size", "2"], 1, {"error": _NOT_FINITE}),
+    "cone-express-prune": (["cone", "express", "--prune", *_HALF_CHAIN], 1, {"error": _NOT_FINITE}),
+    "cone-express": (["cone", "express", *_HALF_CHAIN], 1, {"error": _NOT_FINITE}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, want", list(_CONE_NEAR_THE_LARGEST_FLOAT.values()), ids=list(_CONE_NEAR_THE_LARGEST_FLOAT)
+)
+def test_cone_verbs_near_the_largest_float_leave_stderr_empty(capsys, argv, code, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == want
+
+
 # The `-W error` steps of .github/workflows/tier1.yml, each command run in
 # process with warnings as errors: its exit code, strict JSON on stdout and
 # nothing on stderr.
@@ -687,6 +722,7 @@ _CI_WARNING_STEPS = {
     "diagonals-join-coeffs": (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0),
     "lattice": (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0),
     "lattice-past-the-largest-float": (["herm", "lattice", "--a", _PAST_THE_LARGEST[0], "--b", _PAST_THE_LARGEST[1]], 1),
+    **{name: (argv, code) for name, (argv, code, _) in _CONE_NEAR_THE_LARGEST_FLOAT.items()},
 }
 
 

@@ -1,4 +1,7 @@
+import io
 import json
+import warnings
+from contextlib import redirect_stdout
 from itertools import permutations, product
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ordercones import cli
 from ordercones.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -376,6 +380,33 @@ def test_batched_prune_matches_the_per_row_prune(inputs):
         assert len(rows) == 1
     assert pruned.to_json() == (want.children[0] if len(rows) == 1 else want).to_json()
     assert p.n < 70 or len(rows) > 12
+
+
+_CHAIN3 = FinitePoset(["a", "b", "c"], np.triu(np.ones((3, 3), dtype=bool)))
+
+
+@_EXAMPLES
+@given(_express_inputs(), st.booleans())
+@example((None, FinitePoset(["a"], np.ones((1, 1), dtype=bool)), np.array([[0.0]]), np.array([0.5])), False)
+@example((None, FinitePoset(["a"], np.ones((1, 1), dtype=bool)), np.array([[0.0]]), np.array([0.5])), True)  # one leaf
+@example((None, _CHAIN3, np.array([[0.0, 1.0, 2.0]]), np.array([-0.0, -0.0, 1.0])), False)  # tied -0.0 leaves
+@example((None, _CHAIN3, np.array([[0.0, 1.0, 2.0]]), np.array([-0.0, -0.0, 1.0])), True)  # branches of one leaf
+@example(_dominance_inputs(72, 3), False)
+@example(_dominance_inputs(72, 3), True)
+def test_the_cli_writes_an_expression_as_json_dumps_writes_its_to_json(inputs, prune):
+    # The CLI writes a TableJoin from its tables, and any other tree from its to_json().
+    _, p, gens, target = inputs
+    argv = [
+        "cone", "express", "--poset", json.dumps({"elements": p.elements, "relation": p.rel.astype(int).tolist()}),
+        "--generators", json.dumps(gens.tolist()), "--target", json.dumps(target.tolist()),
+    ] + ["--prune"] * prune
+    out = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out):
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    expr = stone_nachbin_express(p, gens, target, prune=prune)
+    payload = {"expr": expr.to_json(), "max_error": float(np.max(np.abs(eval_expr(expr, gens) - target)))}
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_table_join_keeps_the_trees_signed_zeros():

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from ordercones import cli, poset
 from ordercones.errors import DomainError
+from ordercones.isotone_cone import Constant, Generator, Meet, TableJoin, _Table
 from ordercones.sampling import random_poset
 
 
@@ -151,15 +152,15 @@ _EXPRESS = [
 ]
 
 
-def _dominance_express(n, seed):
-    """cone express --prune on a random 2-D dominance order of n points, with
-    the two coordinates and n/2 - 2 running maxima over down-sets as generators."""
+def _dominance_express(n, seed, prune=True):
+    """cone express (--prune by default) on a random 2-D dominance order of n points,
+    with the two coordinates and n/2 - 2 running maxima over down-sets as generators."""
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     rel = (pts[:, None, 0] <= pts[None, :, 0]) & (pts[:, None, 1] <= pts[None, :, 1])
     iso = np.where(rel, rng.uniform(-2.0, 2.0, size=(n // 2 - 1, n, 1)), -np.inf).max(axis=1)
     return [
-        "cone", "express", "--prune",
+        "cone", "express", *["--prune"] * prune,
         "--poset", json.dumps({"elements": [f"d{i}" for i in range(n)], "relation": rel.astype(int).tolist()}),
         "--generators", json.dumps(np.vstack([pts.T, iso[:-1]]).tolist()),
         "--target", json.dumps(iso[-1].tolist()),
@@ -168,7 +169,8 @@ def _dominance_express(n, seed):
 
 # sha256 of stdout as json.dumps(sort_keys=True, indent=2) wrote it before
 # the emitter replaced that call; the 60-point prune, as the per-row prune
-# wrote it before the batched one replaced it.
+# wrote it before the batched one replaced it; the unpruned 40-point
+# expression, as _dumps wrote its to_json() before the table writer.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -178,14 +180,62 @@ def _dominance_express(n, seed):
          "a742fa58a3beb0584096f0a9429fa2d62fe986595244bef5d26096eb1ff428f2"),
         (_EXPRESS, "f410dd52b8b49f021642797ccfac9ca49e3b03725e00baf37f2ea6c5a8c4c9a9"),
         (_dominance_express(60, 24), "2091077a99aa21948ce597fa7e4549d1bb459da6964c2446278696fdcb0e4bb9"),
+        (_dominance_express(40, 25, prune=False), "32d5808957ad90cc150c122d5cb306bd6ad8550b0efe477153a9cfb0ff25f777"),
         (["m2", "order", "--region", '{"kind": "cap", "center": [0, 0, 1], "radius": 0.3}',
           "--samples", "200", "--seed", "1"],
          "6492114679db967094611d7a991dbc5394f05a88d6f65d3e1fa68513378efc10"),
     ],
-    ids=["sprinkle", "sprinkle-1000", "express-prune", "express-prune-60", "m2-order-scan"],
+    ids=["sprinkle", "sprinkle-1000", "express-prune", "express-prune-60", "express-40", "m2-order-scan"],
 )
 def test_stdout_bytes_are_pinned(argv, digest):
     assert _stdout_sha256(argv) == digest
+
+
+def _hand_table(seed):
+    """Tables of n = 0..6 with signed zeros, ties and extreme values, every
+    other one pruned: then some rows are listed, each keeps at least one leaf."""
+    rng = np.random.default_rng(seed)
+    n, pruned = seed % 7, seed % 2 == 1
+    values = np.array([0.0, -0.0, 0.1, 2.25, 1e-300, 5e-324, 1e300, 3.0])  # a factor is never below -0.0
+    lam, mu = rng.choice(values, size=(n, n)), rng.choice(values, size=(n, n)) * rng.choice([1.0, -1.0], size=(n, n))
+    rows = np.flatnonzero(rng.random(n) < 0.6) if pruned else np.arange(n)
+    keep = rng.random((n, n)) < 0.3
+    keep[np.arange(n), rng.integers(0, max(n, 1), size=n)] = True
+    keep[np.setdiff1d(np.arange(n), rows)] = False
+    table = _Table(rng.choice(values, size=n), lam, mu, rng.integers(0, 12, size=(n, n)), rng.random((n, n)) < 0.3,
+                   rows, keep if pruned else None)
+    return TableJoin(table=table)
+
+
+@pytest.mark.parametrize("seed", range(28))
+def test_tables_are_written_as_the_to_json_of_their_nodes(seed):
+    expr = _hand_table(seed)
+    for nest in (lambda e: e, lambda e: {"expr": e, "max_error": 0.0}, lambda e: [[e, 1], {"x": [e]}]):
+        assert cli._dumps(nest(expr)) == json.dumps(nest(expr.to_json()), sort_keys=True, indent=2)
+    tree = TableJoin(Meet(Generator(0), Constant(-0.0)), Constant(0.5))  # from children alone: a plain Join
+    assert cli._dumps([tree]) == json.dumps([tree.to_json()], sort_keys=True, indent=2)
+
+
+# Leaf (0, 0) is a kept Sum leaf, (0, 1) is pruned and (1, 0) is tied.
+@pytest.mark.parametrize(
+    "table, cell, value, refused",
+    [("lam", (0, 0), np.inf, True), ("mu", (0, 0), np.nan, True), ("mu", (1, 1), -np.inf, True),
+     ("mu", (0, 1), -np.inf, False), ("lam", (1, 0), np.inf, False), ("mu", (1, 0), np.nan, False)],
+    ids=["factor", "const", "second-row", "pruned-leaf", "tied-leaf-factor", "tied-leaf-const"],
+)
+def test_the_table_writer_refuses_what_the_node_path_refuses(table, cell, value, refused):
+    f, lam, mu = np.array([1.0, 2.0]), np.ones((2, 2)), np.zeros((2, 2))
+    {"lam": lam, "mu": mu}[table][cell] = value
+    tied, keep = np.array([[False, False], [True, False]]), np.array([[True, False], [True, True]])
+    expr = TableJoin(table=_Table(f, lam, mu, np.zeros((2, 2), dtype=np.intp), tied, np.arange(2), keep))
+    if not refused:
+        assert cli._dumps(expr) == json.dumps(expr.to_json(), sort_keys=True, indent=2)
+        return
+    with pytest.raises(DomainError) as want:
+        cli._dumps(expr.to_json())
+    with pytest.raises(DomainError) as got:
+        cli._dumps(expr)
+    assert str(got.value) == str(want.value) == "result is not finite: Out of range float values are not JSON compliant"
 
 
 def _lists(payload) -> str:
