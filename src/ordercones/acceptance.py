@@ -139,9 +139,9 @@ def _c4_join_coefficients(seed: int, fast: bool) -> tuple[bool, dict]:
         al, be = m2.join_coeffs(mats1[idx], mats2[idx])
         spot_err = max(spot_err, abs(al - alpha[idx]), abs(be - beta[idx]))
     ok = (
-        bool((alpha >= -1e-9).all())
-        and bool((alpha <= 1.0 + 1e-9).all())
-        and bool((beta >= -1e-9).all())
+        bool((alpha >= 0.0).all())
+        and bool((alpha <= 1.0).all())
+        and bool((beta >= 0.0).all())
         and err <= 1e-9
         and spot_err <= 1e-12
     )

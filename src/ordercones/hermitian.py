@@ -94,16 +94,17 @@ class HermitianMatrix:
     """
 
     def __init__(self, entries):
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInput(f"matrix must be square, got shape {m.shape}")
-        m, s = _read_matrix(m, hermitian=True)
-        self._scaled, self.n = (m, float(s)), len(m)
+        a = np.array(entries, dtype=complex)  # a copy, which mat reads again
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InvalidInput(f"matrix must be square, got shape {a.shape}")
+        m, s = _read_matrix(a, hermitian=True)
+        self._entries, self._scaled, self.n = a, (m, float(s)), len(m)
 
     @functools.cached_property
     def mat(self) -> np.ndarray:
-        """m * s, made when first asked for."""
-        mat = _times(*self._scaled)
+        """m * s, made when first asked for, and the input itself wherever it equals its adjoint: its signed
+        zeros, and its subnormal parts, which m rounds next to parts of order s."""
+        mat = np.where(self._entries == self._entries.conj().T, self._entries, _times(*self._scaled))
         mat.setflags(write=False)
         return mat
 
@@ -247,6 +248,8 @@ def _spectrum(a) -> tuple[list[float], np.ndarray, float]:
     r = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     if r == 0.0:
         return [c, c], np.eye(2, dtype=complex), s
+    if v1 == v2 == 0.0:  # diagonal m: exact 0/1 eigenvectors, e0 on top when v3 > 0
+        return [c - r, c + r], np.eye(2, dtype=complex)[::-1 if v3 > 0.0 else 1], s
     theta = float(np.arccos(min(max(v3 / r, -1.0), 1.0)))
     phi = float(np.arctan2(v2, v1))
     co, si = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -276,18 +279,25 @@ def func_calc(a, f: Callable[[float], float]) -> HermitianMatrix:
     Eigenvalues within 1e-10 * s (s as in HermitianMatrix) are one spectral
     point, their mean; the result depends only on the spectral projectors,
     so the eigenvector ambiguity inside a degenerate cluster is immaterial.
+    A point within 1e-10 * s below 0 where f raises ValueError (as
+    nonnegative_sqrt does below 0) is taken as 0.
     """
     vals, vecs, s = _spectrum(a)
     out = np.zeros((len(vals), len(vals)), dtype=complex)
     for group in _clusters(vals):
-        lam = sum(vals[i] for i in group) / len(group) * s
+        lam = sum(vals[i] for i in group) / len(group)
         try:
-            val = f(lam)
+            try:
+                val = f(lam * s)
+            except ValueError:
+                if not -CLUSTER_TOL <= lam < 0.0:
+                    raise
+                val = f(0.0)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
+            raise DomainError(f"function undefined at eigenvalue {lam * s!r}: {exc}") from exc
         val = float(val)
         if not np.isfinite(val):
-            raise DomainError(f"function not finite at eigenvalue {lam!r}")
+            raise DomainError(f"function not finite at eigenvalue {lam * s!r}")
         vecs_g = vecs[:, group]
         out += val * (vecs_g @ vecs_g.conj().T)
     return HermitianMatrix(out)
@@ -300,18 +310,23 @@ def matrix_abs_many(mats: np.ndarray) -> np.ndarray:
 
 
 def nonnegative_sqrt(x: float) -> float:
-    """Square root of a spectral point; values within CLUSTER_TOL below 0 count as 0."""
-    if x < -CLUSTER_TOL:
+    """Square root of a spectral point; ValueError below 0, where func_calc takes points down to -1e-10 * s as 0."""
+    if x < 0.0:
         raise ValueError("negative spectral point")
-    return float(np.sqrt(max(x, 0.0)))
+    return math.sqrt(x)
+
+
+def _hk(t, r):
+    """h = max(|t|, r) and k = t / h (t = 0 where h = 0), elementwise, for t the halved trace and r the traceless
+    length of a self-adjoint 2x2 d, so that |d| = h*1 + k*(d - t*1); k = clip(t / r, -1, 1), or sign(t) at r = 0."""
+    h = np.maximum(np.abs(t), r)
+    return h, t / np.where(h > 0.0, h, 1.0)
 
 
 def _abs2(d: np.ndarray) -> np.ndarray:
-    """|d| of a self-adjoint 2x2 d, or of each matrix of an (N, 2, 2) stack: h*1 + k*(d - t*1), with t the
-    halved trace, r the traceless length, h = max(|t|, r) and k = t / h = clip(t / r, -1, 1), or sign(t) at r = 0."""
+    """|d| of a self-adjoint 2x2 d, or of each matrix of an (N, 2, 2) stack, by the rule of _hk."""
     t, v1, v2, v3 = _pauli_parts(d)
-    h = np.maximum(np.abs(t), np.sqrt(v1 * v1 + v2 * v2 + v3 * v3))
-    k = t / np.where(h > 0.0, h, 1.0)  # t = 0 where h = 0
+    h, k = _hk(t, np.sqrt(v1 * v1 + v2 * v2 + v3 * v3))
     out = _times(d, k[..., None, None])  # the off-diagonal k*v1 -+ i*k*v2
     out[..., 0, 0], out[..., 1, 1] = h + k * v3, h - k * v3
     return out
@@ -408,7 +423,9 @@ def projection_decomposition_many(mats) -> tuple[np.ndarray, np.ndarray, np.ndar
     plus = np.stack([co + 0j, np.exp(1j * phi) * si], axis=1)
     minus = np.stack([-np.exp(-1j * phi) * si, co + 0j], axis=1)
     vecs = np.stack([minus, plus], axis=2)
-    vecs[r == 0.0] = np.eye(2)
+    vecs[(v1 == 0.0) & (v2 == 0.0) & (v3 > 0.0)] = np.eye(2)[::-1]  # diagonal rows, as in _spectrum
+    vecs[(v1 == 0.0) & (v2 == 0.0) & ~(v3 > 0.0) | (r == 0.0)] = np.eye(2)
+    plus = vecs[:, :, 1]
     projs = np.stack(
         [vecs @ vecs.conj().transpose(0, 2, 1), plus[:, :, None] @ plus.conj()[:, None, :]],
         axis=1,

@@ -32,7 +32,7 @@ from .errors import (
     float_array,
 )
 from .hermitian import (
-    HermitianMatrix, _as_hermitian, _dots, _finite_length, _finite_lengths, _pauli_parts, _read_matrix, _scale,
+    HermitianMatrix, _as_hermitian, _dots, _finite_length, _finite_lengths, _hk, _pauli_parts, _read_matrix,
 )
 
 __all__ = [
@@ -557,54 +557,36 @@ def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> Transve
 
 
 def join_coeffs_from_difference(t: float, r: float) -> tuple[float, float]:
-    """Join coefficients from the difference's halved trace t and traceless length r, taken on t / s
-    and r / s for s the power of two just above max(|t|, r), so the 1e-12 cuts are relative to s."""
-    s = float(_scale(max(abs(t), r)))
-    t, r = t / s, r / s
-    if r <= 1e-12:
-        if abs(t) <= 1e-12:
-            return 0.5, 0.0
-        return (1.0, 0.0) if t > 0 else (0.0, 0.0)
-    hi, lo = abs(t + r), abs(t - r)
-    alpha = 0.5 + (hi - lo) / (4.0 * r)
-    beta = (hi + lo) / 4.0 - t * (hi - lo) / (4.0 * r)
-    return float(alpha), float(beta) * s
+    """Join coefficients ((1 + k) / 2, (h - k*t) / 2) from the difference's halved trace t and traceless length r,
+    with h = max(|t|, r) and k = t / h as in hermitian._hk, on Python floats."""
+    h = max(abs(t), r)
+    k = t / h if h > 0.0 else t
+    return (1.0 + k) / 2.0, (h - k * t) / 2.0
 
 
 def join_coeffs_many(t, r) -> tuple[np.ndarray, np.ndarray]:
     """join_coeffs_from_difference elementwise, on arrays of t and r."""
     t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    s = _scale(np.maximum(np.abs(t), r))
-    t, r = t / s, r / s
-    hi, lo = np.abs(t + r), np.abs(t - r)
-    flat = r <= 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = 0.5 + (hi - lo) / (4.0 * r)
-        beta = (hi + lo) / 4.0 - t * (hi - lo) / (4.0 * r)
-    alpha = np.where(flat, np.where(np.abs(t) <= 1e-12, 0.5, np.where(t > 0, 1.0, 0.0)), alpha)
-    beta = np.where(flat, 0.0, beta * s)
-    return alpha, beta
+    h, k = _hk(t, np.asarray(r, dtype=float))
+    return (1.0 + k) / 2.0, (h - k * t) / 2.0
 
 
 def join_coeffs(a, b) -> tuple[float, float]:
     """Coefficients with join(a, b) = alpha*a + (1-alpha)*b + beta*s0.
 
-    Closed form from the difference d = a - b: with t the halved trace of
-    d and r the length of its traceless part,
-        alpha = 1/2 + (|t+r| - |t-r|) / (4r),
-        beta  = (|t+r| + |t-r|) / 4 - t * (|t+r| - |t-r|) / (4r),
-    guaranteeing alpha in [0, 1] and beta >= 0.  Comparable pairs (r = 0)
-    degenerate to (1, 0) or (0, 0); equal matrices return (1/2, 0) by
-    convention.  t and r are taken over the larger scale s of the two (see
-    HermitianMatrix), so neither overflows, and r, or t, counts as 0 up to
-    1e-12 times the power of two just above max(|t|, r).
+    With t the halved trace of d = a - b, r the length of its traceless part,
+    h = max(|t|, r) and k = t / h (0 where h = 0), |d| = h*s0 + k*(d - t*s0)
+    (hermitian._abs2), so alpha = (1 + k) / 2 and beta = (h - k*t) / 2.  In
+    floating point too |k| <= 1 and 0 <= k*t <= h, so alpha is in [0, 1] and
+    beta >= 0.  Comparable pairs give (1, 0) or (0, 0), equal ones (1/2, 0).
+    t and r are read over the larger scale s of the pair (see HermitianMatrix),
+    r summed as _abs2 sums it, so nothing overflows.
     """
     *pa, sa = _scaled_pauli(a)
     *pb, sb = _scaled_pauli(b)
     s = max(sa, sb)
-    t, *v = (x * (sa / s) - y * (sb / s) for x, y in zip(pa, pb))
-    alpha, beta = join_coeffs_from_difference(t, _finite_length(np.array(v)))
+    t, v1, v2, v3 = (x * (sa / s) - y * (sb / s) for x, y in zip(pa, pb))
+    alpha, beta = join_coeffs_from_difference(t, math.sqrt(v1 * v1 + v2 * v2 + v3 * v3))
     return alpha, beta * s
 
 

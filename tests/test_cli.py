@@ -190,9 +190,10 @@ def test_herm_lattice_and_classify(capsys):
 
 
 def test_herm_fn_sqrt_domain_error(capsys):
-    neg = json.dumps({"n": 2, "re": [[-1, 0], [0, 1]]})
-    code, data = run_json(capsys, ["herm", "fn", "--in", neg, "--fn", "sqrt"])
-    assert code == 1 and data["error"]["kind"] == "DomainError"
+    # the cut below 0 is relative to the matrix's scale, so 1e-11 times the first matrix is refused too
+    for neg in (json.dumps({"n": 2, "re": [[-1, 0], [0, 1]]}), "[[-1e-11,0],[0,1e-11]]"):
+        code, data = run_json(capsys, ["herm", "fn", "--in", neg, "--fn", "sqrt"])
+        assert code == 1 and data["error"]["kind"] == "DomainError"
 
 
 def test_m2_hopf_reference(capsys):
@@ -711,6 +712,7 @@ def test_cone_verbs_near_the_largest_float_leave_stderr_empty(capsys, argv, code
 # nothing on stderr.
 _CI_WARNING_STEPS = {
     "exp": (["herm", "fn", "--fn", "exp", "--in", "[[1000,0],[0,0]]"], 1),
+    "sqrt-1e-11": (["herm", "fn", "--fn", "sqrt", "--in", "[[-1e-11,0],[0,1e-11]]"], 1),
     "bloch": (["m2", "order", "--region", '{"kind":"full"}', "--p", '{"bloch":[1e200,0,0]}', "--q", '{"bloch":[0,0,1]}'], 1),
     "spinor": (["m2", "hopf", "--xi", "[[1e200,0],[0,0]]"], 1),
     "density": (["m2", "state-order", "--region", '{"kind":"full"}', "--rho", '{"bloch":[1e200,0,0]}', "--sigma",

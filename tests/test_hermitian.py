@@ -407,6 +407,19 @@ def test_projection_decomposition_many_matches_the_scalar(rows):
             assert not kept[i, 0] and kept[i, 1]
 
 
+@pytest.mark.parametrize("top", [0, 1], ids=["top-first", "top-second"])
+def test_diagonal_input_has_exact_eigenvectors(top):
+    d = np.diag([2.0, 1.0][:: 1 if top == 0 else -1])
+    proj = np.zeros((2, 2))
+    proj[top, top] = 1.0
+    terms = projection_decomposition(d)
+    assert [c for c, _ in terms] == [1.0, 1.0] and terms[1][1].mat.tolist() == proj.tolist()
+    coeffs, projs, kept = projection_decomposition_many(d[None])
+    assert projs[0, 1].tobytes() == terms[1][1].mat.tobytes() and kept.all()
+    assert abs(spectral(d).eigenvectors).tolist() == [[top, 1 - top], [1 - top, top]]
+    assert func_calc(np.diag([-1e-11, 1e-11]), abs).mat.tolist() == np.diag([1e-11, 1e-11]).tolist()
+
+
 def _power_above(m: np.ndarray) -> float:
     """The power of two just above the largest real or imaginary part of m."""
     return 2.0 ** np.frexp(np.abs(m.view(float)).max())[1]

@@ -7,17 +7,20 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ordercones import cli, m2
-from ordercones.errors import DimensionMismatch, InvalidInput, NotARotation, NotHermitian, NotNormal, NotNormalized
+from ordercones.errors import DimensionMismatch, DomainError, InvalidInput, NotARotation, NotHermitian, NotNormal, NotNormalized
 from ordercones.hermitian import (
     HermitianMatrix,
     _finite_length,
     _finite_lengths,
+    _scale,
     complex_matrix_from_json,
     func_calc,
+    nonnegative_sqrt,
     spectral,
 )
 from ordercones.m2 import (
@@ -916,13 +919,20 @@ def test_join_coeffs_comparable_and_equal_pairs():
 
 def test_join_coeffs_many_is_bit_identical_to_scalar():
     rng = np.random.default_rng(12)
-    t = np.concatenate([rng.normal(scale=2.0, size=2000), [1.0, -1.0, 0.0, 1e-13, -2.5, 3.0, 0.0]])
-    r = np.concatenate([np.abs(rng.normal(size=2000)), [0.0, 0.0, 0.0, 0.0, 1e-12, 2e-12, 5e-13]])
+    # rows at scales 2**-60..2**60: generic, |t| within 1e-9 of r, r = 0 (commuting) and t = r = 0 (equal)
+    t, r = rng.normal(size=(2, 20_000)) * np.ldexp(1.0, rng.integers(-60, 61, size=20_000))
+    r = np.abs(r)
+    r[1::4] = np.abs(t[1::4]) * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=5000))
+    r[2::4] = 0.0
+    t[3::4], r[3::4] = 0.0, 0.0
+    t = np.concatenate([rng.normal(scale=2.0, size=2000), t, [1.0, -1.0, 0.0, 1e-13, -2.5, 3.0, 0.0]])
+    r = np.concatenate([np.abs(rng.normal(size=2000)), r, [0.0, 0.0, 0.0, 0.0, 1e-12, 2e-12, 5e-13]])
     alpha, beta = join_coeffs_many(t, r)
     want = np.array([join_coeffs_from_difference(float(a), float(b)) for a, b in zip(t, r)])
     assert alpha.tobytes() == want[:, 0].tobytes()
     assert beta.tobytes() == want[:, 1].tobytes()
-    assert alpha[-7:-3].tolist() == [1.0, 0.0, 0.5, 1.0]  # (1e-13, 0): r is 0 relative to max(|t|, r), t is not
+    assert alpha[-7:-3].tolist() == [1.0, 0.0, 0.5, 1.0]  # comparable pairs give 1 or 0, equal ones 1/2
+    assert ((alpha >= 0.0) & (alpha <= 1.0) & (beta >= 0.0)).all()
 
 
 def test_matrix_from_pauli_many_is_bit_identical_to_scalar():
@@ -933,7 +943,7 @@ def test_matrix_from_pauli_many_is_bit_identical_to_scalar():
     assert got.tobytes() == want.tobytes()
 
 
-# Values at and around the 1e-12 edges of the join-coefficient rules.
+# Coordinates at and around 0 and 1e-12, and up to 1e6.
 _coord = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 5e-13, 1.0, -1.0]), st.floats(-1e6, 1e6))
 _length = st.one_of(st.sampled_from([0.0, 1e-12, 1.5e-12, 5e-13]), st.floats(0.0, 1e6))
 
@@ -948,14 +958,16 @@ def test_join_coeffs_many_is_the_scalar_bit_for_bit(pairs):
     assert beta.tobytes() == want[:, 1].tobytes()
 
 
+# Rows of (c, v1, v2, v3); each example puts a subnormal part next to one of order 1 or more.
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 3), st.data())
-def test_matrix_from_pauli_many_is_the_scalar_bit_for_bit(rows, cols, data):
-    c = np.array(data.draw(st.lists(_coord, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
-    v = np.array(data.draw(st.lists(_coord, min_size=3 * rows * cols, max_size=3 * rows * cols))).reshape(rows, cols, 3)
+@given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 3), st.just(4)), elements=_coord))
+@example(np.array([[[0.0, 0.0, 1.0, 2.2250738585e-313]]]))
+@example(np.array([[[5e-324, 1.0, -1.0, 5e-324], [1e6, 5e-324, 0.0, 1.0]], [[0.0, -5e-324, 5e-324, -1.0], [1.0] * 4]]))
+def test_matrix_from_pauli_many_is_the_scalar_bit_for_bit(rows):
+    c, v = rows[..., 0], rows[..., 1:]
     got = matrix_from_pauli_many(c, v)
-    assert got.shape == (rows, cols, 2, 2)
-    want = np.array([[matrix_from_pauli(c[i, j], v[i, j]).mat for j in range(cols)] for i in range(rows)])
+    assert got.shape == c.shape + (2, 2)
+    want = np.array([[matrix_from_pauli(c[i, j], v[i, j]).mat for j in range(c.shape[1])] for i in range(c.shape[0])])
     assert got.tobytes() == want.tobytes()
 
 
@@ -967,13 +979,57 @@ def test_join_coeffs_random_reconstruction():
         a = HermitianMatrix((m1 + m1.conj().T) / 2)
         b = HermitianMatrix((m2 + m2.conj().T) / 2)
         alpha, beta = join_coeffs(a, b)
-        assert -1e-9 <= alpha <= 1 + 1e-9 and beta >= -1e-9
+        assert 0.0 <= alpha <= 1.0 and beta >= 0.0
         join, meet = lattice_ops(a, b)
         recon = alpha * a.mat + (1 - alpha) * b.mat + beta * SIGMA[0]
         assert np.max(np.abs(recon - join.mat)) <= 1e-9
         # the companion identity for the meet
         recon_meet = (1 - alpha) * a.mat + alpha * b.mat - beta * SIGMA[0]
         assert np.max(np.abs(recon_meet - meet.mat)) <= 1e-9
+
+
+_JOIN_KINDS = ["generic", "near", "commuting", "equal"]
+
+
+def _join_pair(rng, kind):
+    """Two self-adjoint 2x2 matrices of the named kind, times one power of two in 2**-60..2**60."""
+    c, v = rng.normal(size=2), rng.normal(size=(2, 3))
+    if kind == "near":  # b within 1e-9 of a
+        c[1], v[1] = c[0] + 1e-9 * c[1], v[0] + 1e-9 * v[1]
+    elif kind == "commuting":  # b = p*a + q*1
+        v[1] = rng.normal() * v[0]
+    elif kind == "equal":
+        c[1], v[1] = c[0], v[0]
+    return _scaled(matrix_from_pauli_many(c, v), int(rng.integers(-60, 61)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(_JOIN_KINDS), st.integers(0, 2**32 - 1))
+def test_join_coeffs_are_in_range_and_rebuild_the_lattice_join(kind, seed):
+    a, b = _join_pair(np.random.default_rng(seed), kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, beta = join_coeffs(a, b)
+        join, _ = lattice_ops(a, b)
+    assert 0.0 <= alpha <= 1.0 and beta >= 0.0
+    ulp = np.spacing(_scale(float(np.abs(np.stack([a, b]).view(float)).max())))
+    assert np.abs(alpha * a + (1.0 - alpha) * b + beta * SIGMA[0] - join.mat).max() <= 4 * ulp
+    if kind == "equal":
+        assert (alpha, beta) == (0.5, 0.0)
+
+
+def test_join_coeffs_stay_in_range_on_a_pair_of_size_1e6():
+    # a - b is positive up to rounding, so alpha = 1 and beta = (h - t) / 2 is 0 or just above
+    a = complex_matrix_from_json({
+        "re": [[-27880.783511058962, -113267.46687930713], [-113267.46687930713, 770259.290796789]],
+        "im": [[0, 207883.35130353685], [-207883.35130353685, 0]]})
+    b = complex_matrix_from_json({
+        "re": [[-722773.9990462515, 97652.67077559941], [97652.67077559941, -237038.66887501953]],
+        "im": [[0, -492846.5514085313], [492846.5514085313, 0]]})
+    alpha, beta = join_coeffs(a, b)
+    assert 0.0 <= alpha <= 1.0 and beta >= 0.0
+    join, _ = lattice_ops(a, b)
+    assert np.abs(alpha * a + (1.0 - alpha) * b + beta * SIGMA[0] - join.mat).max() <= 4 * np.spacing(2.0**20)
 
 
 # --------------------------------------------------------------------------
@@ -1129,6 +1185,8 @@ def _scale_rule_case(question, rng, shape):
         return (a,), lambda a: (lambda c: ([np.array(c.norm)], [c.positive, c.positive_invertible]))(classify(a))
     if question == "abs":
         return (a,), lambda a: ([func_calc(a, abs).mat], [])
+    if question == "sqrt":  # degree 1/2, answered or refused alike at every scale
+        return (a,), _sqrt_answer
     if question == "lattice":
         return (a, b), lambda a, b: ([m.mat for m in lattice_ops(a, b)], [])
     if question == "projection":
@@ -1157,6 +1215,13 @@ def _scale_rule_case(question, rng, shape):
         transversality(region, n))
 
 
+def _sqrt_answer(a):
+    try:
+        return [func_calc(a, nonnegative_sqrt).mat], [True]
+    except DomainError:
+        return [], [False]
+
+
 def _normal_after(arrays, k: int) -> bool:
     """Whether every nonzero real and imaginary part of the arrays stays normal and finite times 2**k."""
     for x in arrays:
@@ -1172,7 +1237,7 @@ def _scaled(x, k: int):
 
 
 _QUESTIONS = [
-    "spectral", "classify", "abs", "lattice", "projection", "projection_many",
+    "spectral", "classify", "abs", "sqrt", "lattice", "projection", "projection_many",
     "pauli", "member", "join", "join_many", "transversality",
 ]
 
@@ -1181,14 +1246,17 @@ _QUESTIONS = [
 @given(st.sampled_from(_QUESTIONS), st.sampled_from(_SHAPES), st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
 def test_every_2x2_question_follows_the_power_of_two_scale(question, shape, seed, k):
     inputs, f = _scale_rule_case(question, np.random.default_rng(seed), shape)
+    k -= question == "sqrt" and k % 2  # sqrt(4**j * a) = 2**j * sqrt(a)
+    out_k = k // 2 if question == "sqrt" else k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ones, zeros = f(*inputs)
-        if not _normal_after(list(inputs) + ones, k):
+        if not (_normal_after(inputs, k) and _normal_after(ones, out_k)):
             return
         got_ones, got_zeros = f(*(_scaled(x, k) for x in inputs))
+    assert len(got_ones) == len(ones)
     for want, got in zip(ones, got_ones):
-        assert np.asarray(_scaled(want, k)).tobytes() == np.asarray(got).tobytes()
+        assert np.asarray(_scaled(want, out_k)).tobytes() == np.asarray(got).tobytes()
     for want, got in zip(zeros, got_zeros):
         assert (np.asarray(want).tobytes() == np.asarray(got).tobytes()) if isinstance(want, np.ndarray) else want == got
 
