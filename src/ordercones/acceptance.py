@@ -123,21 +123,30 @@ def _c4_join_coefficients(seed: int, fast: bool) -> tuple[bool, dict]:
     t = c[:, 0] - c[:, 1]
     r = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
     alpha, beta = m2.join_coeffs_many(t, r)
+
+    def pairs(rows):
+        """The matrices of the pairs in rows (a slice or an index array), each row as the whole stack has it."""
+        return (m2.matrix_from_pauli_many(c[rows, j], v[rows, j]) for j in (0, 1))
+
     # Reconstruction oracle: |a-b| through LAPACK eigh, independent of the
-    # closed forms of join_coeffs and lattice_ops.
-    mats1, mats2 = m2.matrix_from_pauli_many(c[:, 0], v[:, 0]), m2.matrix_from_pauli_many(c[:, 1], v[:, 1])
-    join = (mats1 + mats2) / 2.0 + hermitian.matrix_abs_many(mats1 - mats2) / 2.0
-    recon = (
-        alpha[:, None, None] * mats1
-        + (1.0 - alpha)[:, None, None] * mats2
-        + beta[:, None, None] * m2.SIGMA[0]
-    )
-    err = float(np.max(np.abs(recon - join)))
+    # closed forms of join_coeffs and lattice_ops.  Blocks of at most 2^16
+    # floats (8192 complex 2x2 matrices): every operation is per row, so
+    # the blocks give the bytes of the whole stack at a fraction of its memory.
+    err = 0.0
+    step = (1 << 16) // 8
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        mats1, mats2 = pairs(rows)
+        join = (mats1 + mats2) / 2.0 + hermitian.matrix_abs_many(mats1 - mats2) / 2.0
+        al, be = alpha[rows, None, None], beta[rows, None, None]
+        recon = al * mats1 + (1.0 - al) * mats2 + be * m2.SIGMA[0]
+        err = max(err, float(np.max(np.abs(recon - join))))
     # Tie the scalar operation to the batch values.
     spot_err = 0.0
-    for idx in rng.integers(0, count, size=200):
-        al, be = m2.join_coeffs(mats1[idx], mats2[idx])
-        spot_err = max(spot_err, abs(al - alpha[idx]), abs(be - beta[idx]))
+    idx = rng.integers(0, count, size=200)
+    for i, mat1, mat2 in zip(idx, *pairs(idx)):
+        al, be = m2.join_coeffs(mat1, mat2)
+        spot_err = max(spot_err, abs(al - alpha[i]), abs(be - beta[i]))
     ok = (
         bool((alpha >= 0.0).all())
         and bool((alpha <= 1.0).all())

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -223,14 +224,31 @@ def _load(text: str):
         raise InvalidInput(f"{source}: {exc}") from exc
 
 
-def _emit(args, payload: dict | list | str) -> None:
-    text = payload if isinstance(payload, str) else _dumps(payload)
+def _emit(args, result) -> None:
+    """Write a handler's result, then one newline, to --out or standard output.
+
+    The result is a text, a payload (written as _dumps writes it) or an
+    iterator of texts, written one after another so that a long output is
+    never held whole.  A handler finishes its input checks before it
+    returns, so a refused call writes nothing and creates no --out file.
+    """
+    if isinstance(result, str):
+        parts = (result,)
+    elif isinstance(result, Iterator):
+        parts = result
+    else:
+        parts = (_dumps(result),)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            _write(fh, parts)
     else:
-        print(text)
+        _write(sys.stdout, parts)
+
+
+def _write(fh, parts) -> None:
+    for part in parts:
+        fh.write(part)
+    fh.write("\n")
 
 
 def _function_arg(value) -> np.ndarray:
@@ -505,16 +523,20 @@ def _cmd_m2_order(args):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     relations = m2.pure_state_order_many(region, pts[0::2], pts[1::2], tol=args.tol)
     if args.format == "csv":
-        pairs = pts.reshape(args.samples, 6)
-        lines = ["px,py,pz,qx,qy,qz,relation"]
-        # Python floats for a block at a time: all 6N at once would add
-        # about a tenth to the scan's peak memory.
-        for start in range(0, args.samples, _CSV_BLOCK):
-            block = pairs[start:start + _CSV_BLOCK].tolist()
-            rels = relations[start:start + _CSV_BLOCK]
-            lines += [",".join(map(repr, row)) + "," + rel for row, rel in zip(block, rels)]
-        return "\n".join(lines)
+        return _scan_csv(pts.reshape(args.samples, 6), relations)
     return {"samples": [{"p": p, "q": q, "relation": rel} for p, q, rel in zip(pts[0::2], pts[1::2], relations)]}
+
+
+def _scan_csv(pairs: np.ndarray, relations: list[str]):
+    """The scan's CSV text, one block of rows at a time, so that only one
+    block's Python floats and text are alive at once."""
+    yield "px,py,pz,qx,qy,qz,relation"
+    for start in range(0, len(pairs), _CSV_BLOCK):
+        block = pairs[start:start + _CSV_BLOCK].tolist()
+        rels = relations[start:start + _CSV_BLOCK]
+        lines = [""]  # a block starts with the newline that ends the line before it
+        lines += [",".join(map(repr, row)) + "," + rel for row, rel in zip(block, rels)]
+        yield "\n".join(lines)
 
 
 def _cmd_m2_state_order(args):

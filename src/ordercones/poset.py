@@ -34,7 +34,8 @@ def _closure(rel: np.ndarray) -> np.ndarray:
     A (..., n, n) stack is closed slice by slice in the same n steps.
     """
     n = rel.shape[-1]
-    out = rel | np.eye(n, dtype=bool)
+    out = rel.astype(bool, order="C")  # a fresh C-ordered copy, so the reshape below is a view
+    out.reshape(*out.shape[:-2], n * n)[..., :: n + 1] = True  # the diagonal of every slice
     for k in range(n):
         out |= out[..., :, k : k + 1] & out[..., k : k + 1, :]
     return out
@@ -103,8 +104,8 @@ class FinitePreorder:
         return bool(self.rel[self.index(x), self.index(y)])
 
     def is_antisymmetric(self) -> bool:
-        both = self.rel & self.rel.T
-        return not (both & ~np.eye(self.n, dtype=bool)).any()
+        # rel is reflexive, so its symmetric pairs are the n diagonal ones and no more
+        return np.count_nonzero(self.rel & self.rel.T) == self.n
 
     def _pairs(self, mask: np.ndarray) -> list[tuple[str, str]]:
         """The id pairs where mask is set, in row-major order.
@@ -116,7 +117,9 @@ class FinitePreorder:
         return [(e[i], e[j]) for i, j in map(divmod, mask.ravel().nonzero()[0].tolist(), itertools.repeat(self.n))]
 
     def _strict(self) -> np.ndarray:
-        return self.rel & ~np.eye(self.n, dtype=bool)
+        out = self.rel.copy()
+        out.flat[:: self.n + 1] = False
+        return out
 
     def strict_pairs(self) -> list[tuple[str, str]]:
         """All related pairs with distinct endpoints (regenerates the relation)."""
@@ -214,7 +217,7 @@ def _pairs_to_relation(elements, pairs) -> np.ndarray:
     index = {e: i for i, e in enumerate(string_ids(elements, "element ids"))}
     if len(index) != len(elements):
         raise InvalidInput("element ids must be distinct")
-    rel = np.eye(len(elements), dtype=bool)
+    rel = np.zeros((len(elements), len(elements)), dtype=bool)  # _closure adds the diagonal
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInput(f"a pair must hold exactly two ids, got {pair!r}")
@@ -341,7 +344,7 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     pts = np.array([(u + v) / 2.0, (u - v) / 2.0, u, v])
     t, x, u, v = pts[:, np.lexsort(pts[::-1])]  # sorted by t, then x, u and v
     rel = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
-    rel |= np.eye(n, dtype=bool)
+    rel.flat[:: n + 1] = True
     # u >=, v >= and t > are each transitive, so their conjunction is too,
     # and the strict t makes it antisymmetric: nothing for __init__ to check.
     poset = FinitePoset._closed([f"p{i}" for i in range(n)], rel)

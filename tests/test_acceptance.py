@@ -1,8 +1,10 @@
 """Runs every acceptance criterion at full size and prints its report line."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ordercones.acceptance import CRITERIA, _c1_stone_nachbin
+from ordercones.acceptance import CRITERIA, _c1_stone_nachbin, _c4_join_coefficients
 from ordercones.sampling import _running_max, random_isotone, random_poset
 
 
@@ -26,12 +28,27 @@ def test_seed7_work_counts(results):
     # Reconstructions evaluate to the tree walk's bytes, so the worst error is exact.
     assert c1["max_error"] == 6.306066779870889e-14
     assert results[3].details["checked"] == 400_000
+    # The blocked reconstruction oracle gives the bytes of the whole stack.
+    assert results[4].details == {
+        "pairs": 100_000, "alpha_min": 0.0, "alpha_max": 1.0, "beta_min": 0.0, "max_error": 8.882785140169483e-15,
+    }
     c8 = results[8].details
     assert (c8["functions"], c8["matrices"], c8["bad_projections"]) == (10_000, 10_000, 0)
     # The up-set terms and their sums are the scalar decomposition's bytes.
     assert c8["min_coeff"] == 1.586153525590106e-05
     assert c8["max_error"] == 7.653923751057514e-14
     assert (results[9].details["pairs"], results[9].details["failures"]) == (10_000, 0)
+
+
+def test_c4_works_in_blocks():
+    """c4 holds its draws and one block of matrices, not (100000, 2, 2) stacks (about 60 MB whole)."""
+    tracemalloc.start()
+    try:
+        ok, _ = _c4_join_coefficients(7, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak < 30e6
 
 
 @pytest.mark.parametrize(

@@ -285,6 +285,72 @@ def test_m2_order_scan_matches_scalar_recomputation(capsys, monkeypatch, name, f
     assert relations == want
 
 
+_HULL_SKEW = json.dumps(dict(region_fixtures())["hull-skew"].to_json())
+
+
+def _scan(capsys, tmp_path, samples, seed="5"):
+    """The scan's CSV as written to stdout and to --out, in bytes."""
+    argv = ["m2", "order", "--region", _HULL_SKEW, "--samples", str(samples), "--seed", seed, "--format", "csv"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    path = tmp_path / f"scan_{samples}.csv"
+    assert main(argv + ["--out", str(path)]) == 0 and capsys.readouterr().out == ""
+    return out.encode(), path.read_bytes()
+
+
+def test_m2_order_scan_csv_bytes_are_pinned(capsys, tmp_path):
+    # Recorded before the CSV was written block by block.
+    stdout, out_file = _scan(capsys, tmp_path, 10_000)
+    assert stdout == out_file
+    assert hashlib.sha256(stdout).hexdigest() == "2ec5c1f6f3f3d1af12d45a7097273b72b113de21b988a93effabaeaa6be6b199"
+
+
+# With blocks of 4 rows: one row, one block, a block and a row, three blocks.
+@pytest.mark.parametrize("samples", [1, 4, 5, 12])
+def test_m2_order_scan_csv_is_the_same_bytes_at_any_block_size(capsys, monkeypatch, tmp_path, samples):
+    whole = _scan(capsys, tmp_path, samples)  # a single block at the default size
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    assert _scan(capsys, tmp_path, samples) == whole
+    assert whole[0] == whole[1] and whole[0].count(b"\n") == samples + 1 and whole[0].endswith(b"\n")
+
+
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+def test_m2_order_scan_csv_is_written_a_block_at_a_time(capsys, monkeypatch, tmp_path, sink):
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    if sink == "stdout":
+        monkeypatch.setattr("sys.stdout", Recorder())
+    else:
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recorder(), raising=False)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+    argv = ["m2", "order", "--region", _HULL_SKEW, "--samples", "1000", "--seed", "5", "--format", "csv"]
+    assert main(argv + (["--out", "scan.csv"] if sink == "out" else [])) == 0
+    monkeypatch.undo()
+    code, out = run(capsys, argv)
+    assert code == 0 and "".join(writes) == out
+    rows = out.splitlines()[1:]
+    block_text = max(len("\n" + "\n".join(rows[k:k + 64])) for k in range(0, len(rows), 64))
+    assert len(writes) > len(rows) // 64 and max(map(len, writes)) <= block_text
+
+
+@pytest.mark.parametrize(
+    "region, samples, seed",
+    [(_HULL_SKEW, "0", "5"), (_HULL_SKEW, "3", "-1"), ('{"kind": "cap"', "3", "5")],
+    ids=["no-samples", "negative-seed", "malformed-region"],
+)
+def test_refused_scan_creates_no_out_file(capsys, tmp_path, region, samples, seed):
+    path = tmp_path / "scan.csv"
+    argv = ["m2", "order", "--region", region, "--samples", samples, "--seed", seed, "--format", "csv", "--out", str(path)]
+    code, out = run(capsys, argv)
+    assert code == 1 and json.loads(out)["error"]["kind"] == "InvalidInput"
+    assert not path.exists()
+
+
 def test_m2_transverse_cli(capsys):
     cap = json.dumps({"kind": "cap", "center": [0, 0, 1], "radius": 0.3})
     s3 = json.dumps({"n": 2, "re": [[1, 0], [0, -1]]})
