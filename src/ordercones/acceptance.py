@@ -98,7 +98,7 @@ def _c3_m2_closure(seed: int, fast: bool) -> tuple[bool, dict]:
         scale = rng.exponential(size=pairs_per_region)
         join, meet = hermitian.lattice_ops(mats1, mats2)
         for stack in (mats1 + mats2, scale[:, None, None] * mats1, join, meet):
-            _, v = m2.pauli_vparts_many(stack)
+            v = np.stack(hermitian._pauli_parts(stack)[1:], axis=1)
             ok = region.cone_contains_many(v, tol=1e-9)
             failures += int((~ok).sum())
             checked += len(ok)
@@ -291,7 +291,7 @@ def _c8_projections(seed: int, fast: bool) -> tuple[bool, dict]:
         mats = m2.matrix_from_pauli_many(lam + extra, lam[:, None] * k)
         coeffs, projs, kept = hermitian.projection_decomposition_many(mats)
         worst_coeff = min(worst_coeff, float(coeffs[kept].min(initial=np.inf)))
-        _, v = m2.pauli_vparts_many(projs[kept])
+        v = np.stack(hermitian._pauli_parts(projs[kept])[1:], axis=1)
         bad += int((~region.cone_contains_many(v, tol=1e-9)).sum())
         total = (coeffs[:, :, None, None] * projs).sum(axis=1)
         max_err = max(max_err, float(np.max(np.abs(total - mats))))

@@ -96,7 +96,7 @@ def _indented(obj, indent: str) -> str:
     # Only a loaded isotone_cone can have made an expression tree.
     cone = sys.modules.get(f"{__package__}.isotone_cone")
     if cone is not None and isinstance(obj, cone.LatticeExpr):
-        if isinstance(obj, cone.TableJoin) and obj.table is not None:  # built from children alone, it has none
+        if isinstance(obj, cone.TableJoin):
             return _table_join(obj.table, indent)
         return _indented(obj.to_json(), indent)
     return _indented(_json_default(obj), indent)

@@ -74,7 +74,6 @@ def character_order(algebra: FiniteCommutativeIStar) -> FinitePoset:
 
 @dataclass(frozen=True)
 class MorphismReport:
-    star_morphism: bool
     isotone: bool
     pullback_preserves_cone: bool
 
@@ -100,7 +99,7 @@ def morphism_check(mapping: dict, source: FinitePoset, target: FinitePoset) -> M
     idx = _mapping_indices(mapping, source, target)
     isotone = not (source.rel & ~target.rel[np.ix_(idx, idx)]).any()
     preserves = bool(_isotone(source.rel, all_upset_indicators(target)[:, idx], DEFAULT_TOL).all())
-    return MorphismReport(star_morphism=True, isotone=isotone, pullback_preserves_cone=preserves)
+    return MorphismReport(isotone=isotone, pullback_preserves_cone=preserves)
 
 
 def cobounded_duality_check(p: FinitePoset) -> bool:

@@ -259,13 +259,10 @@ class TableJoin(Join):
 
     eval_expr evaluates the tables directly.  children (and with it
     to_json, equality and repr) builds the explicit Meets and leaves on
-    first use; it equals the Join of the same children.  Built from
-    children alone, as TableJoin(*children), it is a plain Join.
+    first use; it equals the Join of the same children.
     """
 
-    def __init__(self, *children: LatticeExpr, table: _Table | None = None):
-        if table is None:
-            super().__init__(*children)
+    def __init__(self, table: _Table):
         object.__setattr__(self, "table", table)
 
     @cached_property
@@ -349,7 +346,7 @@ def _family_width(functions, size: int | None) -> tuple[np.ndarray, int]:
     return fns, n
 
 
-def _tabled(t: _Table | None, n: int) -> bool:
+def _tabled(t: _Table, n: int) -> bool:
     """Whether a TableJoin's table t is evaluated for functions of length n.
 
     For n = 1 numpy may reduce a meet or the join as one contiguous run,
@@ -357,7 +354,7 @@ def _tabled(t: _Table | None, n: int) -> bool:
     only a table of one leaf, with no ties to break, is evaluated, and any
     other walks the tree.
     """
-    return t is not None and (n > 1 or t.k.shape[-2:] == (1, 1))
+    return n > 1 or t.k.shape[-2:] == (1, 1)
 
 
 def _run(node: LatticeExpr, fns: np.ndarray, n: int) -> np.ndarray:

@@ -114,12 +114,6 @@ def matrix_from_pauli_many(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def pauli_vparts_many(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch (c, v) extraction from an (N, 2, 2) complex stack."""
-    c, *v = _pauli_parts(mats)
-    return c, np.stack(v, axis=1)
-
-
 def hopf(xi) -> np.ndarray:
     """Bloch image (2Re(x1~ x2), 2Im(x1~ x2), |x1|^2 - |x2|^2) of a unit spinor."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)

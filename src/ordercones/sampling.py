@@ -28,16 +28,11 @@ _NONNEG_HI = 3.0
 
 def random_poset(rng: np.random.Generator, n: int, edge_prob: float = _EDGE_PROB) -> FinitePoset:
     """Random n-element poset from a shuffled upper-triangular edge set."""
-    perm, edges = _draw_edges(rng, n, edge_prob)
+    perm = rng.permutation(n)
     a, b = _upper_pairs(n)
     rel = np.zeros((n, n), dtype=bool)
-    rel[perm[a], perm[b]] = edges
+    rel[perm[a], perm[b]] = rng.random(len(a)) < edge_prob
     return FinitePoset._closed([f"e{i}" for i in range(n)], _closure(rel))
-
-
-def _draw_edges(rng: np.random.Generator, n: int, edge_prob: float) -> tuple[np.ndarray, np.ndarray]:
-    """random_poset's draws: a permutation and one edge flag per pair a < b of _upper_pairs(n)."""
-    return rng.permutation(n), rng.random(n * (n - 1) // 2) < edge_prob
 
 
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,37 +63,27 @@ def random_isotone_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """count random posets with `functions` random nonnegative isotone functions on each, as padded stacks.
 
-    Makes the draws of the loop that, count times, takes n = rng.integers(1,
-    max_n + 1), p = random_poset(rng, n) and then `functions` times
-    random_nonneg_isotone(rng, p): the same values and the same final
-    generator state.  Returns (rels, values) of shapes (count, max_n, max_n)
-    and (count, functions, max_n).  Row r holds its poset in rels[r, :n, :n]
-    and its functions in values[r, :, :n]; a padded element has no relation,
-    not even to itself, and value 0.
+    Row r has n uniform on 1..max_n elements, a poset distributed as
+    random_poset(rng, n)'s and `functions` values each distributed as
+    random_nonneg_isotone's: random keys order the elements, and each pair
+    is an edge from its lower to its higher key with probability _EDGE_PROB.
+    The whole stack takes four generator calls.  Returns (rels, values) of
+    shapes (count, max_n, max_n) and (count, functions, max_n).  Row r holds
+    its poset in rels[r, :n, :n] and its functions in values[r, :, :n]; a
+    padded element has no relation, not even to itself, and value 0.
     """
-    sizes = np.empty(count, dtype=np.intp)
-    # rng.permutation(n) shuffles arange(n): each row shuffles its own prefix of one.
-    perms = np.tile(np.arange(max_n, dtype=np.intp), (count, 1))
-    # One rng.random call a row: its edge flags, then `functions` value rows,
-    # since uniform(0, hi) is 0 + hi * the next double.
-    draws = np.zeros((count, max_n * (max_n - 1) // 2 + functions * max_n))
-    for row in range(count):
-        n = sizes[row] = rng.integers(1, max_n + 1)
-        rng.shuffle(perms[row, :n])
-        rng.random(out=draws[row, : n * (n - 1) // 2 + functions * n])
-    rels = np.zeros((count, max_n, max_n), dtype=bool)
-    raw = np.zeros((count, functions, max_n))
-    for n in range(1, max_n + 1):
-        rows = np.flatnonzero(sizes == n)
-        a, b = _upper_pairs(n)
-        k, perm = len(a), perms[rows, :n]
-        rels[rows[:, None], perm[:, a], perm[:, b]] = draws[rows, :k] < _EDGE_PROB
-        raw[rows, :, :n] = draws[rows, k : k + functions * n].reshape(len(rows), functions, n) * _NONNEG_HI
-    # Padded elements close to themselves alone, so their running max is their raw 0.
-    rels = _closure(rels)
-    values = _running_max(rels[:, None], raw)
+    sizes = rng.integers(1, max_n + 1, size=count)
+    keys = rng.random((count, max_n))
+    flags = rng.random((count, max_n, max_n)) < _EDGE_PROB
     present = np.arange(max_n) < sizes[:, None]
-    return rels & present[:, :, None] & present[:, None, :], values
+    # uniform(0, hi) is hi * the next double; a padded element's raw value is 0.
+    raw = rng.random((count, functions, max_n)) * (_NONNEG_HI * present[:, None])
+    pairs = present[:, :, None] & present[:, None, :]
+    # Pair {i, j} reads flags[i, j] or flags[j, i], whichever follows the keys: one independent flag a pair.
+    rels = _closure(flags & (keys[:, :, None] < keys[:, None, :]) & pairs)
+    # Padded elements close to themselves alone, so their running max is their raw 0.
+    values = _running_max(rels[:, None], raw)
+    return rels & pairs, values
 
 
 def random_nonneg_isotone(rng: np.random.Generator, p: FinitePoset) -> np.ndarray:

@@ -51,7 +51,7 @@ def test_round_trip_random():
 def test_morphism_identity_and_constant():
     p = chain("a", "b", "c")
     ident = morphism_check({e: e for e in p.elements}, p, p)
-    assert ident.isotone and ident.pullback_preserves_cone and ident.star_morphism
+    assert ident.isotone and ident.pullback_preserves_cone
     point = build_poset(["m"], [])
     const = morphism_check({e: "m" for e in p.elements}, p, point)
     assert const.isotone and const.pullback_preserves_cone

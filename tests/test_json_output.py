@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from ordercones import cli, poset
 from ordercones.errors import DomainError
-from ordercones.isotone_cone import Constant, Generator, Meet, TableJoin, _Table
+from ordercones.isotone_cone import Constant, Generator, Join, Meet, TableJoin, _Table
 from ordercones.sampling import random_poset
 
 
@@ -212,7 +212,7 @@ def test_tables_are_written_as_the_to_json_of_their_nodes(seed):
     expr = _hand_table(seed)
     for nest in (lambda e: e, lambda e: {"expr": e, "max_error": 0.0}, lambda e: [[e, 1], {"x": [e]}]):
         assert cli._dumps(nest(expr)) == json.dumps(nest(expr.to_json()), sort_keys=True, indent=2)
-    tree = TableJoin(Meet(Generator(0), Constant(-0.0)), Constant(0.5))  # from children alone: a plain Join
+    tree = Join(Meet(Generator(0), Constant(-0.0)), Constant(0.5))  # any other tree is written from its to_json()
     assert cli._dumps([tree]) == json.dumps([tree.to_json()], sort_keys=True, indent=2)
 
 

@@ -1,4 +1,4 @@
-"""Sampled posets and isotone functions: the fast paths draw what the checked ones would."""
+"""Sampled posets and isotone functions: pinned scalar draws, and the padded stacks of c8 and c9."""
 import hashlib
 import json
 
@@ -52,18 +52,62 @@ def test_sampled_posets_and_isotone_values_are_pinned():
     assert state.hexdigest() == STATE_SHA256
 
 
-@pytest.mark.parametrize("count", [10_000, 500], ids=["full", "fast"])
+def _present(rels):
+    """Which elements of each padded row are present: the ones related to themselves."""
+    return rels.diagonal(axis1=1, axis2=2)
+
+
 @pytest.mark.parametrize("functions", [1, 2])
-def test_isotone_stack_draws_what_the_scalar_loop_draws(functions, count):
-    stacked, looped = np.random.default_rng([7, 7 + functions]), np.random.default_rng([7, 7 + functions])
-    rels, values = sampling.random_isotone_stack(stacked, count, 8, functions)
-    assert rels.shape == (count, 8, 8) and values.shape == (count, functions, 8)
-    want_rels, want_values = np.zeros_like(rels), np.zeros_like(values)
-    for row in range(count):
-        p = sampling.random_poset(looped, int(looped.integers(1, 9)))
-        want_rels[row, : p.n, : p.n] = p.rel
-        for k in range(functions):
-            want_values[row, k, : p.n] = sampling.random_nonneg_isotone(looped, p)
-    assert np.array_equal(rels, want_rels)
-    assert values.tobytes() == want_values.tobytes()
-    assert stacked.bit_generator.state == looped.bit_generator.state
+def test_isotone_stack_rows_are_posets_with_isotone_values(functions):
+    rels, values = sampling.random_isotone_stack(np.random.default_rng([7, functions]), 2_000, 8, functions)
+    assert rels.shape == (2_000, 8, 8) and values.shape == (2_000, functions, 8)
+    present = _present(rels)
+    n = present.sum(axis=1)
+    assert set(n.tolist()) == set(range(1, 9))
+    # Reflexive on the first n elements; padded rows and columns are all False.
+    assert np.array_equal(present, np.arange(8) < n[:, None])
+    assert not (rels & ~(present[:, :, None] & present[:, None, :])).any()
+    composed = (rels[:, :, :, None] & rels[:, None, :, :]).any(axis=2)
+    assert not (composed & ~rels).any()
+    assert not (rels & rels.transpose(0, 2, 1) & ~np.eye(8, dtype=bool)).any()
+    assert (~rels[:, None] | (values[..., :, None] <= values[..., None, :])).all()
+    assert ((values >= 0.0) & (values < 3.0)).all()
+    assert not values[np.broadcast_to(~present[:, None], values.shape)].any()
+
+
+@pytest.mark.parametrize("functions", [1, 2])
+def test_isotone_stack_is_a_function_of_its_seed(functions):
+    one, two = (sampling.random_isotone_stack(np.random.default_rng(11), 500, 8, functions) for _ in range(2))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(one, two))
+
+
+class _CountingGenerator:
+    """A generator that counts the methods looked up on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+def test_isotone_stack_draws_in_a_fixed_number_of_generator_calls():
+    calls = []
+    for count in (1, 10, 1_000):
+        rng = _CountingGenerator(np.random.default_rng(3))
+        sampling.random_isotone_stack(rng, count, 8, 2)
+        calls.append(rng.calls)
+    assert calls == [4, 4, 4]
+
+
+def test_isotone_stack_relates_as_many_pairs_as_random_poset():
+    # Per size, the mean count of related pairs against as many random_poset draws, within 5 standard errors.
+    rels, _ = sampling.random_isotone_stack(np.random.default_rng(2008), 20_000, 8)
+    n, related = _present(rels).sum(axis=1), rels.sum(axis=(1, 2))
+    rng = np.random.default_rng(2009)
+    for size in range(1, 9):
+        got = related[n == size]
+        want = np.array([sampling.random_poset(rng, size).rel.sum() for _ in got])
+        stderr = np.sqrt(got.var() / len(got) + want.var() / len(want))
+        assert abs(got.mean() - want.mean()) <= 5 * stderr
