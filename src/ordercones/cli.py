@@ -503,7 +503,7 @@ def _cmd_m2_member(args):
     return {"member": m2.iso_membership(_region_arg(args.region), _hermitian_arg(args.matrix), tol=args.tol)}
 
 
-_CSV_BLOCK = 4096  # sample rows formatted per block by m2 order --samples --format csv
+_CSV_BLOCK = 4096  # samples formatted per block by m2 order --samples, as CSV rows or JSON objects
 
 
 def _cmd_m2_order(args):
@@ -524,7 +524,7 @@ def _cmd_m2_order(args):
     relations = m2.pure_state_order_many(region, pts[0::2], pts[1::2], tol=args.tol)
     if args.format == "csv":
         return _scan_csv(pts.reshape(args.samples, 6), relations)
-    return {"samples": [{"p": p, "q": q, "relation": rel} for p, q, rel in zip(pts[0::2], pts[1::2], relations)]}
+    return _scan_json(pts.reshape(args.samples, 6), relations)
 
 
 def _scan_csv(pairs: np.ndarray, relations: list[str]):
@@ -537,6 +537,22 @@ def _scan_csv(pairs: np.ndarray, relations: list[str]):
         lines = [""]  # a block starts with the newline that ends the line before it
         lines += [",".join(map(repr, row)) + "," + rel for row, rel in zip(block, rels)]
         yield "\n".join(lines)
+
+
+def _scan_json(pairs: np.ndarray, relations: list[str]):
+    """{"samples": [{"p", "q", "relation"}, ...]} as _dumps writes it, one
+    block of samples at a time, as _scan_csv writes its rows."""
+    head, tail = _indented({"samples": [None]}, "").split("null")
+    # One sample's text, with %r for each of its six coordinates and %s for its quoted relation.
+    parts = _indented({"p": ["@"] * 3, "q": ["@"] * 3, "relation": "@"}, "    ").split('"@"')
+    sample = "%r".join(parts[:-1]) + "%s" + parts[-1]
+    sep = ",\n    "
+    yield head
+    for start in range(0, len(pairs), _CSV_BLOCK):
+        block = pairs[start:start + _CSV_BLOCK].tolist()
+        rels = map(_string, relations[start:start + _CSV_BLOCK])
+        yield (sep if start else "") + sep.join([sample % (*row, rel) for row, rel in zip(block, rels)])
+    yield tail
 
 
 def _cmd_m2_state_order(args):

@@ -67,9 +67,11 @@ def character_order(algebra: FiniteCommutativeIStar) -> FinitePoset:
 
     ev_x <= ev_y holds when f(x) <= f(y) for every generator f; with the
     up-set indicator family this reproduces the underlying poset exactly
-    (integer arithmetic, no tolerance needed).
+    (integer arithmetic, no tolerance needed).  With tolerance 0 the
+    induced relation is reflexive and transitive, so only antisymmetry is
+    checked.
     """
-    return FinitePoset(algebra.poset.elements, _induced(algebra.generator_functions(), 0.0))
+    return FinitePoset._closed(algebra.poset.elements, _induced(algebra.generator_functions(), 0.0))
 
 
 @dataclass(frozen=True)

@@ -72,23 +72,35 @@ class FinitePreorder:
             raise InvalidInput("relation must be reflexive")
         if (_compose(rel, rel) & ~rel).any():
             raise InvalidInput("relation must be transitive")
-        self.elements = elements
-        self.rel = _freeze(rel)
-        self._index = {e: i for i, e in enumerate(elements)}
+        self._adopt(elements, rel)
 
     @classmethod
     def _closed(cls, elements, rel: np.ndarray):
         """An instance over a relation the library has just built and closed itself.
 
-        Skips every check __init__ makes (ids, shape, reflexivity,
-        transitivity, antisymmetry): callers guarantee them.  Never use it
-        on input from outside the library.
+        Skips the checks that the closure makes true: distinct string ids,
+        an n x n shape, reflexivity and transitivity.  A FinitePoset still
+        checks antisymmetry, the one check kept, since closing a relation
+        can make a 2-cycle.  Never use it on input from outside the library.
+        The callers:
+
+        - FinitePreorder.from_json and FinitePoset.from_json in the pairs
+          form, build_preorder and build_poset: _pairs_to_relation checks
+          the ids and the pairs and closes the relation with _closure;
+        - duality.character_order: a relation induced by functions with
+          tolerance 0 is reflexive and transitive;
+        - sampling.random_poset, sampling.random_total_order and
+          sprinkle_minkowski: closed, or transitive by construction.
         """
         self = cls.__new__(cls)
-        self.elements = tuple(elements)
-        self.rel = _freeze(rel)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._adopt(tuple(elements), rel)
         return self
+
+    def _adopt(self, elements: tuple[str, ...], rel: np.ndarray) -> None:
+        """Store checked ids and relation; both constructors end here, so FinitePoset checks antisymmetry here."""
+        self.elements = elements
+        self.rel = _freeze(rel)
+        self._index = {e: i for i, e in enumerate(elements)}
 
     @property
     def n(self) -> int:
@@ -170,20 +182,18 @@ class FinitePreorder:
         if not isinstance(elements, list):
             raise InvalidInput(f'"elements" must be a list of ids, got {type(elements).__name__}')
         if "relation" in data:
-            rel = _relation_from_json(data["relation"])
-        else:
-            pairs = data.get("pairs", [])
-            if not isinstance(pairs, list):
-                raise InvalidInput(f'"pairs" must be a list of [x, y] pairs, got {type(pairs).__name__}')
-            rel = _pairs_to_relation(elements, pairs)
-        return cls(elements, rel)
+            return cls(elements, _relation_from_json(data["relation"]))
+        pairs = data.get("pairs", [])
+        if not isinstance(pairs, list):
+            raise InvalidInput(f'"pairs" must be a list of [x, y] pairs, got {type(pairs).__name__}')
+        return cls._closed(*_pairs_to_relation(elements, pairs))
 
 
 class FinitePoset(FinitePreorder):
     """A preorder that is also antisymmetric."""
 
-    def __init__(self, elements, rel):
-        super().__init__(elements, rel)
+    def _adopt(self, elements: tuple[str, ...], rel: np.ndarray) -> None:
+        super()._adopt(elements, rel)
         if not self.is_antisymmetric():
             raise AntisymmetryViolation("relation contains a 2-cycle between distinct ids")
 
@@ -193,7 +203,12 @@ class FinitePoset(FinitePreorder):
         return self._pairs(strict & ~_compose(strict, strict))
 
     def incomparable_pairs(self) -> list[tuple[str, str]]:
-        return self._pairs(np.triu(~(self.rel | self.rel.T), 1))
+        """The incomparable pairs (x, y), x listed before y, in row-major order."""
+        # The mask is symmetric with a false diagonal: each pair is kept once, from its upper half.
+        i, j = (~(self.rel | self.rel.T)).nonzero()
+        upper = i < j
+        e = self.elements
+        return [(e[a], e[b]) for a, b in zip(i[upper].tolist(), j[upper].tolist())]
 
     def is_total(self) -> bool:
         return (self.rel | self.rel.T).all()
@@ -213,11 +228,13 @@ def _relation_from_json(relation) -> np.ndarray:
     return rel.astype(bool)
 
 
-def _pairs_to_relation(elements, pairs) -> np.ndarray:
-    index = {e: i for i, e in enumerate(string_ids(elements, "element ids"))}
-    if len(index) != len(elements):
+def _pairs_to_relation(elements, pairs) -> tuple[tuple[str, ...], np.ndarray]:
+    """The element ids and the reflexive-transitive closure of the pairs over them."""
+    ids = string_ids(elements, "element ids")
+    index = {e: i for i, e in enumerate(ids)}
+    if len(index) != len(ids):
         raise InvalidInput("element ids must be distinct")
-    rel = np.zeros((len(elements), len(elements)), dtype=bool)  # _closure adds the diagonal
+    rel = np.zeros((len(ids), len(ids)), dtype=bool)  # _closure adds the diagonal
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInput(f"a pair must hold exactly two ids, got {pair!r}")
@@ -227,12 +244,12 @@ def _pairs_to_relation(elements, pairs) -> np.ndarray:
         if y not in index:
             raise UnknownId(f"unknown element id {y!r}")
         rel[index[x], index[y]] = True
-    return _closure(rel)
+    return ids, _closure(rel)
 
 
 def build_preorder(elements, generating_pairs) -> FinitePreorder:
     """Reflexive-transitive closure of the generating pairs, as a preorder."""
-    return FinitePreorder(elements, _pairs_to_relation(list(elements), generating_pairs))
+    return FinitePreorder._closed(*_pairs_to_relation(elements, generating_pairs))
 
 
 def build_poset(elements, generating_pairs) -> FinitePoset:
@@ -241,7 +258,7 @@ def build_poset(elements, generating_pairs) -> FinitePoset:
     Raises AntisymmetryViolation if the closure relates two distinct ids
     both ways; callers expecting cycles should use build_preorder.
     """
-    return FinitePoset(elements, _pairs_to_relation(list(elements), generating_pairs))
+    return FinitePoset._closed(*_pairs_to_relation(elements, generating_pairs))
 
 
 def reduce_preorder(q: FinitePreorder) -> tuple[FinitePoset, dict[str, str]]:
@@ -345,7 +362,6 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     t, x, u, v = pts[:, np.lexsort(pts[::-1])]  # sorted by t, then x, u and v
     rel = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
     rel.flat[:: n + 1] = True
-    # u >=, v >= and t > are each transitive, so their conjunction is too,
-    # and the strict t makes it antisymmetric: nothing for __init__ to check.
+    # u >=, v >= and t > are each transitive, so their conjunction is too.
     poset = FinitePoset._closed([f"p{i}" for i in range(n)], rel)
     return Sprinkling(poset=poset, t=tuple(t.tolist()), x=tuple(x.tolist()))

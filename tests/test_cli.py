@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from ordercones import cli
 from ordercones.cli import build_parser, main
 from ordercones.isotone_cone import DEFAULT_TOL
-from ordercones.m2 import GEOM_TOL, PureStatePoint, pure_state_order
+from ordercones.m2 import GEOM_TOL, PureStatePoint, SphericalRegion, pure_state_order, pure_state_order_many
 from ordercones.poset import FinitePoset
 from ordercones.sampling import region_fixtures
 
@@ -44,6 +46,12 @@ def test_poset_check_reports_cycle(capsys):
     code, data = run_json(capsys, ["poset", "check", "--in", bad])
     assert code == 0
     assert data["valid"] is False and data["reason"] == "AntisymmetryViolation"
+    refused = {"error": {"kind": "AntisymmetryViolation", "detail": "relation contains a 2-cycle between distinct ids"}}
+    for argv in (
+        ["dual", "characters", "--in", bad],
+        ["cone", "express", "--poset", bad, "--generators", "[[0,1]]", "--target", "[0,1]"],
+    ):
+        assert run_json(capsys, argv) == (1, refused)
 
 
 def test_poset_bounds_and_interval(capsys):
@@ -339,17 +347,54 @@ def test_m2_order_scan_csv_is_written_a_block_at_a_time(capsys, monkeypatch, tmp
     assert len(writes) > len(rows) // 64 and max(map(len, writes)) <= block_text
 
 
+def _scan_payload(samples, seed):
+    """The JSON scan's payload, built whole: one dict per sample."""
+    pts = np.random.default_rng(seed).normal(size=(2 * samples, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    region = SphericalRegion.from_json(json.loads(_HULL_SKEW))
+    relations = pure_state_order_many(region, pts[0::2], pts[1::2])
+    return {"samples": [{"p": p, "q": q, "relation": r} for p, q, r in zip(pts[0::2], pts[1::2], relations)]}
+
+
+# One sample, a block less one, one block, a block and a sample.
+@pytest.mark.parametrize("extra", [None, -1, 0, 1])
+def test_m2_order_json_scan_is_the_whole_payloads_bytes(capsys, tmp_path, extra):
+    samples = 1 if extra is None else cli._CSV_BLOCK + extra
+    argv = ["m2", "order", "--region", _HULL_SKEW, "--samples", str(samples), "--seed", "5"]
+    code, out = run(capsys, argv)
+    path = tmp_path / "scan.json"
+    assert code == 0 and main(argv + ["--out", str(path)]) == 0 and capsys.readouterr().out == ""
+    want = cli._dumps(_scan_payload(samples, 5)) + "\n"
+    assert out == want and path.read_text(encoding="utf-8") == want
+
+
+def test_m2_order_json_scan_holds_one_block():
+    """20,000 samples written whole take about 20 MB: one dict per sample and the whole text."""
+    argv = ["m2", "order", "--region", _HULL_SKEW, "--samples", "20000", "--seed", "4"]
+    sink = io.StringIO()
+    sink.write = len  # counts each text and keeps none
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 10e6
+
+
 @pytest.mark.parametrize(
     "region, samples, seed",
     [(_HULL_SKEW, "0", "5"), (_HULL_SKEW, "3", "-1"), ('{"kind": "cap"', "3", "5")],
     ids=["no-samples", "negative-seed", "malformed-region"],
 )
 def test_refused_scan_creates_no_out_file(capsys, tmp_path, region, samples, seed):
-    path = tmp_path / "scan.csv"
-    argv = ["m2", "order", "--region", region, "--samples", samples, "--seed", seed, "--format", "csv", "--out", str(path)]
-    code, out = run(capsys, argv)
-    assert code == 1 and json.loads(out)["error"]["kind"] == "InvalidInput"
-    assert not path.exists()
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"scan.{fmt}"
+        argv = ["m2", "order", "--region", region, "--samples", samples, "--seed", seed, "--format", fmt, "--out", str(path)]
+        code, out = run(capsys, argv)
+        assert code == 1 and json.loads(out)["error"]["kind"] == "InvalidInput"
+        assert not path.exists()
 
 
 def test_m2_transverse_cli(capsys):

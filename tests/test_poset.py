@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercones.errors import AntisymmetryViolation, InvalidInput, UnknownId
+from ordercones import poset
+from ordercones.duality import algebra_from_poset, character_order
+from ordercones.errors import AntisymmetryViolation, InvalidInput, OrderConesError, UnknownId
+from ordercones.isotone_cone import order_from_functions
 from ordercones.poset import (
     _closure,
     _compose,
+    _pairs_to_relation,
     FinitePoset,
     FinitePreorder,
     bounds,
@@ -257,8 +261,8 @@ def test_sprinkle_is_causal_poset():
 @pytest.mark.parametrize("n", [0, 1, 2, 50, 300])
 @pytest.mark.parametrize("seed", range(5))
 def test_sprinkled_relation_passes_the_checks_its_constructor_skips(n, seed):
-    # sprinkle_minkowski builds its poset unchecked; __init__ re-runs the
-    # reflexivity, transitivity and antisymmetry checks on the same relation.
+    # sprinkle_minkowski builds its poset through _closed, which checks only
+    # antisymmetry; __init__ re-runs every check on the same relation.
     p = sprinkle_minkowski(n, seed).poset
     assert FinitePoset(p.elements, p.rel) == p
 
@@ -384,3 +388,68 @@ def test_construction_rejects_exactly_the_non_transitive_relations(rel, close):
     else:
         with pytest.raises(InvalidInput, match="transitive"):
             FinitePreorder(ids, rel)
+
+
+@st.composite
+def _pair_inputs(draw):
+    """Element and pair lists as JSON gives them: mostly sound, else with one flaw."""
+    elements = draw(st.lists(st.sampled_from("abcdef"), unique=True, min_size=1, max_size=6))
+    # Pairs of listed ids make self-pairs, repeated pairs and cycles of any length.
+    pairs = draw(st.lists(st.lists(st.sampled_from(elements), min_size=2, max_size=2), max_size=8))
+    flaw = draw(st.sampled_from([None] * 4 + ["duplicate id", "non-string id", "unknown pair id",
+                                                "non-string pair id", "three ids", "not a pair"]))
+    at = draw(st.integers(0, 8))
+    if flaw == "duplicate id":
+        elements.insert(at % (len(elements) + 1), elements[at % len(elements)])
+    elif flaw == "non-string id":
+        elements.insert(at % (len(elements) + 1), 7)
+    elif flaw is not None:
+        bad = {"unknown pair id": ["a", "z"], "non-string pair id": [None, "a"], "three ids": ["a", "a", "a"]}
+        pairs.insert(at % (len(pairs) + 1), bad.get(flaw, "ab"))
+    return elements, pairs
+
+
+def _outcome(make):
+    """What make() gives: the class, ids and relation bytes, or the error class and message."""
+    try:
+        p = make()
+    except OrderConesError as exc:
+        return type(exc), str(exc)
+    return type(p), p.elements, p.rel.shape, p.rel.dtype, p.rel.tobytes()
+
+
+@_ORACLE
+@given(_pair_inputs())
+def test_pairs_take_the_closed_route_to_the_full_checks_result(case):
+    elements, pairs = case
+    for cls, build in ((FinitePoset, build_poset), (FinitePreorder, build_preorder)):
+        # The full check: the constructor over the closure that _pairs_to_relation builds.
+        want = _outcome(lambda: cls(elements, _pairs_to_relation(elements, pairs)[1]))
+        assert _outcome(lambda: cls.from_json({"elements": elements, "pairs": pairs})) == want
+        assert _outcome(lambda: build(elements, pairs)) == want
+
+
+def test_relations_the_library_closed_are_checked_once(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("transitivity checked again")
+
+    monkeypatch.setattr(poset, "_compose", refuse)
+    data = {"elements": ["a", "b", "c", "d"], "pairs": [["a", "b"], ["b", "c"], ["a", "d"]]}
+    p = FinitePoset.from_json(data)
+    assert build_poset(data["elements"], data["pairs"]) == p
+    assert character_order(algebra_from_poset(p)) == p
+    with pytest.raises(AntisymmetryViolation, match="2-cycle"):
+        FinitePoset.from_json({"elements": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]]})
+    # Relations from outside, and those a tolerance induced, are still checked in full.
+    with pytest.raises(AssertionError, match="again"):
+        FinitePoset.from_json({"elements": data["elements"], "relation": p.rel.tolist()})
+    with pytest.raises(AssertionError, match="again"):
+        order_from_functions(["a", "b"], [[0.0, 1.0]])
+
+
+def test_incomparable_pairs_read_the_upper_triangle_in_row_major_order():
+    rng = np.random.default_rng(13)
+    posets = [random_poset(rng, n) for n in range(13) for _ in range(4)] + [sprinkle_minkowski(200, 9).poset]
+    for p in posets:
+        i, j = np.triu(~(p.rel | p.rel.T), 1).nonzero()
+        assert p.incomparable_pairs() == [(p.elements[a], p.elements[b]) for a, b in zip(i.tolist(), j.tolist())]
