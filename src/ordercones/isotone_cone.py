@@ -696,13 +696,15 @@ class MinimalWitness:
 
 def minimal_witness(p: FinitePoset) -> MinimalWitness | None:
     """None when the poset is totally ordered, else a sub-isocone certificate."""
-    pairs = p.incomparable_pairs()
-    if not pairs:
+    # incomparable_pairs()[0]: the mask is symmetric with a false diagonal, so its first set cell in row-major
+    # order lies above the diagonal (a set cell left of it would mirror into an earlier row), the upper triangle's first
+    incomparable = ~(p.rel | p.rel.T).ravel()
+    if not incomparable.any():
         return None
-    x, y = pairs[0]
-    g = p.rel[p.index(y)].astype(float)  # up-set of y: g(x)=0 < 1=g(y)
-    g_prime = p.rel[p.index(x)].astype(float)  # up-set of x: decreasing on (x, y)
-    return MinimalWitness(poset=p, x=x, y=y, in_cone=g, outside=g_prime)
+    i, j = divmod(int(incomparable.argmax()), p.n)
+    g = p.rel[j].astype(float)  # up-set of y: g(x)=0 < 1=g(y)
+    g_prime = p.rel[i].astype(float)  # up-set of x: decreasing on (x, y)
+    return MinimalWitness(poset=p, x=p.elements[i], y=p.elements[j], in_cone=g, outside=g_prime)
 
 
 @dataclass(frozen=True)
@@ -771,7 +773,9 @@ def all_upset_indicators(p: FinitePoset, limit: int = 12) -> np.ndarray:
         return principal_upset_indicators(p)
     # row k - 1 is the subset whose bit i is set in k, in ascending k
     subsets = (np.arange(1, 1 << p.n)[:, None] >> np.arange(p.n) & 1).astype(float)
-    return subsets[_isotone(p.rel, subsets, 0.0)]
+    # below[k, j] counts the members of subset k below element j: an up-set has none below an element outside it
+    below = subsets @ p.rel.astype(float)
+    return subsets[~((below > 0.0) & (subsets == 0.0)).any(axis=1)]
 
 
 @dataclass(frozen=True)

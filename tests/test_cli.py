@@ -836,6 +836,10 @@ _CI_WARNING_STEPS = {
     "diagonals-join-coeffs": (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0),
     "lattice": (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0),
     "lattice-past-the-largest-float": (["herm", "lattice", "--a", _PAST_THE_LARGEST[0], "--b", _PAST_THE_LARGEST[1]], 1),
+    "transverse": (["m2", "transverse", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}', "--matrix",
+                    "[[1e200,0],[0,-1e200]]"], 0),
+    "transverse-not-normal": (["m2", "transverse", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}',
+                               "--matrix", "[[1e200,1e200],[0,0]]"], 1),
     **{name: (argv, code) for name, (argv, code, _) in _CONE_NEAR_THE_LARGEST_FLOAT.items()},
 }
 

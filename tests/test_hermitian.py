@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordercones import hermitian
 from ordercones.errors import DimensionMismatch, DomainError, InvalidInput, NotHermitian
 from ordercones.hermitian import (
     CLUSTER_TOL,
@@ -211,6 +212,40 @@ def test_lattice_ops_of_stacks_are_the_one_pair_results_bit_for_bit():
         for i in range(len(a)):
             one_join, one_meet = lattice_ops(a[i], b[i])
             assert join[i].tobytes() == one_join.mat.tobytes() and meet[i].tobytes() == one_meet.mat.tobytes()
+
+
+def _reading_bits(x: HermitianMatrix) -> tuple[bytes, bytes, bytes]:
+    m, s = x._scaled
+    return m.tobytes(), np.float64(s).tobytes(), x.mat.tobytes()
+
+
+def test_library_made_results_read_as_the_constructor_reads_them():
+    # The one-pair join and meet and the spectral projections skip the
+    # constructor's checks, but not its reading: the same m, s and mat bits.
+    a, b = _lattice_stacks(12, 300)
+    a[3::7] = [[1.0, -0.0], [0.0, -0.0]]  # signed zeros
+    b[4::7] = [[-0.0, 0.5 - 0.0j], [0.5 + 0.0j, -0.0]]
+    near = np.array([[1e308, 0.0], [0.0, -1e308]]), np.array([[-1e308, 0.5e308], [0.5e308, 1e308]])
+    pairs = list(zip(a, b)) + [near, near[::-1], (0.8e308 * S1, -0.8e308 * S2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in pairs:
+            results = list(lattice_ops(HermitianMatrix(x), HermitianMatrix(y)))
+            pos = x @ x.conj().T if np.abs(x).max() < 1e150 else np.abs(x).max() * np.array([[1.0, 0.5j], [-0.5j, 0.25]])
+            results += [proj for _, proj in projection_decomposition(HermitianMatrix(pos))]
+            for r in results:
+                assert _reading_bits(r) == _reading_bits(HermitianMatrix(r.mat))
+
+
+def test_lattice_ops_of_two_prebuilt_matrices_reads_no_input(monkeypatch):
+    a, b = HermitianMatrix([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]]), HermitianMatrix([[0.5, 1.0j], [-1.0j, 2.0]])
+    want = [x.mat.tobytes() for x in lattice_ops(a, b)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prebuilt matrix was read again")
+
+    monkeypatch.setattr(hermitian, "_read_matrix", refuse)
+    assert [x.mat.tobytes() for x in lattice_ops(a, b)] == want
 
 
 def test_lattice_ops_of_empty_stacks_are_empty():

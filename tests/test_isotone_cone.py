@@ -22,6 +22,7 @@ from ordercones.errors import (
 )
 from ordercones.isotone_cone import (
     _Table,
+    _isotone,
     _undominated,
     Constant,
     Generator,
@@ -46,7 +47,7 @@ from ordercones.isotone_cone import (
     upset_decomposition,
     upset_decomposition_many,
 )
-from ordercones.poset import FinitePoset, build_poset, combine
+from ordercones.poset import FinitePoset, build_poset, combine, sprinkle_minkowski
 from ordercones.sampling import _running_max, random_isotone, random_poset, random_total_order, separating_family
 
 
@@ -830,6 +831,20 @@ def test_minimal_witness_none_for_chains():
     assert minimal_witness(chain("a", "b", "c")) is None
 
 
+def test_minimal_witness_takes_the_first_incomparable_pair():
+    rng = np.random.default_rng(30)
+    posets = [random_poset(rng, n, prob) for n in range(13) for prob in (0.0, 0.3, 0.7, 1.0)]
+    for p in posets + [sprinkle_minkowski(200, 4).poset]:
+        pairs = p.incomparable_pairs()
+        w = minimal_witness(p)
+        if not pairs:
+            assert w is None
+            continue
+        assert (w.x, w.y) == pairs[0]
+        assert w.in_cone.tolist() == p.rel[p.index(w.y)].astype(float).tolist()
+        assert w.outside.tolist() == p.rel[p.index(w.x)].astype(float).tolist()
+
+
 def test_minimal_witness_on_diamond_separates_all_pairs():
     p = build_poset(["bot", "m1", "m2", "top"], [("bot", "m1"), ("bot", "m2"), ("m1", "top"), ("m2", "top")])
     w = minimal_witness(p)
@@ -965,3 +980,29 @@ def test_all_upset_indicators_are_the_bitmask_loop(n, edge_prob, seed, limit):
     want = _upsets_by_bitmask(p) if n <= limit else p.rel.astype(float)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _upsets_by_comparison(p):
+    """all_upset_indicators by comparing every subset's indicator across every related pair."""
+    subsets = (np.arange(1, 1 << p.n)[:, None] >> np.arange(p.n) & 1).astype(float)
+    return subsets[_isotone(p.rel, subsets, 0.0)]
+
+
+def _all_posets(n):
+    """Every partial order on n labelled elements."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in product([False, True], repeat=len(off)):
+        rel = np.eye(n, dtype=bool)
+        for (i, j), b in zip(off, bits):
+            rel[i, j] = b
+        if not (rel & rel.T & ~np.eye(n, dtype=bool)).any() and not ((rel.astype(int) @ rel.astype(int) > 0) & ~rel).any():
+            yield FinitePoset([f"e{i}" for i in range(n)], rel)
+
+
+def test_all_upset_indicators_equal_the_subset_comparison():
+    rng = np.random.default_rng(31)
+    exhaustive = [p for n in range(5) for p in _all_posets(n)]
+    assert len(exhaustive) == 1 + 1 + 3 + 19 + 219
+    for p in exhaustive + [random_poset(rng, n, prob) for n in range(13) for prob in (0.0, 0.2, 0.5, 1.0)]:
+        got, want = all_upset_indicators(p), _upsets_by_comparison(p)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

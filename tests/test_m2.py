@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ordercones import cli, m2
+from ordercones import cli, hermitian, m2
 from ordercones.errors import DimensionMismatch, DomainError, InvalidInput, NotARotation, NotHermitian, NotNormal, NotNormalized
 from ordercones.hermitian import (
     HermitianMatrix,
@@ -504,6 +504,28 @@ def test_finite_lengths_keep_the_bits_of_the_plain_norm():
         assert np.isnan(_finite_lengths(np.array([[1.0, np.nan, 0.0]]))).all()
 
 
+def test_finite_lengths_take_the_plain_length_only_where_it_is_the_scaled_one():
+    # Rows that mix 1e-300 and 1 entries, rows near 1e154 (where the plain
+    # squares start to overflow), near 1e308, and around 2**-450 and 2**450,
+    # the ends of the plain range: the lengths are those of the scaled rule
+    # on every row, bit for bit, in both roundings.
+    rng = np.random.default_rng(30)
+    unit = rng.normal(size=(3000, 3))
+    mixed = unit * np.where(rng.random((3000, 3)) < 0.5, 1e-300, 1.0)
+    scales = np.concatenate([10.0 ** rng.uniform(153.5, 154.5, 1000), 10.0 ** rng.uniform(307, 308, 1000),
+                             2.0 ** rng.uniform(-451, -449, 500), 2.0 ** rng.uniform(449, 451, 500)])
+    rows = np.concatenate([mixed, unit / np.abs(unit).max(axis=1)[:, None] * scales[:, None]])
+    xi = rows[:, :2] + 1j * rows[:, 1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vs in (rows, xi):
+            for square_sums in (False, True):
+                want = hermitian._scaled_lengths(vs, square_sums)
+                assert np.isfinite(want).all()
+                assert _finite_lengths(vs, square_sums).tobytes() == want.tobytes()
+                assert [float(_finite_lengths(v, square_sums)) for v in vs[::97]] == want[::97].tolist()
+
+
 def test_iso_membership_examples():
     cap = SphericalRegion.cap(E3, 0.3)
     assert iso_membership(cap, matrix_from_pauli(7.0, E3))
@@ -836,6 +858,55 @@ def test_transversality_recovers_spectrum_and_axis(case):
     assert abs(lam1 - (c + sign * z)) <= 1e-12 * scale and abs(lam2 - (c - sign * z)) <= 1e-12 * scale
     if abs(z) >= 1e-6 * scale:
         assert np.max(np.abs(res.axis - sign * u)) <= 1e-9
+
+
+def _boundary_margin(region, u):
+    """How far the unit u is from deciding the other way in region._inside at tol 1e-9; inf for the full sphere."""
+    if region.kind == "full":
+        return np.inf
+    if region.kind == "cap":
+        return abs(float(np.arccos(np.clip(u @ region.center, -1.0, 1.0))) - region.radius - 1e-9)
+    return abs(float((region._facets @ u).min()) + 1e-9)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_normal_matrix(), st.sampled_from(sorted(_FIXTURES)), st.integers(-60, 60), st.booleans())
+@example((np.diag([1 - 1j, 1 + 1j]), 1.0, -1j, E3), "cap-0.3", 0, False)
+def test_transversality_equals_an_eigendecomposition_oracle(case, name, k, huge):
+    # The oracle is the LAPACK eigendecomposition of n / s and the Hopf image
+    # of the eigenvector of the eigenvalue the closed form puts first.
+    n = case[0] * 2.0**k
+    if huge:
+        n = n / np.abs(n.view(float)).max() * 0.5e308  # no eigenvalue past the largest float
+    region = _FIXTURES[name]
+    s = float(np.abs(n.view(float)).max())
+    res = transversality(region, n)
+    vals, vecs = np.linalg.eig(n / s)
+    lam1, lam2 = res.eigenvalues[0] / s, res.eigenvalues[1] / s
+    top = int(np.argmin(np.abs(vals - lam1)))
+    assert abs(vals[top] - lam1) <= 1e-13 and abs(vals[1 - top] - lam2) <= 1e-13
+    if top != int((vals[1].real, vals[1].imag) > (vals[0].real, vals[0].imag)):
+        assert abs(vals[0].real - vals[1].real) <= 1e-12  # only a tie in the real parts orders them by rounding
+    if res.classification == "scalar":
+        assert res.axis is None and abs(vals[0] - vals[1]) <= 1e-10 + 1e-13
+        return
+    assert abs(vals[0] - vals[1]) > 1e-10 - 1e-13
+    u = hopf(vecs[:, top])
+    if abs(vals[0] - vals[1]) >= 1e-6:
+        assert np.max(np.abs(res.axis - u)) <= 1e-9
+    if min(_boundary_margin(region, u), _boundary_margin(region, -u)) > 1e-9:
+        in_plus, in_minus = region.contains(u), region.contains(-u)
+        want = {(True, True): "incomparable_spectrum", (True, False): "lambda2_below_lambda1",
+                (False, True): "lambda1_below_lambda2", (False, False): "not_transverse"}[in_plus, in_minus]
+        assert res.classification == want
+
+
+def test_transversality_orders_computed_eigenvalues_not_the_sign_of_mu():
+    # w.w = -1 - 0j here, whose principal root is -i: the first eigenvalue is c - mu = 1 + i, with axis -e3.
+    res = transversality(SphericalRegion.cap(E3, 0.3), np.diag([1 - 1j, 1 + 1j]))
+    assert res.eigenvalues == (1 + 1j, 1 - 1j)
+    assert res.axis.tolist() == [0.0, 0.0, -1.0]
+    assert res.classification == "lambda1_below_lambda2"
 
 
 def test_transversality_axis_is_not_taken_from_rounding_noise():
