@@ -629,13 +629,11 @@ def _cmd_dual_morphism(args):
 
 
 def _cmd_dual_cobounded_duality(args):
-    from . import duality, isotone_cone, poset
+    from . import isotone_cone, poset
     p = _poset_arg(getattr(args, "in"))
-    return {
-        "agree": duality.cobounded_duality_check(p),
-        "cobounded": isotone_cone.cobounded_commutative(p).cobounded,
-        "bounded": poset.bounds(p).bounded,
-    }
+    cobounded = isotone_cone.cobounded_commutative(p).cobounded
+    bounded = poset.bounds(p).bounded
+    return {"agree": cobounded == bounded, "cobounded": cobounded, "bounded": bounded}
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from .isotone_cone import (
     _induced,
     _isotone,
     all_upset_indicators,
-    cobounded_commutative,
 )
-from .poset import FinitePoset, bounds
+from .poset import FinitePoset
 
 __all__ = [
     "FiniteCommutativeIStar",
@@ -28,7 +27,6 @@ __all__ = [
     "character_order",
     "MorphismReport",
     "morphism_check",
-    "cobounded_duality_check",
 ]
 
 
@@ -103,7 +101,3 @@ def morphism_check(mapping: dict, source: FinitePoset, target: FinitePoset) -> M
     preserves = bool(_isotone(source.rel, all_upset_indicators(target)[:, idx], DEFAULT_TOL).all())
     return MorphismReport(isotone=isotone, pullback_preserves_cone=preserves)
 
-
-def cobounded_duality_check(p: FinitePoset) -> bool:
-    """Whether norm additivity and the existence of both bounds agree."""
-    return cobounded_commutative(p).cobounded == bounds(p).bounded

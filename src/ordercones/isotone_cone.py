@@ -27,7 +27,7 @@ from .errors import (
     float_array,
     string_ids,
 )
-from .poset import FinitePoset, FinitePreorder, _compose, bounds
+from .poset import FinitePoset, FinitePreorder, _compose
 
 __all__ = [
     "DEFAULT_TOL",
@@ -572,7 +572,7 @@ def upset_decomposition(
     an up-set because f is isotone.  Levels closer than tol are merged.
     """
     f = as_function(f, p.n)
-    if not is_isotone(p, f, tol=tol):
+    if not _isotone(p.rel, f, tol):
         raise NotIsotone("function is not isotone")
     if (f < -tol).any():
         raise NegativeValues("function must be nonnegative")
@@ -727,19 +727,17 @@ def cobounded_commutative(p: FinitePoset) -> CoboundedResult:
 
     Additivity of ||f+g|| on nonnegative isotone functions, together with
     the same condition on inverses of strictly positive ones, holds exactly
-    when the poset has both a greatest and a lowest element.  When it
-    fails, a violating pair built from up-set indicators of two maximal
+    when the poset has both a greatest and a lowest element, that is, in a
+    finite poset, exactly one maximal and exactly one minimal element.  When
+    it fails, a violating pair built from up-set indicators of two maximal
     (or two minimal) elements is returned.
     """
     if p.n == 0:
         raise InvalidInput("co-boundedness needs a nonempty poset")
-    b = bounds(p)
-    if b.bounded:
-        return CoboundedResult(True, None)
     strict = p._strict()
     maximal = np.flatnonzero(~strict.any(axis=1))
     minimal = np.flatnonzero(~strict.any(axis=0))
-    if b.top is None:
+    if len(maximal) > 1:
         # Two maximal elements; each function peaks only at its own, since
         # the up-set of a maximal element is the singleton.
         i, j = maximal[0], maximal[1]
@@ -748,6 +746,8 @@ def cobounded_commutative(p: FinitePoset) -> CoboundedResult:
         lhs = float(np.max(f + g))
         rhs = float(np.max(f) + np.max(g))
         return CoboundedResult(False, NormAdditivityWitness(f, g, "sum", lhs, rhs))
+    if len(minimal) == 1:
+        return CoboundedResult(True, None)
     # Top exists but bottom does not: violate the inverse condition with
     # strictly positive functions dipping only at distinct minimal elements.
     i, j = minimal[0], minimal[1]

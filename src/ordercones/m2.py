@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 GEOM_TOL = 1e-9
+_UNIT_TOL = 1e-9  # how far from 1 the length of a unit vector or spinor read as input may be
 
 SIGMA = np.array(
     [
@@ -121,7 +122,7 @@ def hopf(xi) -> np.ndarray:
     if xi.shape != (2,):
         raise DimensionMismatch(f"state vector must have 2 entries, got {xi.shape}")
     nrm = _finite_length(xi)
-    if not abs(nrm - 1.0) <= 1e-9:  # NaN or inf whenever an entry is non-finite
+    if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN or inf whenever an entry is non-finite
         if not np.isfinite(xi).all():
             raise InvalidInput("state vector entries must be finite")
         raise NotNormalized(f"state vector has norm {nrm!r}")
@@ -210,7 +211,7 @@ class SphericalRegion:
             if radius.shape != ():
                 raise InvalidInput("cap radius must be a number")
             radius = float(radius)
-            if not 0.0 < radius <= np.pi / 2.0 + 1e-9:
+            if not 0.0 < radius <= np.pi / 2.0 + GEOM_TOL:
                 raise InvalidInput(f"cap radius must be in (0, pi/2], got {radius!r}")
             self.radius = min(radius, np.pi / 2.0)
             self.center.setflags(write=False)
@@ -220,10 +221,10 @@ class SphericalRegion:
             if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 3:
                 raise InvalidInput("hull needs at least 3 unit vertices of dimension 3")
             norms = _finite_lengths(verts, square_sums=True)
-            if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN or infinite entry fails too
+            if not np.max(np.abs(norms - 1.0)) <= _UNIT_TOL:  # a NaN or infinite entry fails too
                 raise InvalidInput("hull vertices must be finite and unit length")
             verts = verts / norms[:, None]
-            if np.linalg.matrix_rank(verts, tol=1e-9) < 3:
+            if np.linalg.matrix_rank(verts, tol=GEOM_TOL) < 3:
                 raise InvalidInput("hull cone must be full dimensional")
             self._extreme, self._facets = _hull_cone(verts)
             self.vertices = verts
@@ -341,12 +342,12 @@ def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that are nonnegative on all vertices is then an axis w with v.w > 0
     for every vertex v; it must clear every vertex by GEOM_TOL, the scale
     of the rank check.
-    Vertices within 1e-9 of an earlier kept one are duplicates.  A pair of
-    rays supports the cone when no ray lies more than 1e-9 outside its
-    plane; the ends of supporting pairs are extreme unless they lie within
-    1e-9 of another supporting plane, strictly between its two rays.  The
-    facets are the supporting pairs of extreme rays, listed by pair in
-    input order and turned towards the sum of the extreme rays.
+    Vertices within GEOM_TOL of an earlier kept one are duplicates.  A pair
+    of rays supports the cone when no ray lies more than GEOM_TOL outside
+    its plane; the ends of supporting pairs are extreme unless they lie
+    within GEOM_TOL of another supporting plane, strictly between its two
+    rays.  The facets are the supporting pairs of extreme rays, listed by
+    pair in input order and turned towards the sum of the extreme rays.
     """
     x, y = verts[:, [1, 2, 0]], verts[:, [2, 0, 1]]
     cross = x[:, None] * y[None] - y[:, None] * x[None]  # np.cross of every pair, bit for bit
@@ -355,7 +356,7 @@ def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = cands[(cands @ verts.T >= -1e-12).all(axis=1)].sum(axis=0)
     if not (verts @ w).min() > GEOM_TOL * float(np.linalg.norm(w)):
         raise InvalidInput("hull vertices must lie strictly inside an open half-sphere")
-    near = _finite_lengths(verts[:, None] - verts[None]) <= 1e-9
+    near = _finite_lengths(verts[:, None] - verts[None]) <= GEOM_TOL
     keep: list[int] = []
     for k in range(len(verts)):
         if not near[k, keep].any():
@@ -366,10 +367,10 @@ def _hull_cone(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = _finite_lengths(normals)
     side = rays @ normals.T
     side = np.where(side.sum(axis=0) < 0, -side, side)
-    support = (side >= -1e-9 * norms).all(axis=0)
+    support = (side >= -GEOM_TOL * norms).all(axis=0)
     gram = rays @ rays.T
     # ray c lies on the arc strictly between a and b when c.a > a.b and c.b > a.b
-    between = (np.abs(side) <= 1e-9 * norms) & (gram[:, a] > gram[a, b]) & (gram[:, b] > gram[a, b])
+    between = (np.abs(side) <= GEOM_TOL * norms) & (gram[:, a] > gram[a, b]) & (gram[:, b] > gram[a, b])
     ends = np.bincount(np.concatenate([a[support], b[support]]), minlength=len(keep)) > 0
     extreme = ends & ~between[:, support].any(axis=1)
     if extreme.sum() < 3:
@@ -392,7 +393,7 @@ class PureStatePoint:
     """A projective qubit state, carried as its unit Bloch vector."""
 
     def __init__(self, bloch):
-        self.bloch = _read_vector(bloch, "Bloch vector", unit=1e-9)[0]
+        self.bloch = _read_vector(bloch, "Bloch vector", unit=_UNIT_TOL)[0]
         self.bloch.setflags(write=False)
 
     @classmethod
@@ -465,8 +466,8 @@ def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) 
     and PureStatePoint(Q[i]).  A hull pairs all rows with its vertices in one
     matrix product, so there a pair within rounding of tol may go either way.
     """
-    P = _read_rows(P, "Bloch vectors p", unit=1e-9)[0]
-    Q = _read_rows(Q, "Bloch vectors q", unit=1e-9)[0]
+    P = _read_rows(P, "Bloch vectors p", unit=_UNIT_TOL)[0]
+    Q = _read_rows(Q, "Bloch vectors q", unit=_UNIT_TOL)[0]
     if P.shape != Q.shape:
         raise DimensionMismatch(f"p and q must hold the same number of rows, got {len(P)} and {len(Q)}")
     d = Q - P
@@ -516,33 +517,38 @@ def transversality(region: SphericalRegion, n, tol: float = GEOM_TOL) -> Transve
 
     Everything is read from m = n / s, with s the power of two just above
     the largest real or imaginary part of n (see hermitian._read_matrix), so
-    no product of entries overflows.  n is normal when no commutator entry
-    of m exceeds 1e-9.  With m = c*s0 + w.s in complex Pauli coordinates and
-    mu the principal square root of w.w, the eigenvalues are c + mu and
-    c - mu, and u = Re(w / mu), normalised, is the axis of c + mu: for a
-    normal m, w = mu * u with u real, while in general z = w / mu has
-    z.z = 1, so Re(z) is never shorter than 1.  The eigenvalues s*l are
-    ordered descending by real part, then imaginary part, as computed (not
-    by the sign of mu), and the axis of the first one is u or -u.  Membership
-    of u alone means the second eigenvalue sits below the first, of -u alone
-    the reverse, of both an incomparable two-point spectrum, of neither no
-    transverse commutative subalgebra.  Two eigenvalues l within 1e-10 are
-    reported as scalar rather than forced into one of the four cases.
+    no product of entries overflows.  With m = c*s0 + w.s in complex Pauli
+    coordinates, the commutator [m, m*] is 4 (Re w x Im w).s, so its largest
+    entry is 4 max(|x3|, hypot(x1, x2)) for x = Re w x Im w, and n is normal
+    when that is at most 1e-9.  With mu the principal square root of w.w,
+    the eigenvalues are c + mu and c - mu, and u = Re(w / mu), normalised,
+    is the axis of c + mu: for a normal m, w = mu * u with u real, while in
+    general z = w / mu has z.z = 1, so Re(z) is never shorter than 1.  The
+    eigenvalues s*l are ordered descending by real part, then imaginary
+    part, as computed (not by the sign of mu), and the axis of the first one
+    is u or -u.  Membership of u alone means the second eigenvalue sits
+    below the first, of -u alone the reverse, of both an incomparable
+    two-point spectrum, of neither no transverse commutative subalgebra.
+    Two eigenvalues l within 1e-10 are reported as scalar rather than forced
+    into one of the four cases.
 
-    The closed form takes no LAPACK eigendecomposition and no Hopf map of
-    an eigenvector, and u, a unit vector by construction, goes straight to
-    region._inside without contains reading it again: about half the time
-    of a call (2x2, x86-64, numpy 2.4).
+    The closed form takes no numpy matrix product, no LAPACK
+    eigendecomposition and no Hopf map of an eigenvector, and u, a unit
+    vector by construction, goes straight to region._inside without
+    contains reading it again: about half the time of a call (2x2, x86-64,
+    numpy 2.4).
     """
     n = np.asarray(n, dtype=complex)
     if n.shape != (2, 2):
         raise DimensionMismatch(f"need a 2x2 matrix, got {n.shape}")
     m, s = _read_matrix(n)
-    gap = float(np.abs(m @ m.conj().T - m.conj().T @ m).max())
-    if gap > 1e-9:
-        raise NotNormal(f"matrix is {gap:.2e} of its scale squared away from normal")
     (m00, m01), (m10, m11) = m.tolist()
     c, w = (m00 + m11) / 2.0, ((m01 + m10) / 2.0, (m01 - m10) * 0.5j, (m00 - m11) / 2.0)
+    (a1, a2, a3), (b1, b2, b3) = [wi.real for wi in w], [wi.imag for wi in w]
+    x1, x2, x3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    gap = 4.0 * max(abs(x3), math.hypot(x1, x2))
+    if gap > 1e-9:
+        raise NotNormal(f"matrix is {gap:.2e} of its scale squared away from normal")
     mu = cmath.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
     vals = [c + mu, c - mu]
     top = int((vals[1].real, vals[1].imag) > (vals[0].real, vals[0].imag))

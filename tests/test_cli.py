@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -637,10 +638,35 @@ def test_m2_cobounded_and_rotation(capsys):
     assert code == 0 and out == '{\n  "witness": null\n}\n'
 
 
+_ANTICHAIN2 = json.dumps({"elements": ["a", "b"], "pairs": []})
+_V3 = json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "c"], ["b", "c"]]})
+
+
 def test_dual_cobounded_duality_cli(capsys):
-    code, data = run_json(capsys, ["dual", "cobounded-duality", "--in", CHAIN3])
+    for poset_json, bounded in ((CHAIN3, True), (_ANTICHAIN2, False), (_V3, False)):
+        code, data = run_json(capsys, ["dual", "cobounded-duality", "--in", poset_json])
+        assert code == 0
+        assert data == {"agree": True, "bounded": bounded, "cobounded": bounded}
+
+
+def test_dual_cobounded_duality_computes_each_answer_once(capsys):
+    from ordercones import isotone_cone, poset
+    # Calls are counted by code object, so a call through any module's name for the function counts.
+    watched = {poset.bounds.__code__: "bounds", isotone_cone.cobounded_commutative.__code__: "cobounded_commutative"}
+    calls = dict.fromkeys(watched.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = main(["dual", "cobounded-duality", "--in", _V3])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
     assert code == 0
-    assert data == {"agree": True, "bounded": True, "cobounded": True}
+    assert calls == {"bounds": 1, "cobounded_commutative": 1}
 
 
 def _run_module(*args):
@@ -841,6 +867,7 @@ _CI_WARNING_STEPS = {
     "transverse-not-normal": (["m2", "transverse", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}',
                                "--matrix", "[[1e200,1e200],[0,0]]"], 1),
     **{name: (argv, code) for name, (argv, code, _) in _CONE_NEAR_THE_LARGEST_FLOAT.items()},
+    "cobounded-duality": (["dual", "cobounded-duality", "--in", '{"elements":["a","b"],"pairs":[]}'], 0),
 }
 
 

@@ -47,7 +47,7 @@ from ordercones.isotone_cone import (
     upset_decomposition,
     upset_decomposition_many,
 )
-from ordercones.poset import FinitePoset, build_poset, combine, sprinkle_minkowski
+from ordercones.poset import FinitePoset, bounds, build_poset, combine, sprinkle_minkowski
 from ordercones.sampling import _running_max, random_isotone, random_poset, random_total_order, separating_family
 
 
@@ -1006,3 +1006,36 @@ def test_all_upset_indicators_equal_the_subset_comparison():
     for p in exhaustive + [random_poset(rng, n, prob) for n in range(13) for prob in (0.0, 0.2, 0.5, 1.0)]:
         got, want = all_upset_indicators(p), _upsets_by_comparison(p)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _cobounded_by_bounds(p):
+    """(cobounded, condition, f, g) read off the poset's greatest and lowest elements, as bounds finds them."""
+    b = bounds(p)
+    if b.bounded:
+        return True, None, None, None
+    strict = p.rel & ~np.eye(p.n, dtype=bool)
+    at = np.arange(p.n)
+    if b.top is None:
+        i, j = np.flatnonzero(~strict.any(axis=1))[:2]
+        return False, "sum", 1.0 + (at == i), 1.0 + (at == j)
+    i, j = np.flatnonzero(~strict.any(axis=0))[:2]
+    return False, "inverse", 2.0 - (at == i), 2.0 - (at == j)
+
+
+def test_cobounded_commutative_equals_the_bounds_reference():
+    rng = np.random.default_rng(37)
+    exhaustive = [p for n in range(1, 5) for p in _all_posets(n)]
+    assert len(exhaustive) == 242
+    sampled = [random_poset(rng, int(rng.integers(1, 13)), float(rng.random())) for _ in range(2000)]
+    seen = set()
+    for p in exhaustive + sampled:
+        res, (cobounded, condition, f, g) = cobounded_commutative(p), _cobounded_by_bounds(p)
+        assert res.cobounded is cobounded
+        if cobounded:
+            assert res.witness is None
+        else:
+            w = res.witness
+            assert w.condition == condition
+            assert w.f.dtype == f.dtype and w.f.tobytes() == f.tobytes() and w.g.tobytes() == g.tobytes()
+        seen.add(condition)
+    assert seen == {None, "sum", "inverse"}

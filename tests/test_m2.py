@@ -909,6 +909,53 @@ def test_transversality_orders_computed_eigenvalues_not_the_sign_of_mu():
     assert res.classification == "lambda1_below_lambda2"
 
 
+def _commutator_gap(n):
+    """The largest entry of m m* - m* m, by numpy products, for m the reading of n that transversality takes."""
+    m, _ = hermitian._read_matrix(np.asarray(n, dtype=complex))
+    return float(np.abs(m @ m.conj().T - m.conj().T @ m).max())
+
+
+def _normality_cases(rng):
+    """Normal matrices, the same off normal by 1e-12 to 1e-8, and the same with their gap set near 1e-9."""
+    def gaussian():
+        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+    for _ in range(3000):
+        q, _ = np.linalg.qr(gaussian())
+        n = q @ np.diag(rng.normal(size=2) + 1j * rng.normal(size=2)) @ q.conj().T * 2.0 ** rng.uniform(-60, 60)
+        e = gaussian() * np.abs(n.view(float)).max()
+        kind = rng.integers(3)
+        if kind == 1:
+            n = n + 10.0 ** rng.uniform(-12, -8) * e
+        elif kind == 2:  # the gap is linear in a small perturbation: aim it 1e-6 to 1e-2 of the cut off the cut
+            off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, -2)
+            n = n + 1e-6 * 1e-9 / _commutator_gap(n + 1e-6 * e) * (1.0 + off) * e
+        yield n
+        if rng.random() < 0.05:
+            yield n / np.abs(n.view(float)).max() * 1.7e308
+    yield np.array([[1e200, 0.0], [0.0, -1e200]])
+    yield np.array([[1e200, 1e200], [0.0, 0.0]])
+
+
+def test_closed_form_normality_equals_a_commutator_oracle():
+    region = SphericalRegion.cap(E3, 0.3)
+    decided = {True: 0, False: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in _normality_cases(np.random.default_rng(41)):
+            gap = _commutator_gap(n)
+            if abs(gap - 1e-9) <= 1e-14:
+                continue
+            if gap > 1e-9:
+                with pytest.raises(NotNormal) as refused:
+                    transversality(region, n)
+                assert str(refused.value) == f"matrix is {gap:.2e} of its scale squared away from normal"
+            else:
+                transversality(region, n)
+            decided[gap > 1e-9] += 1
+    assert min(decided.values()) >= 500
+
+
 def test_transversality_axis_is_not_taken_from_rounding_noise():
     # The hermitian part of this normal matrix is 1000*I up to rounding; the
     # axis lives in the anti-hermitian part.
