@@ -2,7 +2,8 @@
 
 Flags that take structured input accept either inline JSON or a file path
 ("-" reads standard input).  Exit codes: 0 success, 1 domain error (with a
-machine-readable error object), 2 usage error.
+machine-readable error object) or standard output closed by its reader (with
+nothing on stderr), 2 usage error.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
@@ -59,6 +61,8 @@ def _indented(obj, indent: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        if type(obj) is _Coords:
+            return _coords(obj, indent)
         inner = indent + "  "
         sep = ",\n" + inner
         parts = []  # separators and texts in turn: one join copies each text once
@@ -142,6 +146,19 @@ def _bit_matrix(a: np.ndarray, indent: str) -> str:
     end = text.size - len(row_sep)  # the last row separator gives way to the closing bracket
     text[end:end + len(closing)] = np.frombuffer(closing.encode(), np.uint8)
     return str(memoryview(text[:end + len(closing)]), "ascii")
+
+
+class _Coords(dict):
+    """A sprinkle's coords_json(), {id: {"t": t, "x": x}} with finite floats, written by _coords."""
+
+
+def _coords(coords: _Coords, indent: str) -> str:
+    """Nonempty coordinates as _indented writes them: one point's template with "@" placeholders,
+    as in _scan_json, filled with each quoted id and %r of its floats, in sorted() order of the ids."""
+    head, tail = _indented({"@": None}, indent).split('"@": null')
+    point = "%s: " + _indented({"t": "@", "x": "@"}, indent + "  ").replace('"@"', "%r")
+    points = [point % (_string(k), v["t"], v["x"]) for k, v in sorted(coords.items())]
+    return head + f",\n{indent}  ".join(points) + tail
 
 
 def _table_join(t, indent: str) -> str:
@@ -362,7 +379,7 @@ def _cmd_poset_bounds(args):
 def _cmd_poset_sprinkle(args):
     from . import poset
     sprinkled = poset.sprinkle_minkowski(args.n, args.seed)
-    return _relation_payload(args, sprinkled.poset, {"coords": sprinkled.coords_json()})
+    return _relation_payload(args, sprinkled.poset, {"coords": _Coords(sprinkled.coords_json())})
 
 
 # --------------------------------------------------------------------------
@@ -841,8 +858,14 @@ def main(argv=None) -> int:
         if args.group == "accept":
             return _accept_all(args)
         _emit(args, args.handler(args))
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
     except OrderConesError as exc:
         print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, sort_keys=True))
+        return 1
+    except BrokenPipeError:  # standard output now goes to devnull, so the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

@@ -682,6 +682,34 @@ def _run_module(*args):
     return subprocess.run([_sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "sprinkle", "--n", "300", "--seed", "1"],
+        ["m2", "order", "--region", '{"kind":"full"}', "--samples", "100000", "--format", "csv"],
+    ],
+    ids=["sprinkle-json", "scan-csv"],
+)
+def test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr(argv):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import ordercones
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent))
+    # Both outputs are far larger than a pipe's buffer, so the child is still writing when the pipe closes.
+    with subprocess.Popen([sys.executable, "-W", "error", "-m", "ordercones.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            first = proc.stdout.read(1)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert first in (b"{", b"p") and proc.returncode == 1 and err == b""
+
+
 def test_installed_script_entry_point():
     proc = _run_module("-m", "ordercones.cli", "m2", "hopf", "--xi", "[[1,0],[0,0]]")
     assert proc.returncode == 0

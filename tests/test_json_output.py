@@ -294,9 +294,12 @@ _SPACE = json.dumps({"points": ["o", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [
         ["poset", "sprinkle", "--n", "0", "--seed", "1"],
         ["poset", "sprinkle", "--n", "1", "--seed", "1"],
         ["poset", "sprinkle", "--n", "60", "--seed", "2"],
+        # Past 10 and 100 points the ids' sorted order crosses digit widths ("p10" before "p2").
+        ["poset", "sprinkle", "--n", "11", "--seed", "3"],
+        ["poset", "sprinkle", "--n", "101", "--seed", "4"],
     ],
     ids=["combine", "gps-order", "dual-characters", "reduce", "dual-algebra", "order-from",
-         "sprinkle-0", "sprinkle-1", "sprinkle-60"],
+         "sprinkle-0", "sprinkle-1", "sprinkle-60", "sprinkle-11", "sprinkle-101"],
 )
 def test_verb_payloads_are_written_as_their_lists(argv):
     payload = _handler_payload(argv)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,6 +447,42 @@ def test_relations_the_library_closed_are_checked_once(monkeypatch):
         FinitePoset.from_json({"elements": data["elements"], "relation": p.rel.tolist()})
     with pytest.raises(AssertionError, match="again"):
         order_from_functions(["a", "b"], [[0.0, 1.0]])
+
+
+def _covers_by_full_square(p):
+    """Reference covering pairs: the strict relation minus its full boolean square, in row-major order."""
+    strict = p.rel & ~np.eye(p.n, dtype=bool)
+    i, j = (strict & ~_compose(strict, strict)).nonzero()
+    return [(p.elements[a], p.elements[b]) for a, b in zip(i.tolist(), j.tolist())]
+
+
+def _listed(rel, perm):
+    """The order rel on ids e0, e1, ... listed in the order perm."""
+    return FinitePoset([f"e{k}" for k in perm], rel[np.ix_(perm, perm)])
+
+
+def test_covering_pairs_equal_the_full_square_reference():
+    posets = []
+    for n in range(5):  # every partial order on up to 4 labelled elements, in every listing order
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for bits in itertools.product([False, True], repeat=len(off)):
+            rel = np.eye(n, dtype=bool)
+            for (i, j), b in zip(off, bits):
+                rel[i, j] = b
+            if np.array_equal(_closure(rel), rel) and np.count_nonzero(rel & rel.T) == n:
+                posets += [_listed(rel, perm) for perm in itertools.permutations(range(n))]
+    assert len({(p.rel.tobytes(), p.elements) for p in posets}) == len(posets) == 1 + 1 + 3 * 2 + 19 * 6 + 219 * 24
+    rng = np.random.default_rng(41)
+    # Random orders around the triangle's leaf size and twice it, listed in a shuffled order.
+    for n in (0, 1, 2, 127, 128, 129, 255, 257, 300):
+        for prob in (0.01, 0.1):
+            posets.append(_listed(_closure(np.triu(rng.random((n, n)) < prob, 1)), rng.permutation(n)))
+    chain = _listed(np.triu(np.ones((300, 300), dtype=bool)), rng.permutation(300))
+    antichain = _listed(np.eye(300, dtype=bool), rng.permutation(300))
+    posets += [chain, antichain] + [sprinkle_minkowski(1000, seed).poset for seed in range(1, 6)]
+    for p in posets:
+        assert p.covering_pairs() == _covers_by_full_square(p)
+    assert len(chain.covering_pairs()) == 299 and antichain.covering_pairs() == []
 
 
 def test_incomparable_pairs_read_the_upper_triangle_in_row_major_order():
