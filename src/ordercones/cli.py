@@ -51,12 +51,13 @@ def _key(key) -> str:
     return _string(key) if isinstance(key, str) else _encode({key: None})[1:-7]
 
 
-def _indented(obj, indent: str) -> str:
+def _indented(obj, indent: str) -> str | memoryview | list:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it at this indent.
 
     json.dumps with an indent always runs the pure-Python encoder; here
     every value goes through the cheapest C call that writes the same
-    bytes, and each container's text is assembled in one copy.
+    bytes, and each container's text is assembled in one copy.  A relation
+    grid is its byte buffer, and a value holding one a list of parts (_joined).
     """
     if isinstance(obj, dict):
         if not obj:
@@ -70,7 +71,7 @@ def _indented(obj, indent: str) -> str:
             parts += (sep, _key(k), ": ", _indented(v, inner))
         parts[0] = "{\n" + inner
         parts.append("\n" + indent + "}")
-        return "".join(parts)
+        return _joined(parts)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -88,7 +89,7 @@ def _indented(obj, indent: str) -> str:
         parts[1::2] = [_indented(x, inner) for x in obj]
         parts[0] = "[\n" + inner
         parts.append("\n" + indent + "]")
-        return "".join(parts)
+        return _joined(parts)
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if isinstance(obj, str):
@@ -104,6 +105,14 @@ def _indented(obj, indent: str) -> str:
             return _table_join(obj.table, indent)
         return _indented(obj.to_json(), indent)
     return _indented(_json_default(obj), indent)
+
+
+def _joined(parts: list) -> str | list:
+    """parts as one text or, when a grid buffer is among them at any depth, one flat list of texts and buffers."""
+    try:
+        return "".join(parts)
+    except TypeError:
+        return [q for p in parts for q in (p if type(p) is list else (p,))]
 
 
 def _string_rows(rows, indent: str) -> str | None:
@@ -127,11 +136,11 @@ def _string_rows(rows, indent: str) -> str | None:
     return f"[\n{inner}[\n{cell}{body}\n{inner}]\n{indent}]"
 
 
-def _bit_matrix(a: np.ndarray, indent: str) -> str:
-    """A nonempty 2-D 0/1 uint8 array as _indented writes its list of lists.
+def _bit_matrix(a: np.ndarray, indent: str) -> memoryview:
+    """A nonempty 2-D 0/1 uint8 array as _indented writes its list of lists, in ASCII bytes.
 
     Every row takes the same width in the text, so the whole matrix is one
-    byte template with the digits written into it, decoded once.
+    byte template with the digits written into it: a part of its own, never joined.
     """
     inner, cell = indent + "  ", indent + "    "
     opening, closing, row_sep = "[\n" + inner, "\n" + indent + "]", ",\n" + inner
@@ -145,7 +154,7 @@ def _bit_matrix(a: np.ndarray, indent: str) -> str:
     grid[:, len(head):row.size - len(tail):len(sep) + 1] += a  # "0" + 1 is "1"
     end = text.size - len(row_sep)  # the last row separator gives way to the closing bracket
     text[end:end + len(closing)] = np.frombuffer(closing.encode(), np.uint8)
-    return str(memoryview(text[:end + len(closing)]), "ascii")
+    return memoryview(text[:end + len(closing)])
 
 
 class _Coords(dict):
@@ -210,12 +219,18 @@ def _node(op: str, args: list[str], indent: str) -> str:
     return head + sep.join(args) + tail
 
 
-def _dumps(payload: dict | list) -> str:
-    """Strict JSON, sorted keys, two-space indent: a NaN or infinite value is a DomainError."""
+def _parts(payload: dict | list) -> list:
+    """Strict JSON, sorted keys, two-space indent, as texts and grid buffers: NaN or inf is a DomainError."""
     try:
-        return _indented(payload, "")
+        text = _indented(payload, "")
     except ValueError as exc:
         raise DomainError(f"result is not finite: {exc}") from exc
+    return text if type(text) is list else [text]
+
+
+def _dumps(payload: dict | list) -> str:
+    """The text of _parts(payload), each grid decoded."""
+    return "".join(p if isinstance(p, str) else str(p, "ascii") for p in _parts(payload))
 
 
 def _load(text: str):
@@ -242,30 +257,34 @@ def _load(text: str):
 
 
 def _emit(args, result) -> None:
-    """Write a handler's result, then one newline, to --out or standard output.
+    """Write a handler's result, then one newline, to --out or standard output, as UTF-8 bytes.
 
-    The result is a text, a payload (written as _dumps writes it) or an
-    iterator of texts, written one after another so that a long output is
-    never held whole.  A handler finishes its input checks before it
-    returns, so a refused call writes nothing and creates no --out file.
+    The result is a text, a payload (written as _parts gives it, each grid
+    buffer in one write) or an iterator of texts, written one after another
+    so that a long output is never held whole.  Standard output takes the
+    bytes in its binary buffer, whatever the locale; a sink without one, such
+    as io.StringIO, the decoded text.  A handler finishes its input checks
+    before it returns, so a refused call writes nothing and no --out file.
     """
     if isinstance(result, str):
         parts = (result,)
     elif isinstance(result, Iterator):
         parts = result
     else:
-        parts = (_dumps(result),)
+        parts = _parts(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write(fh, parts)
+        with open(args.out, "wb") as fh:
+            _write(fh.write, parts)
     else:
-        _write(sys.stdout, parts)
+        sys.stdout.flush()
+        sink = getattr(sys.stdout, "buffer", None)
+        _write(sink.write if sink else lambda data: sys.stdout.write(str(data, "utf-8")), parts)
 
 
-def _write(fh, parts) -> None:
+def _write(write, parts) -> None:
     for part in parts:
-        fh.write(part)
-    fh.write("\n")
+        write(part.encode() if isinstance(part, str) else part)
+    write(b"\n")
 
 
 def _function_arg(value) -> np.ndarray:
@@ -858,7 +877,7 @@ def main(argv=None) -> int:
         if args.group == "accept":
             return _accept_all(args)
         _emit(args, args.handler(args))
-        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        sys.stdout.flush()  # and its binary buffer: a reader that closed the pipe shows here, not at exit
     except OrderConesError as exc:
         print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, sort_keys=True))
         return 1

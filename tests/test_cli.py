@@ -328,15 +328,20 @@ def test_m2_order_scan_csv_is_the_same_bytes_at_any_block_size(capsys, monkeypat
 def test_m2_order_scan_csv_is_written_a_block_at_a_time(capsys, monkeypatch, tmp_path, sink):
     writes = []
 
-    class Recorder(io.StringIO):
+    class Recorder(io.StringIO):  # a text sink with no binary buffer takes the decoded parts
         def write(self, text):
             writes.append(text)
             return super().write(text)
 
+    class BytesRecorder(io.BytesIO):  # --out is opened in binary
+        def write(self, data):
+            writes.append(data.decode())
+            return super().write(data)
+
     if sink == "stdout":
         monkeypatch.setattr("sys.stdout", Recorder())
     else:
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recorder(), raising=False)
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: BytesRecorder(), raising=False)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
     argv = ["m2", "order", "--region", _HULL_SKEW, "--samples", "1000", "--seed", "5", "--format", "csv"]
     assert main(argv + (["--out", "scan.csv"] if sink == "out" else [])) == 0
@@ -683,14 +688,16 @@ def _run_module(*args):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, read",
     [
-        ["poset", "sprinkle", "--n", "300", "--seed", "1"],
-        ["m2", "order", "--region", '{"kind":"full"}', "--samples", "100000", "--format", "csv"],
+        (["poset", "sprinkle", "--n", "300", "--seed", "1"], 1),
+        (["m2", "order", "--region", '{"kind":"full"}', "--samples", "100000", "--format", "csv"], 1),
+        # The relation grid of a 1000-point sprinkle runs from about 0.3 MB to 9.3 MB of its text.
+        (["poset", "sprinkle", "--n", "1000", "--seed", "1"], 1_000_000),
     ],
-    ids=["sprinkle-json", "scan-csv"],
+    ids=["sprinkle-json", "scan-csv", "sprinkle-1000-mid-grid"],
 )
-def test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr(argv):
+def test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr(argv, read):
     import os
     import subprocess
     from pathlib import Path
@@ -702,12 +709,30 @@ def test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr(argv):
     with subprocess.Popen([sys.executable, "-W", "error", "-m", "ordercones.cli", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         try:
-            first = proc.stdout.read(1)
+            first = proc.stdout.read(read)
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
         finally:
             proc.kill()
-    assert first in (b"{", b"p") and proc.returncode == 1 and err == b""
+    assert len(first) == read and first[:1] in (b"{", b"p") and proc.returncode == 1 and err == b""
+
+
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+def test_a_csv_id_that_is_not_ascii_is_written_as_utf8_whatever_the_locale(tmp_path, sink):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import ordercones
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent),
+               LC_ALL="C", PYTHONIOENCODING="ascii")
+    path = tmp_path / "relation.csv"
+    argv = ["poset", "combine", "--a", '{"elements":["é","b"],"pairs":[["é","b"]]}', "--b", '{"elements":["x"],"pairs":[]}',
+            "--mode", "disjoint_union", "--format", "csv"] + (["--out", str(path)] if sink == "out" else [])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ordercones.cli", *argv], capture_output=True, env=env)
+    written = path.read_bytes() if sink == "out" else proc.stdout
+    assert proc.returncode == 0 and proc.stderr == b"" and written == "source,target\né,b\n".encode()
 
 
 def test_installed_script_entry_point():

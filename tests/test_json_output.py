@@ -3,7 +3,12 @@ import enum
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from collections.abc import Iterator
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,29 +287,55 @@ _V = json.dumps({"elements": ["bot", "l", "r"], "pairs": [["bot", "l"], ["bot", 
 _SPACE = json.dumps({"points": ["o", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "landmarks": ["o"]})
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["poset", "combine", "--mode", "product", "--a", _CHAIN, "--b", _V],
-        ["gps", "order", "--in", _SPACE],
-        ["dual", "characters", "--in", _V],
-        ["poset", "reduce", "--in", json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "a"], ["b", "c"]]})],
-        ["dual", "from-poset", "--in", _V],
-        ["cone", "order-from", "--elements", '["a","b","c"]', "--functions", "[[0,0,1],[1,0,2]]"],
-        ["poset", "sprinkle", "--n", "0", "--seed", "1"],
-        ["poset", "sprinkle", "--n", "1", "--seed", "1"],
-        ["poset", "sprinkle", "--n", "60", "--seed", "2"],
-        # Past 10 and 100 points the ids' sorted order crosses digit widths ("p10" before "p2").
-        ["poset", "sprinkle", "--n", "11", "--seed", "3"],
-        ["poset", "sprinkle", "--n", "101", "--seed", "4"],
-    ],
-    ids=["combine", "gps-order", "dual-characters", "reduce", "dual-algebra", "order-from",
-         "sprinkle-0", "sprinkle-1", "sprinkle-60", "sprinkle-11", "sprinkle-101"],
-)
+_VERB_ARGVS = [
+    pytest.param(["poset", "combine", "--mode", "product", "--a", _CHAIN, "--b", _V], id="combine"),
+    pytest.param(["gps", "order", "--in", _SPACE], id="gps-order"),
+    pytest.param(["dual", "characters", "--in", _V], id="dual-characters"),
+    pytest.param(["poset", "reduce", "--in", json.dumps(
+        {"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "a"], ["b", "c"]]})], id="reduce"),
+    pytest.param(["dual", "from-poset", "--in", _V], id="dual-algebra"),
+    pytest.param(["cone", "order-from", "--elements", '["a","b","c"]', "--functions", "[[0,0,1],[1,0,2]]"],
+                 id="order-from"),
+    pytest.param(["poset", "sprinkle", "--n", "0", "--seed", "1"], id="sprinkle-0"),
+    pytest.param(["poset", "sprinkle", "--n", "1", "--seed", "1"], id="sprinkle-1"),
+    pytest.param(["poset", "sprinkle", "--n", "60", "--seed", "2"], id="sprinkle-60"),
+    # Past 10 and 100 points the ids' sorted order crosses digit widths ("p10" before "p2").
+    pytest.param(["poset", "sprinkle", "--n", "11", "--seed", "3"], id="sprinkle-11"),
+    pytest.param(["poset", "sprinkle", "--n", "101", "--seed", "4"], id="sprinkle-101"),
+]
+
+
+@pytest.mark.parametrize("argv", _VERB_ARGVS)
 def test_verb_payloads_are_written_as_their_lists(argv):
     payload = _handler_payload(argv)
     assert cli._dumps(payload) == _lists(payload)
     assert _stdout(argv) == _lists(payload) + "\n"
+
+
+_CAP = '{"kind":"cap","center":[0,0,1],"radius":0.5}'
+
+
+# The large answers: a relation grid of 10^6 cells, and a scan of two blocks.
+@pytest.mark.parametrize("argv", _VERB_ARGVS + [
+    pytest.param(["poset", "sprinkle", "--n", "1000", "--seed", "1"], id="sprinkle-1000-seed-1"),
+    pytest.param(["poset", "sprinkle", "--n", "1000", "--seed", "2"], id="sprinkle-1000-seed-2"),
+    pytest.param(["m2", "order", "--region", _CAP, "--samples", "5000", "--seed", "2", "--format", "csv"], id="scan-csv"),
+    pytest.param(["m2", "order", "--region", _CAP, "--samples", "5000", "--seed", "2"], id="scan-json"),
+])
+def test_every_sink_gets_the_same_bytes(tmp_path, argv):
+    path = tmp_path / "answer"
+    assert _stdout(argv + ["--out", str(path)]) == ""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    piped = subprocess.run([sys.executable, "-W", "error", "-m", "ordercones.cli", *argv],
+                           capture_output=True, env=env, timeout=120)
+    assert piped.returncode == 0 and piped.stderr == b""
+    written = path.read_bytes()
+    assert written == piped.stdout == _stdout(argv).encode()
+    if "csv" not in argv:
+        payload = _handler_payload(argv)
+        # A streamed scan has no payload to dump; test_cli checks its text against the whole one.
+        node = json.loads(written) if isinstance(payload, Iterator) else json.loads(_reference(payload))
+        assert written == (json.dumps(node, sort_keys=True, indent=2) + "\n").encode()
 
 
 def test_printed_pairs_come_from_covering_pairs(monkeypatch):
