@@ -260,11 +260,12 @@ def _emit(args, result) -> None:
     """Write a handler's result, then one newline, to --out or standard output, as UTF-8 bytes.
 
     The result is a text, a payload (written as _parts gives it, each grid
-    buffer in one write) or an iterator of texts, written one after another
-    so that a long output is never held whole.  Standard output takes the
-    bytes in its binary buffer, whatever the locale; a sink without one, such
-    as io.StringIO, the decoded text.  A handler finishes its input checks
-    before it returns, so a refused call writes nothing and no --out file.
+    buffer in one write) or an iterator of texts and bytes, written one
+    after another so that a long output is never held whole.  Standard
+    output takes the bytes in its binary buffer, whatever the locale; a
+    sink without one, such as io.StringIO, the decoded text.  A handler
+    finishes its input checks before it returns, so a refused call writes
+    nothing and no --out file.
     """
     if isinstance(result, str):
         parts = (result,)
@@ -366,7 +367,7 @@ def _cmd_poset_check(args):
     data = _load(getattr(args, "in"))
     if isinstance(data, dict) and isinstance(data.get("elements"), list):
         # Ids that are not strings make unreadable input (exit 1), not an invalid order.
-        string_ids(data["elements"], "element ids")
+        string_ids(data["elements"], "element ids", utf8=True)
     try:
         p = poset.FinitePoset.from_json(data)
     except OrderConesError as exc:
@@ -564,31 +565,164 @@ def _cmd_m2_order(args):
 
 
 def _scan_csv(pairs: np.ndarray, relations: list[str]):
-    """The scan's CSV text, one block of rows at a time, so that only one
-    block's Python floats and text are alive at once."""
+    """The scan's CSV text, the header and then one block of rows at a time."""
     yield "px,py,pz,qx,qy,qz,relation"
-    for start in range(0, len(pairs), _CSV_BLOCK):
-        block = pairs[start:start + _CSV_BLOCK].tolist()
-        rels = relations[start:start + _CSV_BLOCK]
-        lines = [""]  # a block starts with the newline that ends the line before it
-        lines += [",".join(map(repr, row)) + "," + rel for row, rel in zip(block, rels)]
-        yield "\n".join(lines)
+    yield from _scan_rows(pairs, relations, ["\n", ",", ",", ",", ",", ",", ",", ""])
 
 
 def _scan_json(pairs: np.ndarray, relations: list[str]):
     """{"samples": [{"p", "q", "relation"}, ...]} as _dumps writes it, one
     block of samples at a time, as _scan_csv writes its rows."""
     head, tail = _indented({"samples": [None]}, "").split("null")
-    # One sample's text, with %r for each of its six coordinates and %s for its quoted relation.
+    # One sample's text around its six coordinates and its relation, a plain word, in quotes.
     parts = _indented({"p": ["@"] * 3, "q": ["@"] * 3, "relation": "@"}, "    ").split('"@"')
-    sample = "%r".join(parts[:-1]) + "%s" + parts[-1]
     sep = ",\n    "
+    rows = _scan_rows(pairs, relations, [sep + parts[0], *parts[1:6], parts[6] + '"', '"' + parts[7]])
     yield head
-    for start in range(0, len(pairs), _CSV_BLOCK):
-        block = pairs[start:start + _CSV_BLOCK].tolist()
-        rels = map(_string, relations[start:start + _CSV_BLOCK])
-        yield (sep if start else "") + sep.join([sample % (*row, rel) for row, rel in zip(block, rels)])
+    yield next(rows)[len(sep):]  # the first sample follows the head, not a separator
+    yield from rows
     yield tail
+
+
+def _scan_rows(pairs: np.ndarray, relations: list[str], pieces: list[str]) -> Iterator[bytes]:
+    """The (N, 6) pairs and their relations as bytes, one block of _CSV_BLOCK samples a part.
+
+    Sample i is pieces[0], then each coordinate as float.__repr__ writes it
+    followed by the next piece, then relations[i] and pieces[7].  A block is
+    one byte template, each text padded with zero bytes to a fixed width,
+    and the padding is dropped in one pass.
+    """
+    pieces = [np.frombuffer(p.encode(), np.uint8) for p in pieces]
+    for start in range(0, len(pairs), _CSV_BLOCK):
+        block = pairs[start:start + _CSV_BLOCK]
+        n = len(block)
+        rels = relations[start:start + _CSV_BLOCK]
+        rels = np.array(rels, f"S{max(map(len, set(rels)))}").view(np.uint8).reshape(n, -1)  # ASCII words
+        text = [np.broadcast_to(pieces[0], (n, pieces[0].size))]
+        for k, piece in enumerate(pieces[1:7]):  # a column at a time: its temporaries stay in cache
+            text += (_repr_slots(block[:, k]), np.broadcast_to(piece, (n, piece.size)))
+        text += (rels, np.broadcast_to(pieces[7], (n, pieces[7].size)))
+        yield np.concatenate(text, axis=1).tobytes().translate(None, b"\0")
+
+
+_SLOT = 24  # bytes: the longest float.__repr__, such as "-2.2250738585072014e-308"
+
+
+@functools.cache
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """_repr_slots' tables, made on its first call.
+
+    The powers 10**17 ... 10**20 (exact doubles) and their high and low
+    halves; each number 0 ... 9999 as four ASCII digits, as a uint32, then
+    again with its trailing zeros made padding; and the eight bytes before
+    the last 16 digits, for a sign, a number of zeros after "0." and a
+    first digit, at (sign * 4 + zeros) * 10 + digit.
+    """
+    ten = np.array([1e17, 1e18, 1e19, 1e20])
+    split = ten * 134217729.0  # 2**27 + 1: Veltkamp's split into halves of 26 bits
+    ten_hi = split - (split - ten)
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for col in range(4):  # broadcast, not divided: this runs in the first scan of a process
+        digits[..., col] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - col))
+    digits = digits.reshape(10000, 4)
+    trimmed = digits.copy()
+    zero = np.ones(10000, bool)
+    for col in range(3, -1, -1):
+        zero &= digits[:, col] == 48
+        trimmed[zero, col] = 0
+    heads = np.zeros((2, 4, 10, 8), np.uint8)  # sign, "0", ".", three zeros, padding, first digit
+    heads[1, ..., 0] = 45
+    heads[..., 1:3] = (48, 46)
+    for zeros in range(1, 4):
+        heads[:, zeros, :, 3:3 + zeros] = 48
+    heads[..., 7] = 48 + np.arange(10)
+    groups = np.concatenate([digits, trimmed]).view(np.uint32).ravel()
+    return ten, ten_hi, ten - ten_hi, groups, heads.view(np.uint64).ravel()
+
+
+def _repr_slots(x: np.ndarray) -> np.ndarray:
+    """Each float64 of x as float.__repr__ writes it: an (x.size, _SLOT) uint8
+    array, one row per value, its ASCII text padded with zero bytes.
+
+    The domain certified here is 1e-4 <= |x| < 1 (bounds as doubles), which
+    repr writes as "0." and the shortest digits that read back as x.  Why
+    each step is exact, for |x| = M * 2**E with 2**52 <= M < 2**53:
+
+    - Three comparisons with the doubles 0.1, 0.01 and 0.001, each above
+      its decimal, give the q in 17 ... 20 for which X = |x| * 10**q lies
+      in (10**16, 10**17).
+    - X is p + e exactly: p the rounded product, an integer above 2**53,
+      and e Dekker's error term (both factors split into 26-bit halves),
+      |e| <= 8.
+    - h, half an ulp of x times 10**q, is 5**q * 2**(E + q - 1): an exact
+      double below 11.1.  The fraction f of X and h have no bits outside
+      2**3 ... 2**-47, so f +- h and every other small sum below is exact.
+    - repr writes the multiple of 10**j with the largest j in
+      [X - h, X + h], and of two such, the one nearer X.  The ends of that
+      interval, (2M +- 1) * 5**q * 2**(E + q - 1) with E + q - 1 <= -34,
+      are never integers, so whether they count (repr counts them iff M
+      is even) does not matter.  The interval spans less than 23, so the
+      multiple is the one multiple of 100 in it when there is one; else
+      the multiple of 10 nearest X when the interval holds one; else X
+      rounded.  Its 17 digits come from the tables, trailing zeros dropped.
+    - A power of two needs no care although its half-gap below is half
+      the one above: here it is 2**-k, k <= 13, whose exact decimal is a
+      multiple of 10**4 at this scale and so the multiple of 100 found.
+
+    Every other value gets repr(x) in its row: NaN, +-inf, +-0.0, |x| < 1e-4
+    or >= 1, and X halfway between its two nearest candidates (repr takes
+    the even one).
+    """
+    x = np.ravel(x)
+    ten_t, ten_hi_t, ten_lo_t, groups, heads = _repr_tables()
+    a = np.abs(x)
+    known = (a >= 1e-4) & (a < 1.0)
+    a = np.where(known, a, 0.75)  # every other lane computes on a harmless value
+    bits = a.view(np.uint64)
+    zeros = (a < 0.1).view(np.int8) + (a < 0.01).view(np.int8) + (a < 0.001).view(np.int8)
+    ten, ten_hi, ten_lo = np.take(ten_t, zeros), np.take(ten_hi_t, zeros), np.take(ten_lo_t, zeros)
+    p = a * ten
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    e = ((a_hi * ten_hi - p) + a_hi * ten_lo + a_lo * ten_hi) + a_lo * ten_lo
+    e_int = np.floor(e)
+    whole = p.astype(np.int64) + e_int.astype(np.int64)  # X = whole + f, 0 <= f < 1
+    f = e - e_int
+    h = np.ldexp(ten, (bits >> np.uint64(52)).astype(np.int32) - 1076)
+    # The integers in [X - h, X + h], whose ends are never integers.
+    low, high = whole + np.ceil(f - h).astype(np.int64), whole + np.floor(f + h).astype(np.int64)
+    by100 = high // 100 * 100
+    tens = high // 10 * 10 >= low
+    down10 = whole // 10 * 10
+    t = (whole - down10) + f  # X - down10, exact
+    multiple = np.where(tens, down10 + 10 * (t > 5), whole + (f > 0.5))
+    tie = np.where(tens, t == 5, f == 0.5)
+    hundreds = by100 >= low
+    multiple = np.where(hundreds, by100, multiple)
+    exact = known & (hundreds | ~tie)
+    first = multiple // 10**16
+    rest = multiple - first * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    slots = np.empty((x.size, _SLOT), np.uint8)
+    words = slots.view(np.uint32)  # words 2 ... 5 hold four digits each, trimmed after the last nonzero
+    words[:, 5] = np.take(groups, g4 + 10000)
+    trim = g4 == 0
+    words[:, 4] = np.take(groups, g3 + 10000 * trim)
+    trim &= g3 == 0
+    words[:, 3] = np.take(groups, g2 + 10000 * trim)
+    trim &= g2 == 0
+    words[:, 2] = np.take(groups, g1 + 10000 * trim)
+    slots.view(np.uint64)[:, 0] = np.take(heads, (np.signbit(x) * 4 + zeros) * 10 + first)
+    other = np.flatnonzero(~exact)
+    if other.size:
+        slots[other] = np.array([repr(v) for v in x[other].tolist()], f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
+    return slots
 
 
 def _cmd_m2_state_order(args):

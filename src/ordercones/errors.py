@@ -96,8 +96,13 @@ def float_array(value, what: str) -> np.ndarray:
         raise InvalidInput(f"{what} must be numeric: {exc}") from exc
 
 
-def string_ids(values, what: str) -> tuple[str, ...]:
-    """values as a tuple of ids; ids are strings, and anything else is InvalidInput (never str()-coerced)."""
+def string_ids(values, what: str, utf8: bool = False) -> tuple[str, ...]:
+    """values as a tuple of ids; ids are strings, and anything else is InvalidInput (never str()-coerced).
+
+    With utf8, as for a list of elements or points that output may write,
+    an id must also have a UTF-8 form: one holding a lone surrogate is
+    InvalidInput.  The list is encoded once, as one text.
+    """
     if isinstance(values, (str, dict)):
         raise InvalidInput(f"{what} must be a list of strings, got {type(values).__name__}")
     try:
@@ -107,4 +112,10 @@ def string_ids(values, what: str) -> tuple[str, ...]:
     for x in ids:
         if not isinstance(x, str):
             raise InvalidInput(f"{what} must be strings, got {type(x).__name__}")
+    if utf8:
+        try:
+            "".join(ids).encode()
+        except UnicodeEncodeError as exc:  # UTF-8 refuses surrogates alone
+            lone = exc.object[exc.start:exc.end]
+            raise InvalidInput(f"{what} must have a UTF-8 form, but one holds the lone surrogate {lone!r}") from None
     return ids

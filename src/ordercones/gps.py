@@ -26,7 +26,7 @@ class FiniteMetricSpace:
     """
 
     def __init__(self, points, dist):
-        points = string_ids(points, "point ids")
+        points = string_ids(points, "point ids", utf8=True)
         if len(set(points)) != len(points):
             raise InvalidInput("point ids must be distinct")
         d = float_array(dist, "distance matrix")

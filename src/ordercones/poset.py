@@ -82,7 +82,7 @@ class FinitePreorder:
     """Element ids plus a reflexive, transitive boolean relation matrix."""
 
     def __init__(self, elements, rel):
-        elements = string_ids(elements, "element ids")
+        elements = string_ids(elements, "element ids", utf8=True)
         if len(set(elements)) != len(elements):
             raise InvalidInput("element ids must be distinct")
         rel = np.asarray(rel, dtype=bool)
@@ -261,7 +261,7 @@ def _relation_from_json(relation) -> np.ndarray:
 
 def _pairs_to_relation(elements, pairs) -> tuple[tuple[str, ...], np.ndarray]:
     """The element ids and the reflexive-transitive closure of the pairs over them."""
-    ids = string_ids(elements, "element ids")
+    ids = string_ids(elements, "element ids", utf8=True)
     index = {e: i for i, e in enumerate(ids)}
     if len(index) != len(ids):
         raise InvalidInput("element ids must be distinct")

@@ -389,6 +389,71 @@ def test_m2_order_json_scan_holds_one_block():
     assert code == 0 and peak < 10e6
 
 
+def _reference_scan(samples, seed, fmt):
+    """The scan as the per-value writer wrote it: repr of every coordinate, joined row by row."""
+    pts = np.random.default_rng(seed).normal(size=(2 * samples, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    region = SphericalRegion.from_json(json.loads(_HULL_SKEW))
+    relations = pure_state_order_many(region, pts[0::2], pts[1::2])
+    rows = pts.reshape(samples, 6).tolist()
+    if fmt == "csv":
+        lines = [",".join(map(repr, row)) + "," + rel for row, rel in zip(rows, relations)]
+        return "\n".join(["px,py,pz,qx,qy,qz,relation", *lines]) + "\n", rows
+    head, tail = cli._indented({"samples": [None]}, "").split("null")
+    parts = cli._indented({"p": ["@"] * 3, "q": ["@"] * 3, "relation": "@"}, "    ").split('"@"')
+    sample = "%r".join(parts[:-1]) + "%s" + parts[-1]
+    samples_text = ",\n    ".join([sample % (*row, json.dumps(rel)) for row, rel in zip(rows, relations)])
+    return head + samples_text + tail + "\n", rows
+
+
+# Two blocks at the default size; seed 8 has a coordinate below 1e-4 in its 8th sample, seed 2 in its 1756th.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block, samples, seed", [(None, 5000, 2), (4, 300, 8), (1, 12, 8)])
+def test_m2_order_scan_is_the_per_value_writers_bytes(capsys, monkeypatch, tmp_path, fmt, block, samples, seed):
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    want, rows = _reference_scan(samples, seed, fmt)
+    assert (np.abs(rows) < 1e-4).any()  # some coordinates take the repr fallback
+    argv = ["m2", "order", "--region", _HULL_SKEW, "--samples", str(samples), "--seed", str(seed), "--format", fmt]
+    code, out = run(capsys, argv)
+    path = tmp_path / f"scan.{fmt}"
+    assert code == 0 and main(argv + ["--out", str(path)]) == 0 and capsys.readouterr().out == ""
+    assert out == want and path.read_bytes() == want.encode()
+
+
+def _repr_corpus() -> np.ndarray:
+    """Floats in and around the domain _repr_slots certifies, each with both signs."""
+    rng = np.random.default_rng(34)
+    exponents = np.arange(1023 - 14, 1023, dtype=np.uint64)[:, None]  # 2**-14 ... 2**-1
+    mantissas = rng.integers(0, 2**52, size=(14, 1000), dtype=np.uint64)
+    binades = ((exponents << np.uint64(52)) | mantissas).view(np.float64).ravel()
+    digits = rng.integers(1, 17, size=4000)
+    short = rng.integers(1, 10**digits) / 10.0**digits  # k / 10**d, d = 1 ... 16
+    decimals = np.concatenate([10.0 ** -np.arange(1, 5), short[short < 1]])
+    down = up = decimals
+    steps = []  # the decimals' neighbours 1, 2 and 3 ulps away
+    for _ in range(3):
+        down, up = np.nextafter(down, 0), np.nextafter(up, 1)
+        steps += (down, up)
+    ties = np.arange(26215, 26615, 2) / 2.0**18  # 10**17 * x ends in .5, halfway between its two 17-digit candidates
+    edges = [np.nextafter(1e-4, -1), np.nextafter(1e-4, 1), 1 - 2**-53, 0.0, 1.0, 5e-324, 1e300, np.inf, np.nan]
+    values = np.concatenate([binades, decimals, *steps, ties, edges, 2.0 ** np.arange(-20, 3)])
+    return np.concatenate([values, -values])
+
+
+def test_repr_slots_write_the_bytes_of_repr(monkeypatch):
+    values = _repr_corpus()
+    fallbacks = []
+    monkeypatch.setattr(cli, "repr", lambda v: fallbacks.append(v) or float.__repr__(v), raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slots = cli._repr_slots(values)
+    assert slots.shape == (values.size, cli._SLOT)
+    text = np.concatenate([slots, np.full((values.size, 1), ord(","), np.uint8)], axis=1).ravel()
+    assert text[text != 0].tobytes().decode().split(",")[:-1] == list(map(float.__repr__, values.tolist()))
+    assert 0 < len(fallbacks) < values.size // 10  # both the certified digits and the fallback ran
+
+
 @pytest.mark.parametrize(
     "region, samples, seed",
     [(_HULL_SKEW, "0", "5"), (_HULL_SKEW, "3", "-1"), ('{"kind": "cap"', "3", "5")],
@@ -717,6 +782,19 @@ def test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr(argv, rea
     assert len(first) == read and first[:1] in (b"{", b"p") and proc.returncode == 1 and err == b""
 
 
+_LONE_SURROGATE_COMBINE = ["poset", "combine", "--a", '{"elements":["\\ud800","b"],"pairs":[["\\ud800","b"]]}',
+                           "--b", '{"elements":["x"],"pairs":[]}', "--mode", "disjoint_union", "--format", "csv"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_id_with_no_utf8_form_is_refused_and_writes_no_out_file(capsys, tmp_path, fmt):
+    path = tmp_path / f"relation.{fmt}"
+    code, out = run(capsys, _LONE_SURROGATE_COMBINE[:-1] + [fmt, "--out", str(path)])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["kind"] == "InvalidInput" and "\\ud800" in error["detail"]
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("sink", ["stdout", "out"])
 def test_a_csv_id_that_is_not_ascii_is_written_as_utf8_whatever_the_locale(tmp_path, sink):
     import os
@@ -921,6 +999,7 @@ _CI_WARNING_STEPS = {
                                "--matrix", "[[1e200,1e200],[0,0]]"], 1),
     **{name: (argv, code) for name, (argv, code, _) in _CONE_NEAR_THE_LARGEST_FLOAT.items()},
     "cobounded-duality": (["dual", "cobounded-duality", "--in", '{"elements":["a","b"],"pairs":[]}'], 0),
+    "lone-surrogate-id": (_LONE_SURROGATE_COMBINE, 1),
 }
 
 

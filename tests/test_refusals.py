@@ -66,6 +66,13 @@ REFUSALS = [
     ("cli-m2-order-no-states", ["m2", "order", "--region", '{"kind":"full"}'], "InvalidInput", "--p and --q"),
     ("cli-gps-order-no-landmarks", ["gps", "order", "--in", SPACE_NO_LANDMARKS], "InvalidInput", "no landmarks"),
     ("cli-blank-in", ["poset", "bounds", "--in", "  "], "InvalidInput", "empty input"),
+    ("preorder-lone-surrogate", lambda: FinitePreorder(["a", "\ud800"], np.eye(2)), "InvalidInput", "lone surrogate"),
+    ("metric-lone-surrogate", lambda: FiniteMetricSpace(["\udc80", "b"], [[0, 1], [1, 0]]),
+     "InvalidInput", "lone surrogate"),
+    ("cli-poset-check-lone-surrogate", ["poset", "check", "--in", '{"elements":["a\\udfff"],"pairs":[]}'],
+     "InvalidInput", "UTF-8 form"),
+    ("cli-order-from-lone-surrogate", ["cone", "order-from", "--elements", '["\\ud800","b"]', "--functions", "[[0,1]]"],
+     "InvalidInput", "UTF-8 form"),
 ]
 
 
