@@ -51,27 +51,6 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (fa @ (fa if b is a else b.astype(np.float32))) > 0
 
 
-_TRIANGLE_LEAF = 128  # below this size one full product costs less than halving again
-
-
-def _triangle_covers(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out holding s > s @ s, for a strictly upper triangular 0/1 float32 s: the pairs with no two-step path.
-
-    In halves s = [[A, B], [0, C]] and s @ s = [[A @ A, A @ B + B @ C], [0, C @ C]]: the diagonal
-    blocks recurse, and below them, where s is zero, out is left unwritten.  As in _compose, a sum
-    of nonnegative 0/1 terms is 0 exactly when every term is, so the test is exact at any n.
-    """
-    if len(s) <= _TRIANGLE_LEAF:
-        return np.greater(s, s @ s, out=out)
-    h = len(s) // 2
-    _triangle_covers(s[:h, :h], out[:h, :h])
-    _triangle_covers(s[h:, h:], out[h:, h:])
-    corner = s[:h, :h] @ s[:h, h:]
-    corner += s[:h, h:] @ s[h:, h:]
-    np.greater(s[:h, h:], corner, out=out[:h, h:])
-    return out
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -140,14 +119,14 @@ class FinitePreorder:
         # rel is reflexive, so its symmetric pairs are the n diagonal ones and no more
         return np.count_nonzero(self.rel & self.rel.T) == self.n
 
-    def _pairs(self, flat: np.ndarray) -> list[tuple[str, str]]:
+    def _pairs(self, flat: list[int]) -> list[tuple[str, str]]:
         """The id pairs at these flat indices of an n x n matrix, in their order.
 
         Callers scan a mask flat, about ten times faster than np.nonzero's 2-D
         scan at n = 1000; divmod turns each flat index back into (row, column).
         """
         e = self.elements
-        return [(e[i], e[j]) for i, j in map(divmod, flat.tolist(), itertools.repeat(self.n))]
+        return [(e[i], e[j]) for i, j in map(divmod, flat, itertools.repeat(self.n))]
 
     def _strict(self) -> np.ndarray:
         out = self.rel.copy()
@@ -156,7 +135,7 @@ class FinitePreorder:
 
     def strict_pairs(self) -> list[tuple[str, str]]:
         """All related pairs with distinct endpoints (regenerates the relation)."""
-        return self._pairs(self._strict().ravel().nonzero()[0])
+        return self._pairs(self._strict().ravel().nonzero()[0].tolist())
 
     def __eq__(self, other) -> bool:
         return (
@@ -221,17 +200,31 @@ class FinitePoset(FinitePreorder):
     def covering_pairs(self) -> list[tuple[str, str]]:
         """Transitive reduction: the pairs x < y with nothing strictly between, in row-major order.
 
-        Listed by down-set size (a stable argsort) the elements are in a linear extension, where the
-        strict relation is strictly upper triangular: only its triangle is squared (_triangle_covers),
-        and the covers found there are mapped back to the indices of ``elements`` and sorted.
+        x < y makes the down-set of x strictly smaller than that of y, so ranking the elements by
+        down-set size (a stable argsort) is a linear extension.  Each up-set is packed into one int,
+        rank k at bit m - 1 - k: x itself is its up-set's highest bit, and of the rest the element y
+        of lowest rank, the highest bit, has nothing below it there, so y covers x.  The peel emits
+        y and drops y's up-set until nothing is left: O(covers * n / 30) operations on the ints'
+        30-bit digits, fewer as their top bits go.  The covers are then sorted into row-major order.
         """
         n = self.n
-        order = np.argsort(np.count_nonzero(self.rel, axis=0), kind="stable")
-        strict = self.rel.take(order, 0).take(order, 1)
-        strict.flat[:: n + 1] = False
-        covers = _triangle_covers(strict.astype(np.float32), np.zeros((n, n), dtype=bool))
-        i, j = np.divmod(covers.ravel().nonzero()[0], n)
-        return self._pairs(np.sort(order[i] * n + order[j]))
+        order = np.argsort(self.rel.sum(axis=0, dtype=np.int32), kind="stable").tolist()
+        packed = np.packbits(self.rel.take(order, 1), axis=1)
+        w = packed.shape[1]
+        m = 8 * w
+        rows = packed.tobytes()
+        up = [int.from_bytes(rows[k * w:(k + 1) * w], "big") for k in range(n)]
+        outside = [~up[y] for y in order]  # by rank: everything but that element's up-set
+        flat = []
+        for x, rest in enumerate(up):
+            rest ^= 1 << (rest.bit_length() - 1)
+            row = x * n
+            while rest:
+                k = m - rest.bit_length()
+                flat.append(row + order[k])
+                rest &= outside[k]
+        flat.sort()
+        return self._pairs(flat)
 
     def incomparable_pairs(self) -> list[tuple[str, str]]:
         """The incomparable pairs (x, y), x listed before y, in row-major order."""
@@ -391,7 +384,14 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     u, v = z[0::2], z[1::2]
     pts = np.array([(u + v) / 2.0, (u - v) / 2.0, u, v])
     t, x, u, v = pts[:, np.lexsort(pts[::-1])]  # sorted by t, then x, u and v
-    rel = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
+    # Sorted by t, t[j] <= t[i] for j < i: below the diagonal t > fails and the relation is empty.
+    # Only the rest is compared, in row blocks of at most 2^16 cells.
+    rel = np.zeros((n, n), dtype=bool)
+    a = 0
+    while a < n:
+        b = a + max(1, (1 << 16) // (n - a))
+        rel[a:b, a:] = (u[a:] >= u[a:b, None]) & (v[a:] >= v[a:b, None]) & (t[a:] > t[a:b, None])
+        a = b
     rel.flat[:: n + 1] = True
     # u >=, v >= and t > are each transitive, so their conjunction is too.
     poset = FinitePoset._closed([f"p{i}" for i in range(n)], rel)

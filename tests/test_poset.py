@@ -296,6 +296,17 @@ def test_sprinkle_matches_the_scalar_splitmix64_loop(n, seed):
     assert s.t == tuple(p[0] for p in pts) and s.x == tuple(p[1] for p in pts)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 65, 66, 300, 1000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sprinkled_relation_equals_the_full_square_broadcast(n, seed):
+    # sprinkle_minkowski compares only the upper triangle, in row blocks: one block up to
+    # n = 256, several at n = 300 and 1000.  The reference compares every cell.
+    t, x, u, v = np.array(_splitmix64_points(n, seed)).reshape(n, 4).T
+    want = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & (t[None, :] > t[:, None])
+    want[np.diag_indices(n)] = True
+    assert np.array_equal(sprinkle_minkowski(n, seed).poset.rel, want)
+
+
 def test_poset_json_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -473,16 +484,27 @@ def test_covering_pairs_equal_the_full_square_reference():
                 posets += [_listed(rel, perm) for perm in itertools.permutations(range(n))]
     assert len({(p.rel.tobytes(), p.elements) for p in posets}) == len(posets) == 1 + 1 + 3 * 2 + 19 * 6 + 219 * 24
     rng = np.random.default_rng(41)
-    # Random orders around the triangle's leaf size and twice it, listed in a shuffled order.
-    for n in (0, 1, 2, 127, 128, 129, 255, 257, 300):
+    # Random orders listed in a shuffled order: small and empty ones, sizes at either side of the
+    # packed up-sets' byte and 64-bit word boundaries, and larger ones.
+    for n in (0, 1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 257, 300):
         for prob in (0.01, 0.1):
             posets.append(_listed(_closure(np.triu(rng.random((n, n)) < prob, 1)), rng.permutation(n)))
+    # A random order listed as a linear extension, and the same order listed in reverse.
+    rel = _closure(np.triu(rng.random((200, 200)) < 0.05, 1))
+    posets += [_listed(rel, np.arange(200)), _listed(rel, np.arange(200)[::-1])]
+    # Complete bipartite orders K_{h,h}: every related pair is a cover.
+    bipartite = []
+    for h in (1, 2, 3, 50):
+        rel = np.eye(2 * h, dtype=bool)
+        rel[:h, h:] = True
+        bipartite.append(_listed(rel, rng.permutation(2 * h)))
     chain = _listed(np.triu(np.ones((300, 300), dtype=bool)), rng.permutation(300))
     antichain = _listed(np.eye(300, dtype=bool), rng.permutation(300))
-    posets += [chain, antichain] + [sprinkle_minkowski(1000, seed).poset for seed in range(1, 6)]
+    posets += bipartite + [chain, antichain] + [sprinkle_minkowski(1000, seed).poset for seed in range(1, 6)]
     for p in posets:
         assert p.covering_pairs() == _covers_by_full_square(p)
     assert len(chain.covering_pairs()) == 299 and antichain.covering_pairs() == []
+    assert [len(p.covering_pairs()) for p in bipartite] == [1, 4, 9, 2500]
 
 
 def test_incomparable_pairs_read_the_upper_triangle_in_row_major_order():
