@@ -558,46 +558,47 @@ def _cmd_m2_order(args):
     rng = np.random.default_rng(args.seed)
     pts = rng.normal(size=(2 * args.samples, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    relations = m2.pure_state_order_many(region, pts[0::2], pts[1::2], tol=args.tol)
+    codes = m2._order_codes(region, pts[0::2], pts[1::2], args.tol)
     if args.format == "csv":
-        return _scan_csv(pts.reshape(args.samples, 6), relations)
-    return _scan_json(pts.reshape(args.samples, 6), relations)
+        return _scan_csv(pts.reshape(args.samples, 6), codes)
+    return _scan_json(pts.reshape(args.samples, 6), codes)
 
 
-def _scan_csv(pairs: np.ndarray, relations: list[str]):
+def _scan_csv(pairs: np.ndarray, codes: np.ndarray):
     """The scan's CSV text, the header and then one block of rows at a time."""
     yield "px,py,pz,qx,qy,qz,relation"
-    yield from _scan_rows(pairs, relations, ["\n", ",", ",", ",", ",", ",", ",", ""])
+    yield from _scan_rows(pairs, codes, ["\n", ",", ",", ",", ",", ",", ",", ""])
 
 
-def _scan_json(pairs: np.ndarray, relations: list[str]):
+def _scan_json(pairs: np.ndarray, codes: np.ndarray):
     """{"samples": [{"p", "q", "relation"}, ...]} as _dumps writes it, one
     block of samples at a time, as _scan_csv writes its rows."""
     head, tail = _indented({"samples": [None]}, "").split("null")
     # One sample's text around its six coordinates and its relation, a plain word, in quotes.
     parts = _indented({"p": ["@"] * 3, "q": ["@"] * 3, "relation": "@"}, "    ").split('"@"')
     sep = ",\n    "
-    rows = _scan_rows(pairs, relations, [sep + parts[0], *parts[1:6], parts[6] + '"', '"' + parts[7]])
+    rows = _scan_rows(pairs, codes, [sep + parts[0], *parts[1:6], parts[6] + '"', '"' + parts[7]])
     yield head
     yield next(rows)[len(sep):]  # the first sample follows the head, not a separator
     yield from rows
     yield tail
 
 
-def _scan_rows(pairs: np.ndarray, relations: list[str], pieces: list[str]) -> Iterator[bytes]:
+def _scan_rows(pairs: np.ndarray, codes: np.ndarray, pieces: list[str]) -> Iterator[bytes]:
     """The (N, 6) pairs and their relations as bytes, one block of _CSV_BLOCK samples a part.
 
     Sample i is pieces[0], then each coordinate as float.__repr__ writes it
-    followed by the next piece, then relations[i] and pieces[7].  A block is
-    one byte template, each text padded with zero bytes to a fixed width,
-    and the padding is dropped in one pass.
+    followed by the next piece, then the relation word m2._RELATIONS[codes[i]]
+    and pieces[7].  A block is one byte template, each text padded with zero
+    bytes to a fixed width, and the padding is dropped in one pass.
     """
+    from . import m2
+    words = np.array(m2._RELATIONS.tolist(), "S").view(np.uint8).reshape(len(m2._RELATIONS), -1)  # ASCII, padded
     pieces = [np.frombuffer(p.encode(), np.uint8) for p in pieces]
     for start in range(0, len(pairs), _CSV_BLOCK):
         block = pairs[start:start + _CSV_BLOCK]
         n = len(block)
-        rels = relations[start:start + _CSV_BLOCK]
-        rels = np.array(rels, f"S{max(map(len, set(rels)))}").view(np.uint8).reshape(n, -1)  # ASCII words
+        rels = words[codes[start:start + _CSV_BLOCK]]
         text = [np.broadcast_to(pieces[0], (n, pieces[0].size))]
         for k, piece in enumerate(pieces[1:7]):  # a column at a time: its temporaries stay in cache
             text += (_repr_slots(block[:, k]), np.broadcast_to(piece, (n, piece.size)))

@@ -550,12 +550,22 @@ def _undominated(values: np.ndarray, below: bool) -> np.ndarray:
     """The (R, n) mask of the candidates no other candidate of their row
     dominates pointwise from below (<= everywhere) or, with below=False,
     from above; of equal candidates the first.  values[e, r, j] is
-    candidate j of row r at point e, for m points, shape (m, R, n)."""
+    candidate j of row r at point e, for m points, shape (m, R, n).
+    vv[e, j, r] holds the block candidates first and twice over, so the
+    partners at cyclic shift s are vv[:, s:s + n]: one long <= and one AND
+    down the points per shift, the comparisons of a per-point loop, and AND
+    is exact: the same masks, NaN, inf and -0.0 included.  At n = 60, 18 rows
+    take 2^17 floats in vv, 2^16 in v, 2^16 bools in each of cmp, by_shift, le."""
     _, r, n = values.shape
-    le = np.ones((r, n, n), dtype=bool)  # le[r, a, b]: candidate a <= candidate b
-    buf = np.empty_like(le)
-    for v in values:  # one point at a time, so the reduction is elementwise
-        le &= np.less_equal(v[:, :, None], v[:, None, :], out=buf)
+    v = np.ascontiguousarray(values.transpose(0, 2, 1))  # a copy apart from vv: numpy buffers a strided operand
+    vv = np.concatenate((v, v), axis=1)
+    cmp = np.empty_like(v, dtype=bool)
+    by_shift = np.empty((n, n, r), dtype=bool)  # by_shift[s, a, r]: candidate a <= candidate (a + s) % n
+    for s in range(n):
+        np.less_equal(v, vv[:, s : s + n], out=cmp)
+        np.logical_and.reduce(cmp, axis=0, out=by_shift[s])
+    a = np.arange(n)
+    le = by_shift[(a - a[:, None]) % n, a[:, None]].transpose(2, 0, 1)  # le[r, a, b]: candidate a <= candidate b
     dom = le if below else le.transpose(0, 2, 1)  # dom[r, a, b]: a dominates b
     earlier = np.triu(np.ones((n, n), dtype=bool), 1)  # earlier[a, b]: a < b
     return ~(dom & (~dom.transpose(0, 2, 1) | earlier)).any(axis=1)

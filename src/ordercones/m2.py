@@ -466,6 +466,11 @@ def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) 
     and PureStatePoint(Q[i]).  A hull pairs all rows with its vertices in one
     matrix product, so there a pair within rounding of tol may go either way.
     """
+    return _RELATIONS[_order_codes(region, P, Q, tol)].tolist()
+
+
+def _order_codes(region: SphericalRegion, P, Q, tol: float) -> np.ndarray:
+    """pure_state_order_many's relations as uint8 indices into _RELATIONS."""
     P = _read_rows(P, "Bloch vectors p", unit=_UNIT_TOL)[0]
     Q = _read_rows(Q, "Bloch vectors q", unit=_UNIT_TOL)[0]
     if P.shape != Q.shape:
@@ -476,7 +481,7 @@ def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) 
         norms <= tol, 0,
         np.where(region._dual(d, norms, tol), 1, np.where(region._dual(-d, norms, tol), 2, 3)),
     )
-    return _RELATIONS[codes].tolist()
+    return codes.astype(np.uint8)
 
 
 def state_order(region: SphericalRegion, rho: DensityState, sigma: DensityState, tol: float = GEOM_TOL) -> str:

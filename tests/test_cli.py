@@ -177,6 +177,37 @@ def test_cone_express_eval_round_trip(capsys):
     assert np.allclose(out["values"], [0, 3, 7])
 
 
+def _dominance_express_args(n, seed):
+    """cone express inputs on a random 2-D dominance order of n elements: its two
+    coordinates and n/2 - 2 running maxima over down-sets as generators, one more as target."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    rel = (pts[:, None, 0] <= pts[None, :, 0]) & (pts[:, None, 1] <= pts[None, :, 1])
+    iso = np.where(rel, rng.uniform(-2.0, 2.0, size=(n // 2 - 1, n, 1)), -np.inf).max(axis=1)
+    names = [f"d{i}" for i in range(n)]
+    poset = {"elements": names, "pairs": [[names[a], names[b]] for a, b in zip(*np.nonzero(rel)) if a != b]}
+    gens = np.vstack([pts.T, iso[:-1]]).tolist()
+    return ["--poset", json.dumps(poset), "--generators", json.dumps(gens), "--target", json.dumps(iso[-1].tolist())]
+
+
+# sha256 of stdout recorded before the prune's dominance was decided one cyclic shift at a time.
+@pytest.mark.parametrize(
+    "args, code, digest",
+    [
+        (_dominance_express_args(60, 36), 0, "63e1f7466457047659facad961980fdd88abaeace93958554be06997105de4d7"),
+        (["--poset", CHAIN3, "--generators", "[[0, 1, 2], [0, 2, 3]]", "--target", "[0, 1.5, 1.5]"], 0,
+         "585b65ae47b28393c60c89dc7f9d9dbaeb1a0533977c084de292ba6d31b5739c"),
+        (["--poset", '{"elements": [], "pairs": []}', "--generators", "[[]]", "--target", "[]"], 1,
+         "954cd82b2689bf3361472bac964fab2acabdea655b555dcd55e35dc21c26a90f"),
+    ],
+    ids=["dominance-60", "chain3", "empty"],
+)
+def test_pruned_expression_bytes_are_pinned(capsys, args, code, digest):
+    got, out = run(capsys, ["cone", "express", "--prune", *args])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cone_error_contract(capsys):
     code, data = run_json(capsys, ["cone", "isotone", "--poset", CHAIN3, "--f", "[0,1]"])
     assert code == 1

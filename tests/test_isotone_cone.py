@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import warnings
 from contextlib import redirect_stdout
 from itertools import permutations, product
@@ -287,6 +288,38 @@ def test_prune_keeps_the_first_of_equal_rows():
     assert np.flatnonzero(_undominated(values[:, :, :4], below=False)[0]).tolist() == [0, 1]
 
 
+def _undominated_per_point(values, below):
+    """_undominated as it was made one point at a time, an (R, n, n) comparison
+    per point, kept as the shift kernel's reference."""
+    _, r, n = values.shape
+    le = np.ones((r, n, n), dtype=bool)  # le[r, a, b]: candidate a <= candidate b
+    buf = np.empty_like(le)
+    for v in values:
+        le &= np.less_equal(v[:, :, None], v[:, None, :], out=buf)
+    dom = le if below else le.transpose(0, 2, 1)
+    earlier = np.triu(np.ones((n, n), dtype=bool), 1)
+    return ~(dom & (~dom.transpose(0, 2, 1) | earlier)).any(axis=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 59, 60, 61])
+def test_undominated_matches_the_per_point_loop(n):
+    specials = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+    for m, r in product([1, 2, 60], [1, 2, 18]):
+        rng = np.random.default_rng([n, m, r])
+        # Shifts of one profile by a few offsets, so that many candidates are
+        # comparable or tied; then special values, then copies of candidates.
+        values = rng.uniform(-2.0, 2.0, (m, 1, 1)) + rng.integers(-2, 3, (1, r, n)) / 2
+        values = np.where(rng.random(values.shape) < 0.1, rng.choice(specials, values.shape), values)
+        if n:
+            values[:, :, rng.integers(0, n, n // 3)] = values[:, :, rng.integers(0, n, n // 3)]
+        for below in (True, False):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _undominated(values, below=below)
+            assert got.shape == (r, n)
+            assert np.array_equal(got, _undominated_per_point(values, below)), (m, r, below)
+
+
 def test_prune_on_the_empty_poset():
     empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
     for prune in (False, True):
@@ -382,6 +415,18 @@ def test_batched_prune_matches_the_per_row_prune(inputs):
         assert len(rows) == 1
     assert pruned.to_json() == (want.children[0] if len(rows) == 1 else want).to_json()
     assert p.n < 70 or len(rows) > 12
+
+
+def test_a_60_element_prune_peaks_below_4_mb():
+    # Its blocks hold at most about 2^17 floats each (2.7 MB traced in all).
+    _, p, gens, target = _dominance_inputs(60, 1)
+    tracemalloc.start()
+    try:
+        stone_nachbin_express(p, gens, target, prune=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 _CHAIN3 = FinitePoset(["a", "b", "c"], np.triu(np.ones((3, 3), dtype=bool)))
