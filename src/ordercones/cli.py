@@ -36,6 +36,8 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
+    if type(obj) is _Coords:
+        return {e: {"t": t, "x": x} for e, t, x in zip(obj.ids, obj.t.tolist(), obj.x.tolist())}
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -62,8 +64,6 @@ def _indented(obj, indent: str) -> str | memoryview | list:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        if type(obj) is _Coords:
-            return _coords(obj, indent)
         inner = indent + "  "
         sep = ",\n" + inner
         parts = []  # separators and texts in turn: one join copies each text once
@@ -96,6 +96,8 @@ def _indented(obj, indent: str) -> str | memoryview | list:
         return _string(obj)
     if obj is None or isinstance(obj, (int, float)):
         return _encode(obj)
+    if type(obj) is _Coords:
+        return _coords(obj, indent)
     if isinstance(obj, np.ndarray) and obj.dtype == np.uint8 and obj.ndim == 2 and obj.size and obj.max() <= 1:
         return _bit_matrix(obj, indent)
     # Only a loaded isotone_cone can have made an expression tree.
@@ -157,17 +159,29 @@ def _bit_matrix(a: np.ndarray, indent: str) -> memoryview:
     return memoryview(text[:end + len(closing)])
 
 
-class _Coords(dict):
-    """A sprinkle's coords_json(), {id: {"t": t, "x": x}} with finite floats, written by _coords."""
+@dataclasses.dataclass(frozen=True)
+class _Coords:
+    """A sprinkle's coordinates: its ids and their finite t and x, float arrays in the order of
+    the ids.  Their JSON is Sprinkling.coords_json()'s, {id: {"t": t, "x": x}}; _coords writes it."""
+
+    ids: tuple[str, ...]
+    t: np.ndarray
+    x: np.ndarray
 
 
 def _coords(coords: _Coords, indent: str) -> str:
-    """Nonempty coordinates as _indented writes them: one point's template with "@" placeholders,
-    as in _scan_json, filled with each quoted id and %r of its floats, in sorted() order of the ids."""
+    """The coordinates as _indented writes their JSON, one row of _padded_rows a point, in sorted()
+    order of the ids: the quoted id, then t and x as _repr_slots writes them."""
+    if not coords.ids:
+        return "{}"
+    order = sorted(range(len(coords.ids)), key=coords.ids.__getitem__)
     head, tail = _indented({"@": None}, indent).split('"@": null')
-    point = "%s: " + _indented({"t": "@", "x": "@"}, indent + "  ").replace('"@"', "%r")
-    points = [point % (_string(k), v["t"], v["x"]) for k, v in sorted(coords.items())]
-    return head + f",\n{indent}  ".join(points) + tail
+    opening, middle, closing = _indented({"t": "@", "x": "@"}, indent + "  ").split('"@"')
+    sep = f",\n{indent}  "
+    ids = np.array([_string(coords.ids[i]) for i in order], "S")  # ASCII, padded
+    text = _padded_rows([sep, ids.view(np.uint8).reshape(len(ids), -1), ": " + opening, _repr_slots(coords.t[order]),
+                         middle, _repr_slots(coords.x[order]), closing])
+    return head + str(text[len(sep):], "ascii") + tail
 
 
 def _table_join(t, indent: str) -> str:
@@ -399,7 +413,8 @@ def _cmd_poset_bounds(args):
 def _cmd_poset_sprinkle(args):
     from . import poset
     sprinkled = poset.sprinkle_minkowski(args.n, args.seed)
-    return _relation_payload(args, sprinkled.poset, {"coords": _Coords(sprinkled.coords_json())})
+    coords = _Coords(sprinkled.poset.elements, np.array(sprinkled.t), np.array(sprinkled.x))
+    return _relation_payload(args, sprinkled.poset, {"coords": coords})
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +453,7 @@ def _cmd_cone_express(args):
     gens = _functions_arg(args.generators)
     target = _function_arg(args.target)
     expr = isotone_cone.stone_nachbin_express(p, gens, target, tol=args.tol, prune=args.prune)
-    err = float(np.max(np.abs(isotone_cone.eval_expr(expr, gens) - target)))
+    err = float(np.max(np.abs(isotone_cone.eval_expr(expr, gens) - target), initial=0.0))  # 0.0 over no points
     return {"expr": expr, "max_error": err}  # _indented writes a TableJoin from its tables
 
 
@@ -589,21 +604,25 @@ def _scan_rows(pairs: np.ndarray, codes: np.ndarray, pieces: list[str]) -> Itera
 
     Sample i is pieces[0], then each coordinate as float.__repr__ writes it
     followed by the next piece, then the relation word m2._RELATIONS[codes[i]]
-    and pieces[7].  A block is one byte template, each text padded with zero
-    bytes to a fixed width, and the padding is dropped in one pass.
+    and pieces[7].  A block is one _padded_rows.
     """
     from . import m2
     words = np.array(m2._RELATIONS.tolist(), "S").view(np.uint8).reshape(len(m2._RELATIONS), -1)  # ASCII, padded
-    pieces = [np.frombuffer(p.encode(), np.uint8) for p in pieces]
     for start in range(0, len(pairs), _CSV_BLOCK):
         block = pairs[start:start + _CSV_BLOCK]
-        n = len(block)
-        rels = words[codes[start:start + _CSV_BLOCK]]
-        text = [np.broadcast_to(pieces[0], (n, pieces[0].size))]
+        cells = [pieces[0]]
         for k, piece in enumerate(pieces[1:7]):  # a column at a time: its temporaries stay in cache
-            text += (_repr_slots(block[:, k]), np.broadcast_to(piece, (n, piece.size)))
-        text += (rels, np.broadcast_to(pieces[7], (n, pieces[7].size)))
-        yield np.concatenate(text, axis=1).tobytes().translate(None, b"\0")
+            cells += (_repr_slots(block[:, k]), piece)
+        yield _padded_rows(cells + [words[codes[start:start + _CSV_BLOCK]], pieces[7]])
+
+
+def _padded_rows(cells: list) -> bytes:
+    """Rows of cells side by side, as bytes: a str cell is the same ASCII text in every row, an
+    (n, w) uint8 array one text per row padded with zero bytes.  The padding is dropped in one pass."""
+    n = next(len(c) for c in cells if not isinstance(c, str))
+    grid = [c if not isinstance(c, str) else np.broadcast_to(np.frombuffer(c.encode(), np.uint8), (n, len(c)))
+            for c in cells]
+    return np.concatenate(grid, axis=1).tobytes().translate(None, b"\0")
 
 
 _SLOT = 24  # bytes: the longest float.__repr__, such as "-2.2250738585072014e-308"

@@ -288,9 +288,9 @@ def expr_from_json(data: dict) -> LatticeExpr:
     if not isinstance(args, list):
         raise InvalidInput(f'"args" must be a list, got {args!r}')
     args = [expr_from_json(a) for a in args]
-    if op == "scale" and len(args) != 1 or op in ("join", "meet") and not args:
-        raise InvalidInput(f"{op} takes {'exactly' if op == 'scale' else 'at least'} one arg, got {len(args)}")
     if op == "scale":
+        if len(args) != 1:
+            raise InvalidInput(f"scale takes exactly one arg, got {len(args)}")
         return Scale(_finite(data, "factor"), args[0])
     for cls in (Sum, Join, Meet):
         if op == cls.op:
@@ -308,9 +308,10 @@ def _finite(data: dict, key: str) -> float:
 def eval_expr(expr: LatticeExpr, functions, size: int | None = None) -> np.ndarray:
     """Evaluate an expression tree against a generator family.
 
-    join/meet are pointwise max/min.  size is only needed when the family
-    is empty and the tree is all constants.  A TableJoin is evaluated from
-    its tables, to the bytes the walk of its children gives.
+    join/meet are pointwise max/min; with no children they have a value
+    only over no points, the empty vector.  size is only needed when the
+    family is empty and the tree is all constants.  A TableJoin is
+    evaluated from its tables, to the bytes the walk of its children gives.
     """
     fns, n = _family_width(functions, size)
     return _run(expr, fns, n)
@@ -374,8 +375,10 @@ def _run(node: LatticeExpr, fns: np.ndarray, n: int) -> np.ndarray:
         return np.sum(vals, axis=0) if vals else np.zeros(n)
     if isinstance(node, (Join, Meet)):
         vals = [_run(c, fns, n) for c in node.children]
-        if not vals:
-            raise InvalidInput(f"{node.op} needs at least one child")
+        if not vals:  # over no points the empty vector is every function, so also their join and meet
+            if n:
+                raise InvalidInput(f"{node.op} needs at least one child")
+            return np.zeros(0)
         return (np.max if isinstance(node, Join) else np.min)(vals, axis=0)
     raise InvalidInput(f"unknown expression node {node!r}")
 
@@ -389,8 +392,10 @@ def _eval_table(t: _Table, fns: np.ndarray, n: int) -> np.ndarray:
     generator in range; pruned leaves enter the meet as +inf.  An unpruned
     t may carry a leading target axis, and the result then carries it too.
     """
-    if not len(t.rows):
-        raise InvalidInput("join needs at least one child")
+    if not len(t.rows):  # as in the tree walk
+        if n:
+            raise InvalidInput("join needs at least one child")
+        return np.zeros(t.f.shape[:-1] + (0,))
     rows, visited = t.visited()
     k = t.k[..., rows, :]
     bad = visited & (k >= len(fns))

@@ -200,16 +200,23 @@ class FinitePoset(FinitePreorder):
     def covering_pairs(self) -> list[tuple[str, str]]:
         """Transitive reduction: the pairs x < y with nothing strictly between, in row-major order.
 
-        x < y makes the down-set of x strictly smaller than that of y, so ranking the elements by
-        down-set size (a stable argsort) is a linear extension.  Each up-set is packed into one int,
-        rank k at bit m - 1 - k: x itself is its up-set's highest bit, and of the rest the element y
-        of lowest rank, the highest bit, has nothing below it there, so y covers x.  The peel emits
-        y and drops y's up-set until nothing is left: O(covers * n / 30) operations on the ints'
-        30-bit digits, fewer as their top bits go.  The covers are then sorted into row-major order.
+        The peel ranks the elements by a linear extension.  When each row of the relation starts at
+        the diagonal (its first related element is the element itself), no related pair is listed
+        backwards, so the listing is one and ranks are indices.  Otherwise x < y makes the down-set
+        of x strictly smaller than that of y, so ranking by down-set size (a stable argsort) is one.
+        Each up-set is packed into one int, rank k at bit m - 1 - k: x itself is its up-set's
+        highest bit, and of the rest the element y of lowest rank, the highest bit, has nothing
+        below it there, so y covers x.  The peel emits y and drops y's up-set until nothing is
+        left: O(covers * n / 30) operations on the ints' 30-bit digits, fewer as their top bits go.
+        The covers are then sorted into row-major order.
         """
-        n = self.n
-        order = np.argsort(self.rel.sum(axis=0, dtype=np.int32), kind="stable").tolist()
-        packed = np.packbits(self.rel.take(order, 1), axis=1)
+        n, rel = self.n, self.rel
+        if n and (rel.argmax(axis=1) == np.arange(n)).all():
+            order = list(range(n))
+        else:
+            order = np.argsort(rel.sum(axis=0, dtype=np.int32), kind="stable").tolist()
+            rel = rel.take(order, 1)
+        packed = np.packbits(rel, axis=1)
         w = packed.shape[1]
         m = 8 * w
         rows = packed.tobytes()
@@ -366,6 +373,27 @@ class Sprinkling:
         }
 
 
+def _causal_relation(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Points sorted by t, with t = (u + v) / 2 in floats: the reflexive relation
+    u[i] <= u[j] and v[i] <= v[j] and t[i] < t[j], in row blocks of at most 2^16 cells."""
+    n = len(t)
+    rel = np.zeros((n, n), dtype=bool)
+    # Sorted by t, t[j] <= t[i] for j < i, so t > fails there: rows a:b are compared from column a.
+    # Rounding is monotone, so u >= and v >= imply t >=; with t sorted, t > can then fail only
+    # between equal t values, and the two comparisons decide every other cell.
+    a = 0
+    while a < n:
+        b = a + max(1, (1 << 16) // (n - a))
+        rel[a:b, a:] = (u[a:] >= u[a:b, None]) & (v[a:] >= v[a:b, None])
+        a = b
+    # Each run of equal t is one square around the diagonal: cleared, then the diagonal set.
+    ties = t[1:][t[1:] == t[:-1]]
+    for lo, hi in zip(np.searchsorted(t, ties).tolist(), np.searchsorted(t, ties, "right").tolist()):
+        rel[lo:hi, lo:hi] = False
+    rel.flat[:: n + 1] = True
+    return rel
+
+
 def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     """Sprinkle n points into the unit causal diamond of 1+1 Minkowski space.
 
@@ -384,15 +412,7 @@ def sprinkle_minkowski(n: int, seed: int) -> Sprinkling:
     u, v = z[0::2], z[1::2]
     pts = np.array([(u + v) / 2.0, (u - v) / 2.0, u, v])
     t, x, u, v = pts[:, np.lexsort(pts[::-1])]  # sorted by t, then x, u and v
-    # Sorted by t, t[j] <= t[i] for j < i: below the diagonal t > fails and the relation is empty.
-    # Only the rest is compared, in row blocks of at most 2^16 cells.
-    rel = np.zeros((n, n), dtype=bool)
-    a = 0
-    while a < n:
-        b = a + max(1, (1 << 16) // (n - a))
-        rel[a:b, a:] = (u[a:] >= u[a:b, None]) & (v[a:] >= v[a:b, None]) & (t[a:] > t[a:b, None])
-        a = b
-    rel.flat[:: n + 1] = True
+    rel = _causal_relation(t, u, v)
     # u >=, v >= and t > are each transitive, so their conjunction is too.
     poset = FinitePoset._closed([f"p{i}" for i in range(n)], rel)
     return Sprinkling(poset=poset, t=tuple(t.tolist()), x=tuple(x.tolist()))

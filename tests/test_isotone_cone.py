@@ -23,6 +23,7 @@ from ordercones.errors import (
 )
 from ordercones.isotone_cone import (
     _Table,
+    _eval_table,
     _isotone,
     _undominated,
     Constant,
@@ -324,6 +325,26 @@ def test_prune_on_the_empty_poset():
     empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
     for prune in (False, True):
         assert stone_nachbin_express(empty, [[]], [], prune=prune).to_json() == {"op": "join", "args": []}
+
+
+def test_an_empty_join_or_meet_is_the_empty_vector_over_no_points():
+    # The empty vector is the only function on no points; on one point an empty join has no value.
+    empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
+    table = stone_nachbin_express(empty, [[]], []).table
+    assert _eval_table(table, np.zeros((1, 0)), 0).shape == (0,)
+    assert _result(lambda: _eval_table(table, np.zeros((1, 1)), 1)) == (InvalidInput, "join needs at least one child")
+    for op, node in (("join", Join), ("meet", Meet)):
+        tree = expr_from_json({"op": op, "args": []})
+        assert tree == node() and tree.to_json() == {"op": op, "args": []}
+        assert eval_expr(tree, [[]]).shape == (0,) and eval_expr(tree, [], size=0).shape == (0,)
+        assert eval_expr(Join(Constant(1.0), tree), [], size=0).shape == (0,)
+        assert _result(lambda: eval_expr(tree, [[2.0]])) == (InvalidInput, f"{op} needs at least one child")
+    for flags in ([], ["--prune"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["cone", "express", *flags, "--poset", '{"elements": [], "pairs": []}',
+                             "--generators", "[[]]", "--target", "[]"])
+        assert code == 0 and json.loads(out.getvalue()) == {"expr": {"args": [], "op": "join"}, "max_error": 0.0}
 
 
 _EXAMPLES = settings(derandomize=True, max_examples=150, deadline=None)
@@ -629,7 +650,9 @@ def test_stacked_build_on_the_empty_poset_and_no_targets():
     empty = FinitePoset([], np.zeros((0, 0), dtype=bool))
     batch = stone_nachbin_express_many(empty, [[]], np.empty((2, 0)))
     assert [b.to_json() for b in batch] == [stone_nachbin_express(empty, [[]], []).to_json()] * 2
-    assert _result(lambda: eval_expr_many(batch, [[]])) == (InvalidInput, "join needs at least one child")
+    # Over no points the empty join is the empty vector; over one point it has no value.
+    assert eval_expr_many(batch, [[]]).shape == (2, 0)
+    assert _result(lambda: eval_expr_many(batch, [[1.0]])) == (InvalidInput, "join needs at least one child")
     p = chain("a", "b", "c")
     assert stone_nachbin_express_many(p, [[0.0, 1.0, 2.0]], []) == []
     assert eval_expr_many([], [[0.0, 1.0, 2.0]]).shape == (0, 3)

@@ -282,6 +282,29 @@ def _handler_payload(argv):
     return args.handler(args)
 
 
+# Values in and out of _repr_slots' certified domain, 1e-4 <= |x| < 1, and at its edges.
+_COORD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 9.99e-5, -9.99e-5, 1e-4, -1e-4, 0.1, -0.1,
+                 0.9999999999999999, -0.9999999999999999, 0.25, 1.0, -1.5e300]
+
+
+@pytest.mark.parametrize("indent", ["", "  ", "      "])
+def test_sprinkle_coordinates_are_written_as_their_dict(indent):
+    # Ids past 10 and 100 points sort across digit widths, and two need escaping.
+    t = np.array(_COORD_VALUES * len(_COORD_VALUES))
+    x = np.repeat(_COORD_VALUES, len(_COORD_VALUES))
+    ids = tuple(f"p{i}" for i in range(len(t) - 2)) + ('"q"', "\u00e9\n")
+    coords = cli._Coords(ids, t, x)
+    node = {e: {"t": a, "x": b} for e, a, b in zip(ids, t.tolist(), x.tolist())}
+    want = json.dumps({"coords": node, "n": 1}, sort_keys=True, indent=2)
+    assert cli._dumps({"coords": coords, "n": 1}) == want == _reference({"coords": coords, "n": 1})
+    inner = json.dumps(node, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    assert cli._indented(coords, indent) == inner
+    assert cli._indented(cli._Coords((), t[:0], x[:0]), indent) == "{}"
+    sprinkled = poset.sprinkle_minkowski(101, 4)
+    assert cli._json_default(_handler_payload(["poset", "sprinkle", "--n", "101", "--seed", "4"])["coords"]) == \
+        sprinkled.coords_json()
+
+
 _CHAIN = json.dumps({"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"]]})
 _V = json.dumps({"elements": ["bot", "l", "r"], "pairs": [["bot", "l"], ["bot", "r"]]})
 _SPACE = json.dumps({"points": ["o", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "landmarks": ["o"]})

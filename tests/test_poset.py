@@ -307,6 +307,33 @@ def test_sprinkled_relation_equals_the_full_square_broadcast(n, seed):
     assert np.array_equal(sprinkle_minkowski(n, seed).poset.rel, want)
 
 
+def _tied_points(n, seed):
+    """n points sorted by t = (u + v) / 2, with runs of 2 and 3 equal t where u >= and v >= hold.
+
+    Runs of copies, and the run (0.5, 0), (0.5, 2^-55), (0.5, 2^-54), whose sums all round to 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(n), rng.random(n)
+    at = rng.choice(n - 3, size=n // 20, replace=False)
+    for k, i in enumerate(at.tolist()):
+        u[i + 1:i + 2 + k % 2], v[i + 1:i + 2 + k % 2] = u[i], v[i]
+    u[-3:], v[-3:] = 0.5, [0.0, 2.0**-55, 2.0**-54]
+    t = (u + v) / 2.0
+    order = np.lexsort((v, u, t))
+    return t[order], u[order], v[order]
+
+
+@pytest.mark.parametrize("n", [4, 60, 256, 300, 700])
+def test_causal_relation_equals_the_three_comparison_broadcast(n):
+    # Up to n = 256 one row block, several from n = 300 on.
+    t, u, v = _tied_points(n, n)
+    pair = (u[None, :] >= u[:, None]) & (v[None, :] >= v[:, None]) & ~np.eye(n, dtype=bool)
+    assert (pair & (t[None, :] == t[:, None])).sum() >= 3  # the ties the third comparison decides
+    want = pair & (t[None, :] > t[:, None])
+    want[np.diag_indices(n)] = True
+    assert np.array_equal(poset._causal_relation(t, u, v), want)
+
+
 def test_poset_json_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -505,6 +532,28 @@ def test_covering_pairs_equal_the_full_square_reference():
         assert p.covering_pairs() == _covers_by_full_square(p)
     assert len(chain.covering_pairs()) == 299 and antichain.covering_pairs() == []
     assert [len(p.covering_pairs()) for p in bipartite] == [1, 4, 9, 2500]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+def test_covering_pairs_in_either_linear_extension(n):
+    # Listed in down-set-size order, every row of the relation starts at the diagonal and the
+    # peel ranks by the listing; reversed or shuffled, it ranks by the argsort of down-set sizes.
+    rng = np.random.default_rng(n)
+    for prob in (0.05, 0.2, 0.5):
+        rel = _closure(np.triu(rng.random((n, n)) < prob, 1))
+        by_size = np.argsort(rel.sum(axis=0), kind="stable")
+        for perm in (by_size, by_size[::-1], rng.permutation(n)):
+            p = _listed(rel, perm)
+            assert p.covering_pairs() == _covers_by_full_square(p)
+        starts = [(_listed(rel, perm).rel.argmax(axis=1) == np.arange(n)).all() for perm in (by_size, by_size[::-1])]
+        assert starts == [True, rel.sum() == n]  # reversed, only an antichain is still an extension
+
+
+def test_a_sprinkle_is_listed_as_a_linear_extension():
+    for seed in range(1, 6):
+        p = sprinkle_minkowski(1000, seed).poset
+        assert (p.rel.argmax(axis=1) == np.arange(p.n)).all()
+        assert p.covering_pairs() == _covers_by_full_square(p)
 
 
 def test_incomparable_pairs_read_the_upper_triangle_in_row_major_order():
