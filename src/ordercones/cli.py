@@ -1030,7 +1030,11 @@ def main(argv=None) -> int:
             raise InvalidInput(f"--tol must be a finite non-negative number, got {tol!r}")
         if args.group == "accept":
             return _accept_all(args)
-        _emit(args, args.handler(args))
+        try:
+            result = args.handler(args)
+        except MemoryError:  # a size the machine cannot hold, refused before any byte is written
+            raise InvalidInput("input too large for this machine's memory") from None
+        _emit(args, result)
         sys.stdout.flush()  # and its binary buffer: a reader that closed the pipe shows here, not at exit
     except OrderConesError as exc:
         print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, sort_keys=True))

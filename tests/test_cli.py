@@ -6,7 +6,9 @@ import json
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
+import console_checks
 import numpy as np
 import pytest
 
@@ -40,19 +42,6 @@ def test_poset_check_valid_chain(capsys):
     code, data = run_json(capsys, ["poset", "check", "--in", CHAIN3])
     assert code == 0
     assert data == {"bounded": True, "valid": True}
-
-
-def test_poset_check_reports_cycle(capsys):
-    bad = json.dumps({"elements": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]]})
-    code, data = run_json(capsys, ["poset", "check", "--in", bad])
-    assert code == 0
-    assert data["valid"] is False and data["reason"] == "AntisymmetryViolation"
-    refused = {"error": {"kind": "AntisymmetryViolation", "detail": "relation contains a 2-cycle between distinct ids"}}
-    for argv in (
-        ["dual", "characters", "--in", bad],
-        ["cone", "express", "--poset", bad, "--generators", "[[0,1]]", "--target", "[0,1]"],
-    ):
-        assert run_json(capsys, argv) == (1, refused)
 
 
 def test_poset_bounds_and_interval(capsys):
@@ -784,36 +773,6 @@ def _run_module(*args):
     return subprocess.run([_sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize(
-    "argv, read",
-    [
-        (["poset", "sprinkle", "--n", "300", "--seed", "1"], 1),
-        (["m2", "order", "--region", '{"kind":"full"}', "--samples", "100000", "--format", "csv"], 1),
-        # The relation grid of a 1000-point sprinkle runs from about 0.3 MB to 9.3 MB of its text.
-        (["poset", "sprinkle", "--n", "1000", "--seed", "1"], 1_000_000),
-    ],
-    ids=["sprinkle-json", "scan-csv", "sprinkle-1000-mid-grid"],
-)
-def test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr(argv, read):
-    import os
-    import subprocess
-    from pathlib import Path
-
-    import ordercones
-
-    env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent))
-    # Both outputs are far larger than a pipe's buffer, so the child is still writing when the pipe closes.
-    with subprocess.Popen([sys.executable, "-W", "error", "-m", "ordercones.cli", *argv],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        try:
-            first = proc.stdout.read(read)
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=120)
-        finally:
-            proc.kill()
-    assert len(first) == read and first[:1] in (b"{", b"p") and proc.returncode == 1 and err == b""
-
-
 _LONE_SURROGATE_COMBINE = ["poset", "combine", "--a", '{"elements":["\\ud800","b"],"pairs":[["\\ud800","b"]]}',
                            "--b", '{"elements":["x"],"pairs":[]}', "--mode", "disjoint_union", "--format", "csv"]
 
@@ -825,24 +784,6 @@ def test_an_id_with_no_utf8_form_is_refused_and_writes_no_out_file(capsys, tmp_p
     error = json.loads(out)["error"]
     assert code == 1 and error["kind"] == "InvalidInput" and "\\ud800" in error["detail"]
     assert not path.exists()
-
-
-@pytest.mark.parametrize("sink", ["stdout", "out"])
-def test_a_csv_id_that_is_not_ascii_is_written_as_utf8_whatever_the_locale(tmp_path, sink):
-    import os
-    import subprocess
-    from pathlib import Path
-
-    import ordercones
-
-    env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent),
-               LC_ALL="C", PYTHONIOENCODING="ascii")
-    path = tmp_path / "relation.csv"
-    argv = ["poset", "combine", "--a", '{"elements":["é","b"],"pairs":[["é","b"]]}', "--b", '{"elements":["x"],"pairs":[]}',
-            "--mode", "disjoint_union", "--format", "csv"] + (["--out", str(path)] if sink == "out" else [])
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ordercones.cli", *argv], capture_output=True, env=env)
-    written = path.read_bytes() if sink == "out" else proc.stdout
-    assert proc.returncode == 0 and proc.stderr == b"" and written == "source,target\né,b\n".encode()
 
 
 def test_installed_script_entry_point():
@@ -893,156 +834,28 @@ def test_a_library_patch_made_after_importing_cli_reaches_its_verb():
     assert json.loads(swapped.stdout) == {"join": want["meet"], "meet": want["join"]}
 
 
-def test_overflowing_bloch_entry_is_invalid_input_with_nothing_on_stderr():
-    proc = _run_module(
-        "-W", "error", "-m", "ordercones.cli", "m2", "order", "--region", '{"kind":"full"}',
-        "--p", '{"bloch":[1e200,0,0]}', "--q", '{"bloch":[0,0,1]}',
-    )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert json.loads(proc.stdout)["error"]["kind"] == "InvalidInput"
+def _in_process(capsysbinary, monkeypatch):
+    """A console_checks call that runs argv through cli.main in the working directory, with warnings as errors."""
+    def call(row, argv, cwd):
+        monkeypatch.chdir(cwd)
+        if row.stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(row.stdin.encode()), encoding="utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        return code, *capsysbinary.readouterr()
+    return call
 
 
-def test_overflowing_exp_is_domain_error_with_nothing_on_stderr():
-    proc = _run_module("-W", "error", "-m", "ordercones.cli", "herm", "fn", "--fn", "exp", "--in", "[[1000,0],[0,0]]")
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert json.loads(proc.stdout) == {"error": {"detail": "function not finite at eigenvalue 1000.0", "kind": "DomainError"}}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["m2", "hopf", "--xi", "[[1e200,0],[0,0]]"],
-        ["m2", "fs", "--p", '{"xi":[[0,1e200],[0,0]]}', "--q", '{"bloch":[0,0,1]}'],
-    ],
-    ids=["hopf", "fs"],
-)
-def test_overflowing_spinor_entry_is_not_normalized_with_nothing_on_stderr(capsys, argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 1 and captured.err == ""
-    assert json.loads(captured.out) == {"error": {"detail": "state vector has norm 1e+200", "kind": "NotNormalized"}}
-
-
-@pytest.mark.parametrize(
-    "argv, detail",
-    [
-        (["m2", "state-order", "--region", '{"kind":"full"}', "--rho", '{"bloch":[1e200,0,0]}', "--sigma", '{"bloch":[0,0,0]}'],
-         "density Bloch vector must be finite with norm <= 1"),
-        (["m2", "order", "--region", '{"kind":"hull","vertices":[[1e200,0,1],[0,1,1],[1,1,1]]}', "--p", "[0,0,1]", "--q", "[0,0,1]"],
-         "hull vertices must be finite and unit length"),
-    ],
-    ids=["density", "hull"],
-)
-def test_overflowing_density_and_hull_entries_are_invalid_input_with_nothing_on_stderr(capsys, argv, detail):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 1 and captured.err == ""
-    assert json.loads(captured.out) == {"error": {"detail": detail, "kind": "InvalidInput"}}
-
-
-_HUGE = "[[1e308,1e308],[1e308,1e308]]"
-_NOT_FINITE = {"kind": "DomainError", "detail": "result is not finite: Out of range float values are not JSON compliant"}
-_PAST_THE_LARGEST = ("[[1.5e308,1.5e308],[1.5e308,-1.5e308]]", "[[-1.5e308,-1.5e308],[-1.5e308,1.5e308]]")  # a and -a
-
-
-@pytest.mark.parametrize(
-    "argv, code, want",
-    [
-        (["herm", "classify", "--in", _HUGE], 1, {"error": _NOT_FINITE}),  # eigenvalue 2e308
-        (["m2", "member", "--region", '{"kind":"full"}', "--matrix", _HUGE], 0, {"member": True}),
-        (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0, {"alpha": 1.0, "beta": 0.0}),
-        (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0,
-         {"join": {"n": 2, "re": [[1e308, 0.0], [0.0, 1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-          "meet": {"n": 2, "re": [[-1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}}),
-        # the join is |a| = 2.12e308 times the identity
-        (["herm", "lattice", "--a", _PAST_THE_LARGEST[0], "--b", _PAST_THE_LARGEST[1]], 1,
-         {"error": {"kind": "DomainError", "detail": "join or meet is past the largest float"}}),
-    ],
-    ids=["classify", "member", "join-coeffs", "lattice", "lattice-past-the-largest-float"],
-)
-def test_diagonals_near_the_largest_float_leave_stderr_empty(capsys, argv, code, want):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out) == want
-
-
-_AB = json.dumps({"elements": ["a", "b"], "pairs": [["a", "b"]]})
-_HALF_CHAIN = ["--poset", CHAIN3, "--generators", "[[-1e300,0,1e300]]", "--target", "[-1e308,0,1.7e308]"]
-# Cone verbs whose differences, products or sums pass the largest float:
-# name -> (argv, exit code, stdout).  Such a value is inf with its sign, so
-# the answers are those of the finite inputs nearby.
-_CONE_NEAR_THE_LARGEST_FLOAT = {
-    "cone-isotone": (["cone", "isotone", "--poset", _AB, "--f", "[-1.7e308,1.7e308]"], 0, {"isotone": True}),
-    "cone-contains": (["cone", "contains", "--elements", '["a","b"]', "--functions", "[[0,1]]", "--f", "[1e308,-1e308]"],
-                      0, {"contains": False}),
-    "cone-order-from": (["cone", "order-from", "--elements", '["a","b"]', "--functions", "[[1.7e308,0]]", "--tol", "1e308"],
-                        0, {"elements": ["a", "b"], "pairs": [["b", "a"]], "relation": [[1, 0], [1, 1]],
-                            "separates_points": True}),
-    "cone-decompose": (["cone", "decompose", "--poset", _AB, "--f", "[-1.7e308,1.7e308]"], 1,
-                       {"error": {"kind": "NegativeValues", "detail": "function must be nonnegative"}}),
-    "cone-eval-scale": (["cone", "eval", "--expr", '{"op":"scale","factor":1e300,"args":[{"gen":0}]}',
-                         "--functions", "[[1e300,0]]"], 1, {"error": _NOT_FINITE}),
-    "cone-eval-sum": (["cone", "eval", "--expr", '{"op":"sum","args":[{"const":1.7e308},{"const":1.7e308}]}',
-                       "--size", "2"], 1, {"error": _NOT_FINITE}),
-    "cone-express-prune": (["cone", "express", "--prune", *_HALF_CHAIN], 1, {"error": _NOT_FINITE}),
-    "cone-express": (["cone", "express", *_HALF_CHAIN], 1, {"error": _NOT_FINITE}),
-}
-
-
-@pytest.mark.parametrize(
-    "argv, code, want", list(_CONE_NEAR_THE_LARGEST_FLOAT.values()), ids=list(_CONE_NEAR_THE_LARGEST_FLOAT)
-)
-def test_cone_verbs_near_the_largest_float_leave_stderr_empty(capsys, argv, code, want):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out) == want
-
-
-# The `-W error` steps of .github/workflows/tier1.yml, each command run in
-# process with warnings as errors: its exit code, strict JSON on stdout and
-# nothing on stderr.
-_CI_WARNING_STEPS = {
-    "exp": (["herm", "fn", "--fn", "exp", "--in", "[[1000,0],[0,0]]"], 1),
-    "sqrt-1e-11": (["herm", "fn", "--fn", "sqrt", "--in", "[[-1e-11,0],[0,1e-11]]"], 1),
-    "bloch": (["m2", "order", "--region", '{"kind":"full"}', "--p", '{"bloch":[1e200,0,0]}', "--q", '{"bloch":[0,0,1]}'], 1),
-    "spinor": (["m2", "hopf", "--xi", "[[1e200,0],[0,0]]"], 1),
-    "density": (["m2", "state-order", "--region", '{"kind":"full"}', "--rho", '{"bloch":[1e200,0,0]}', "--sigma",
-                 '{"bloch":[0,0,0]}'], 1),
-    "hull": (["m2", "order", "--region", '{"kind":"hull","vertices":[[1e200,0,1],[0,1,1],[1,1,1]]}', "--p", "[0,0,1]",
-              "--q", "[0,0,1]"], 1),
-    "diagonals-classify": (["herm", "classify", "--in", "[[1e308,1e308],[1e308,1e308]]"], 1),
-    "diagonals-member": (["m2", "member", "--region", '{"kind":"full"}', "--matrix", "[[1e308,1e308],[1e308,1e308]]"], 0),
-    "diagonals-join-coeffs": (["m2", "join-coeffs", "--a", "[[1e308,0],[0,1e308]]", "--b", "[[0,1e308],[1e308,0]]"], 0),
-    "lattice": (["herm", "lattice", "--a", "[[1e308,0],[0,-1e308]]", "--b", "[[-1e308,0],[0,1e308]]"], 0),
-    "lattice-past-the-largest-float": (["herm", "lattice", "--a", _PAST_THE_LARGEST[0], "--b", _PAST_THE_LARGEST[1]], 1),
-    "transverse": (["m2", "transverse", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}', "--matrix",
-                    "[[1e200,0],[0,-1e200]]"], 0),
-    "transverse-not-normal": (["m2", "transverse", "--region", '{"kind":"cap","center":[0,0,1],"radius":0.3}',
-                               "--matrix", "[[1e200,1e200],[0,0]]"], 1),
-    **{name: (argv, code) for name, (argv, code, _) in _CONE_NEAR_THE_LARGEST_FLOAT.items()},
-    "cobounded-duality": (["dual", "cobounded-duality", "--in", '{"elements":["a","b"],"pairs":[]}'], 0),
-    "lone-surrogate-id": (_LONE_SURROGATE_COMBINE, 1),
-}
-
-
-@pytest.mark.parametrize("argv, code", list(_CI_WARNING_STEPS.values()), ids=list(_CI_WARNING_STEPS))
-def test_ci_warning_steps_in_process(capsys, argv, code):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    json.loads(captured.out, parse_constant=_reject_constant)
+@pytest.mark.parametrize("row", console_checks.ROWS, ids=lambda row: row.name)
+def test_console_check(capsysbinary, monkeypatch, tmp_path, row):
+    # An environment variable or a pipe acts on the whole process, so those rows run in a child.
+    if row.env or row.pipe:
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        call = console_checks.process([sys.executable, "-W", "error", "-m", "ordercones.cli"], {"PYTHONPATH": src})
+    else:
+        call = _in_process(capsysbinary, monkeypatch)
+    assert console_checks.failure(row, call, tmp_path) == ""
 
 
 def test_accept_fast_single_criterion(capsys):
