@@ -5,8 +5,10 @@ check is ("sha256", hex digest), ("dumps", None): the answer is what
 json.dumps(..., sort_keys=True, indent=2) writes of it, and a newline,
 ("json", value) for strict JSON, ("pred", name) of PREDICATES, or (None, None).
 
-tests/test_cli.py::test_console_check runs every row through cli.main with
-warnings as errors, or in a child where its environment or a pipe matters.
+tests/test_cli.py runs every row through cli.main with warnings as errors, or
+in a child where its environment or a pipe matters: a row that took over a
+hand-written test under that test's name and ids, the rest under
+test_console_check.
 ``python tests/console_checks.py`` runs every row through the installed
 ``ordercones`` script, the werror rows also under ``python -W error -m
 ordercones.cli``, and exits 1 naming each row that failed.

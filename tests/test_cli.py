@@ -3,6 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -760,17 +762,13 @@ def test_dual_cobounded_duality_computes_each_answer_once(capsys):
     assert calls == {"bounds": 1, "cobounded_commutative": 1}
 
 
+_SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
 def _run_module(*args):
     """python <args> in a child that imports the package from the same tree as this process."""
-    import os
-    import subprocess
-    import sys as _sys
-    from pathlib import Path
-
-    import ordercones
-
-    env = dict(os.environ, PYTHONPATH=str(Path(ordercones.__file__).resolve().parent.parent))
-    return subprocess.run([_sys.executable, *args], capture_output=True, text=True, env=env)
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 _LONE_SURROGATE_COMBINE = ["poset", "combine", "--a", '{"elements":["\\ud800","b"],"pairs":[["\\ud800","b"]]}',
@@ -847,15 +845,65 @@ def _in_process(capsysbinary, monkeypatch):
     return call
 
 
-@pytest.mark.parametrize("row", console_checks.ROWS, ids=lambda row: row.name)
-def test_console_check(capsysbinary, monkeypatch, tmp_path, row):
-    # An environment variable or a pipe acts on the whole process, so those rows run in a child.
-    if row.env or row.pipe:
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        call = console_checks.process([sys.executable, "-W", "error", "-m", "ordercones.cli"], {"PYTHONPATH": src})
+def _check(request, row, child=False):
+    """Run one console_checks row with warnings as errors: in process, or in a child where asked or where
+    the row sets an environment variable or closes the pipe, since those act on the whole process."""
+    if child or row.env or row.pipe:
+        call = console_checks.process([sys.executable, "-W", "error", "-m", "ordercones.cli"], {"PYTHONPATH": _SRC})
     else:
-        call = _in_process(capsysbinary, monkeypatch)
-    assert console_checks.failure(row, call, tmp_path) == ""
+        call = _in_process(request.getfixturevalue("capsysbinary"), request.getfixturevalue("monkeypatch"))
+    assert console_checks.failure(row, call, request.getfixturevalue("tmp_path")) == ""
+
+
+_ROW = {row.name: row for row in console_checks.ROWS}
+_NAMED = {"bloch", "exp", "cycle-check", "cycle-characters", "cycle-express"}
+
+
+def _named(*names):
+    """A test of the rows named, each 'row' or 'test id=row': rows that took over a hand-written test run
+    under its name and ids, and test_console_check runs the rest."""
+    _NAMED.update(name.split("=")[-1] for name in names)
+
+    @pytest.mark.parametrize("row", [pytest.param(_ROW[n.split("=")[-1]], id=n.split("=")[0]) for n in names])
+    def test(request, row):
+        _check(request, row)
+    return test
+
+
+_CONE = ["cone-isotone", "cone-contains", "cone-order-from", "cone-decompose", "cone-eval-scale", "cone-eval-sum",
+         "cone-express-prune", "cone-express"]
+_DIAGONALS = ["diagonals-classify", "diagonals-member", "diagonals-join-coeffs", "lattice", "lattice-past-the-largest-float"]
+test_ci_warning_steps_in_process = _named("exp", "sqrt-1e-11", "bloch", "spinor=spinor-hopf", "density", "hull",
+                                          *_DIAGONALS, "transverse", "transverse-not-normal", *_CONE,
+                                          "cobounded-duality", "lone-surrogate-id")
+test_cone_verbs_near_the_largest_float_leave_stderr_empty = _named(*_CONE)
+test_diagonals_near_the_largest_float_leave_stderr_empty = _named(
+    *(name.replace("diagonals-", "") + "=" + name for name in _DIAGONALS))
+test_overflowing_density_and_hull_entries_are_invalid_input_with_nothing_on_stderr = _named("density", "hull")
+test_overflowing_spinor_entry_is_not_normalized_with_nothing_on_stderr = _named("hopf=spinor-hopf", "fs=spinor-fs")
+test_a_reader_that_closes_the_pipe_gets_exit_1_and_an_empty_stderr = _named(
+    "sprinkle-json=closed-pipe-sprinkle", "scan-csv=closed-pipe-scan-csv",
+    "sprinkle-1000-mid-grid=closed-pipe-sprinkle-1000-mid-grid")
+test_a_csv_id_that_is_not_ascii_is_written_as_utf8_whatever_the_locale = _named(
+    "stdout=csv-id-not-ascii-under-ascii-locale", "out=csv-id-not-ascii-under-ascii-locale")
+
+
+def test_overflowing_bloch_entry_is_invalid_input_with_nothing_on_stderr(request):
+    _check(request, _ROW["bloch"], child=True)
+
+
+def test_overflowing_exp_is_domain_error_with_nothing_on_stderr(request):
+    _check(request, _ROW["exp"], child=True)
+
+
+def test_poset_check_reports_cycle(request):
+    for name in ("cycle-check", "cycle-characters", "cycle-express"):
+        _check(request, _ROW[name])
+
+
+@pytest.mark.parametrize("row", [row for row in console_checks.ROWS if row.name not in _NAMED], ids=lambda row: row.name)
+def test_console_check(request, row):
+    _check(request, row)
 
 
 def test_accept_fast_single_criterion(capsys):
