@@ -572,7 +572,8 @@ def _cmd_m2_order(args):
     _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     pts = rng.normal(size=(2 * args.samples, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    x, y, z = pts.T  # np.linalg.norm's sum of squares, without its (N, 3) temporary
+    pts /= np.sqrt((x * x + y * y) + z * z)[:, None]
     codes = m2._order_codes(region, pts[0::2], pts[1::2], args.tol)
     if args.format == "csv":
         return _scan_csv(pts.reshape(args.samples, 6), codes)
@@ -610,10 +611,12 @@ def _scan_rows(pairs: np.ndarray, codes: np.ndarray, pieces: list[str]) -> Itera
     words = np.array(m2._RELATIONS.tolist(), "S").view(np.uint8).reshape(len(m2._RELATIONS), -1)  # ASCII, padded
     for start in range(0, len(pairs), _CSV_BLOCK):
         block = pairs[start:start + _CSV_BLOCK]
+        slots = _repr_slots(block).reshape(len(block), 6, _SLOT)
         cells = [pieces[0]]
-        for k, piece in enumerate(pieces[1:7]):  # a column at a time: its temporaries stay in cache
-            cells += (_repr_slots(block[:, k]), piece)
-        yield _padded_rows(cells + [words[codes[start:start + _CSV_BLOCK]], pieces[7]])
+        for k, piece in enumerate(pieces[1:7]):
+            cells += (slots[:, k], piece)
+        relations = np.take(words, codes[start:start + _CSV_BLOCK], axis=0)  # 3x faster than words[codes] on uint8
+        yield _padded_rows(cells + [relations, pieces[7]])
 
 
 def _padded_rows(cells: list) -> bytes:
@@ -699,13 +702,14 @@ def _repr_slots(x: np.ndarray) -> np.ndarray:
     known = (a >= 1e-4) & (a < 1.0)
     a = np.where(known, a, 0.75)  # every other lane computes on a harmless value
     bits = a.view(np.uint64)
-    zeros = (a < 0.1).view(np.int8) + (a < 0.01).view(np.int8) + (a < 0.001).view(np.int8)
+    zeros = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)  # intp: np.take is 4x slower on int8
     ten, ten_hi, ten_lo = np.take(ten_t, zeros), np.take(ten_hi_t, zeros), np.take(ten_lo_t, zeros)
     p = a * ten
     split = a * 134217729.0
     a_hi = split - (split - a)
     a_lo = a - a_hi
     e = ((a_hi * ten_hi - p) + a_hi * ten_lo + a_lo * ten_hi) + a_lo * ten_lo
+    del split, a_hi, a_lo, ten_hi, ten_lo  # each dead array is dropped, so that the live ones stay in cache
     e_int = np.floor(e)
     whole = p.astype(np.int64) + e_int.astype(np.int64)  # X = whole + f, 0 <= f < 1
     f = e - e_int
@@ -721,6 +725,7 @@ def _repr_slots(x: np.ndarray) -> np.ndarray:
     hundreds = by100 >= low
     multiple = np.where(hundreds, by100, multiple)
     exact = known & (hundreds | ~tie)
+    del p, e, e_int, whole, f, h, low, high, by100, tens, down10, t, tie, hundreds
     first = multiple // 10**16
     rest = multiple - first * 10**16
     upper = rest // 10**8

@@ -54,6 +54,20 @@ def _times(m: np.ndarray, k) -> np.ndarray:
     return (np.ascontiguousarray(m).view(float) * k).view(complex)
 
 
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over the last axis of a (..., k); for k <= 8 a left fold over its k columns, in place.
+
+    numpy reduces a short last axis row by row: 5.8 ms against 0.33 ms for np.minimum over (100000, 3), with
+    the same bits for np.minimum and np.maximum.  One row, or a longer axis, keeps the plain reduction.
+    """
+    if a.ndim == 1 or a.shape[-1] > 8:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
+
+
 def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(m, s) with a = m * s, for a complex square matrix, or a stack of them on the last two axes.
 
@@ -70,7 +84,7 @@ def _read_matrix(a: np.ndarray, hermitian: bool = False) -> tuple[np.ndarray, np
         big, total = max(map(abs, parts), default=0.0), sum(parts)
         finite = big < math.inf and total == total  # a max may pass over a NaN, a sum cannot
     else:
-        big = np.abs(parts).max(axis=(-2, -1), keepdims=True, initial=0.0)
+        big = _fold(np.maximum, _fold(np.maximum, np.abs(parts)))[..., None, None]  # over each row, then the rows
         finite = (big < np.inf).all()
     if not finite:
         raise InvalidInput("matrix entries must be finite")
@@ -264,7 +278,7 @@ def _plain_lengths(vs: np.ndarray, square_sums: bool) -> np.ndarray:
 def _scaled_lengths(vs: np.ndarray, square_sums: bool) -> np.ndarray:
     """_plain_lengths of each row of vs (N, k) over _scale of its largest part, scaled back; inf past the largest float."""
     parts = np.abs(vs) if vs.dtype.kind != "c" else np.abs(np.concatenate([vs.real, vs.imag], axis=-1))
-    big = functools.reduce(np.maximum, parts.T).T  # each row's largest part, 5x faster than .max(axis=-1)
+    big = _fold(np.maximum, parts)  # each row's largest part
     finite = big < np.inf
     vs = np.where(finite[:, None], vs, 0.0)
     s = _scale(big)

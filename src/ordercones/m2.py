@@ -33,7 +33,7 @@ from .errors import (
     float_array,
 )
 from .hermitian import (
-    HermitianMatrix, _as_hermitian, _dots, _finite_length, _finite_lengths, _hk, _pauli_parts, _read_matrix,
+    HermitianMatrix, _as_hermitian, _dots, _finite_length, _finite_lengths, _fold, _hk, _pauli_parts, _read_matrix,
 )
 
 __all__ = [
@@ -288,7 +288,7 @@ class SphericalRegion:
             return np.ones(units.shape[:-1], dtype=bool)
         if self.kind == "cap":
             return _angle(units, self.center) <= self.radius + tol
-        return (units @ self._facets.T).min(axis=-1) >= -tol
+        return _fold(np.minimum, units @ self._facets.T) >= -tol
 
     def _dual(self, ds: np.ndarray, norms, tol: float) -> np.ndarray:
         """Dual-cone membership of vectors (..., 3) of lengths norms; a length up to tol is zero.
@@ -302,7 +302,7 @@ class SphericalRegion:
         if self.kind == "cap":
             units = ds / np.where(zero, 1.0, norms)[..., None]
             return zero | (_angle(units, self.center) <= np.pi / 2.0 - self.radius + tol)
-        return zero | ((ds @ self._extreme.T).min(axis=-1) >= -tol * norms)
+        return zero | (_fold(np.minimum, ds @ self._extreme.T) >= -tol * norms)
 
     def contains(self, u, tol: float = GEOM_TOL) -> bool:
         """Membership of a unit vector in the sphere region."""
@@ -461,7 +461,8 @@ _RELATIONS = np.array(["equal", "less", "greater", "incomparable"], dtype=object
 def pure_state_order_many(region: SphericalRegion, P, Q, tol: float = GEOM_TOL) -> list[str]:
     """pure_state_order row by row on (N, 3) arrays of unit Bloch vectors.
 
-    One dual-cone batch test per direction decides every pair.  On caps and
+    One dual-cone batch test of d = q - p decides "less" (and "equal");
+    the reverse test of -d runs only on the rows it leaves open.  On caps and
     the full sphere row i's relation is exactly that of PureStatePoint(P[i])
     and PureStatePoint(Q[i]).  A hull pairs all rows with its vertices in one
     matrix product, so there a pair within rounding of tol may go either way.
@@ -477,11 +478,12 @@ def _order_codes(region: SphericalRegion, P, Q, tol: float) -> np.ndarray:
         raise DimensionMismatch(f"p and q must hold the same number of rows, got {len(P)} and {len(Q)}")
     d = Q - P
     norms = _finite_lengths(d)
-    codes = np.where(
-        norms <= tol, 0,
-        np.where(region._dual(d, norms, tol), 1, np.where(region._dual(-d, norms, tol), 2, 3)),
-    )
-    return codes.astype(np.uint8)
+    less = region._dual(d, norms, tol)  # also true where norms <= tol
+    codes = np.where(less, np.uint8(1), np.uint8(3))
+    codes[norms <= tol] = 0
+    rest = np.flatnonzero(~less)
+    codes[rest[region._dual(-d.take(rest, axis=0), norms.take(rest), tol)]] = 2
+    return codes
 
 
 def state_order(region: SphericalRegion, rho: DensityState, sigma: DensityState, tol: float = GEOM_TOL) -> str:

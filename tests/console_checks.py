@@ -123,6 +123,8 @@ _FULL = '{"kind":"full"}'
 _CAP = '{"kind":"cap","center":[0,0,1],"radius":0.3}'
 _HULL = ('{"kind":"hull","vertices":[[0.9,0.1,0.42426406871192845],[0.2,0.6,0.7745966692414834],'
          '[0.1,-0.4,0.9110433579144299],[0.5,0.2,0.8426149773176358]]}')
+_SQUARE = ('{"kind":"hull","vertices":[[0.5,0.5,0.7071067811865476],[-0.5,0.5,0.7071067811865476],'
+           '[-0.5,-0.5,0.7071067811865476],[0.5,-0.5,0.7071067811865476]]}')  # 4 extreme rays, _HULL 3
 _C2 = '{"elements":["a","b"],"pairs":[["a","b"],["b","a"]]}'
 _AB = '{"elements":["a","b"],"pairs":[["a","b"]]}'
 _HALF_CHAIN = ["--poset", '{"elements":["a","b","c"],"pairs":[["a","b"],["b","c"]]}',
@@ -144,6 +146,9 @@ ROWS = [
        ("sha256", "82623ead87ef94faf576965a0309d45b521c5557189ad45c0c96609d1a2b4751")),
     _w("hull-scan-json", 0, ["m2", "order", "--region", _HULL, "--samples", "100000", "--seed", "1", "--format", "json"],
        ("sha256", "1a86bcd742a952cab90721cc53b9ef04e476626a7bf9cf406baabc3362f8bf1a")),
+    _w("hull-square-scan-csv", 0, ["m2", "order", "--region", _SQUARE, "--samples", "20000", "--seed", "3",
+                                   "--format", "csv"],
+       ("sha256", "6890361d6da3b3fab65dc111b70e746a79e373548363f46862fdddd56872a04b")),
     Row("csv-id-not-ascii-under-ascii-locale", ["poset", "combine", "--a", '{"elements":["é","b"],"pairs":[["é","b"]]}',
         "--b", '{"elements":["x"],"pairs":[]}', "--mode", "disjoint_union", "--format", "csv"],
         check=_sha("source,target\né,b\n"), env={"LC_ALL": "C", "PYTHONIOENCODING": "ascii"}, same_out=True),

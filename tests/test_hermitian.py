@@ -273,6 +273,57 @@ def test_lattice_ops_refuse_a_bad_stack(a, b, error):
             lattice_ops(a, b)
 
 
+def _same(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+_FOLD_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, -2.5, 5e-324, -5e-324, 1e308]
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 9, 64])  # folded up to 8, the row reduction past it
+def test_fold_has_the_bits_of_the_row_reduction(k):
+    rng = np.random.default_rng(40 + k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((0, k), (1, k), (2000, k), (3, 5, k), (2, 0, k), (2, 3, 4, k)):
+            a = rng.choice(_FOLD_VALUES, size=shape)
+            assert _same(hermitian._fold(np.minimum, a), a.min(axis=-1))
+            assert _same(hermitian._fold(np.maximum, a), a.max(axis=-1))
+            if k <= 8:  # the fold's bits do not depend on the layout; the row reduction's may, at signed zeros
+                assert _same(hermitian._fold(np.minimum, np.asfortranarray(a)), a.min(axis=-1))
+        for _ in range(50):
+            row = rng.choice(_FOLD_VALUES, size=k)
+            assert _same(hermitian._fold(np.minimum, row), row.min())
+            assert _same(hermitian._fold(np.maximum, row), row.max())
+
+
+def test_stack_scale_is_the_largest_part_of_each_matrix():
+    # The stack branch of _read_matrix folds each 2x2 matrix's parts row by row, then
+    # its two rows; the whole-matrix reduction it replaced is the reference, bit for bit.
+    rng = np.random.default_rng(40)
+    finite = [0.0, -0.0, 1.0, -2.5, 0.75, 5e-324, -5e-324, 1e-300, 1e308, -1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((0, 2, 2), (1, 2, 2), (3000, 2, 2), (4, 5, 2, 2)):
+            a = rng.choice(finite, size=shape) + 1j * rng.choice(finite, size=shape)
+            parts = a.view(float)
+            big = np.abs(parts).max(axis=(-2, -1), keepdims=True, initial=0.0)
+            assert _same(hermitian._fold(np.maximum, hermitian._fold(np.maximum, np.abs(parts)))[..., None, None], big)
+            m, s = hermitian._read_matrix(a)
+            assert _same(s, hermitian._scale(big))
+            assert _same(m, hermitian._times(a, 1.0 / hermitian._scale(big)))
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
+                if not a.size:
+                    continue
+                b = a.copy()
+                b.reshape(-1)[rng.integers(b.size)] = bad
+                with pytest.raises(InvalidInput, match="finite"):
+                    hermitian._read_matrix(b)
+                with pytest.raises(InvalidInput, match="finite"):
+                    hermitian._read_matrix(b, hermitian=True)
+
+
 def test_closed_form_abs_is_positive_with_the_square_of_its_matrix():
     a, b = _lattice_stacks(12, 500)
     d = np.concatenate([a - b, a, np.zeros((1, 2, 2))])

@@ -450,6 +450,63 @@ def test_cone_and_dual_membership_of_huge_vectors_batch_as_scalar():
     assert regions[3].dual_contains_many(rows[:2]).tolist() == [True, False]
 
 
+@pytest.mark.parametrize("name, region", region_fixtures(), ids=[name for name, _ in region_fixtures()])
+def test_membership_of_a_stack_is_that_of_each_of_its_layers(name, region):
+    rng = np.random.default_rng(40)
+    units = rng.normal(size=(4, 500, 3))
+    units /= np.linalg.norm(units, axis=-1)[..., None]
+    ds = units * rng.uniform(0.0, 3.0, size=(4, 500, 1))
+    ds[:, :3] = [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-10], [0.0, 0.0, -1.0]]
+    norms = _finite_lengths(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (m2.GEOM_TOL, 0.0, 0.05):
+            inside, dual = region._inside(units, tol), region._dual(ds, norms, tol)
+            assert inside.shape == dual.shape == (4, 500)
+            assert inside.tolist() == [region._inside(u, tol).tolist() for u in units]
+            assert dual.tolist() == [region._dual(d, n, tol).tolist() for d, n in zip(ds, norms)]
+
+
+def _two_sided_order_codes(region, P, Q, tol):
+    """_order_codes with both dual tests on every row, as a nested np.where: the reference."""
+    P = m2._read_rows(P, "Bloch vectors p", unit=m2._UNIT_TOL)[0]
+    Q = m2._read_rows(Q, "Bloch vectors q", unit=m2._UNIT_TOL)[0]
+    d = Q - P
+    norms = _finite_lengths(d)
+    codes = np.where(
+        norms <= tol, 0,
+        np.where(region._dual(d, norms, tol), 1, np.where(region._dual(-d, norms, tol), 2, 3)),
+    )
+    return codes.astype(np.uint8)
+
+
+@pytest.mark.parametrize("name, region", region_fixtures(), ids=[name for name, _ in region_fixtures()])
+def test_order_codes_test_the_reverse_direction_only_where_needed(name, region):
+    rng = np.random.default_rng(40)
+    pts = rng.normal(size=(3000, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    p = pts[:100]
+    perp = np.cross(p, rng.normal(size=(100, 3)))
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    steps = np.repeat([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0], 100 // 6 + 1)[:100, None] * m2.GEOM_TOL
+    near = p + steps * perp  # differences no longer than tol, and just past it
+    edge = _off_boundary_rows(region)
+    P = np.concatenate([pts[:1000], p, p, p, -edge, edge])
+    Q = np.concatenate([pts[1000:2000], p, -p, near / np.linalg.norm(near, axis=1)[:, None], edge, -edge])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (m2.GEOM_TOL, 0.0, 0.05):
+            codes = m2._order_codes(region, P, Q, tol)
+            want = _two_sided_order_codes(region, P, Q, tol)
+            assert codes.dtype == np.uint8 and codes.tobytes() == want.tobytes()
+        codes = m2._order_codes(region, P, Q, m2.GEOM_TOL)
+        assert codes[1000:1100].tolist() == [0] * 100  # equal pairs
+        near_codes = codes[1200:1300]
+        assert (near_codes[steps[:, 0] <= 0.5 * m2.GEOM_TOL] == 0).all()
+        assert (near_codes[steps[:, 0] == 2.0 * m2.GEOM_TOL] != 0).all()
+    assert set(codes.tolist()) == ({0, 1, 2, 3} if name != "full" else {0, 3})
+
+
 def test_unit_vectors_with_overflowing_entries_are_invalid_input_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
